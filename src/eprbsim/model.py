@@ -103,8 +103,8 @@ class ModelParams:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
         if not 0.0 <= self.window <= 1.0:
             raise ValueError(f"window must be in [0, 1], got {self.window}")
-        if not self.d_exponent > 0.0:
-            raise ValueError(f"d_exponent must be > 0, got {self.d_exponent}")
+        if not (math.isfinite(self.d_exponent) and self.d_exponent > 0.0):
+            raise ValueError(f"d_exponent must be finite and > 0, got {self.d_exponent}")
         if self.t_max != 1.0:
             raise ValueError("t_max is fixed to 1 (all times are in units of the maximal delay)")
 

@@ -29,6 +29,7 @@ from .bounds import (
     UNEQUAL_QUAD_REL_TOL,
     BoundReport,
     check_simulated_gamma,
+    equal_settings_apply,
 )
 from .coincidence import CoincidenceStats, coincidence_mask
 from .model import CoincidenceMode, ModelParams, UnitVector3, event_stream, generate_batch
@@ -98,14 +99,18 @@ class ExperimentConfig:
             raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
         if not 0.0 < self.window <= 1.0:
             raise ConfigError(f"window must be in (0, 1], got {self.window}")
-        if not self.d_exponent > 0.0:
-            raise ConfigError(f"d_exponent must be > 0, got {self.d_exponent}")
+        if not (math.isfinite(self.d_exponent) and self.d_exponent > 0.0):
+            raise ConfigError(f"d_exponent must be finite and > 0, got {self.d_exponent}")
         if self.n_events < 1:
             raise ConfigError(f"n_events must be >= 1, got {self.n_events}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit non-negative integer")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if not all(0.0 <= a <= 180.0 for a in self.audit_alpha_deg):
+            raise ConfigError(
+                f"audit_alpha_deg values must be in [0, 180], got {list(self.audit_alpha_deg)}"
+            )
         if not self.audit_tau or not all(0.0 < t <= 1.0 for t in self.audit_tau):
             raise ConfigError("audit_tau values must be in (0, 1]")
 
@@ -475,7 +480,9 @@ def run_bound_audit(config: ExperimentConfig) -> BoundAuditResult:
                 "closed_form": r.closed_form,
                 "quadrature": r.quadrature,
                 "quad_rel_tol": (
-                    EQUAL_QUAD_REL_TOL if r.alpha == 0.0 else UNEQUAL_QUAD_REL_TOL
+                    EQUAL_QUAD_REL_TOL
+                    if equal_settings_apply(r.alpha)
+                    else UNEQUAL_QUAD_REL_TOL
                 ),
                 "simulated_gamma": r.simulated_gamma,
                 "stderr_gamma": r.stderr_gamma,

@@ -9,6 +9,10 @@ form and the integral disagree.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +32,14 @@ from eprbsim import (
     unequal_settings_bound,
     unequal_settings_quadrature,
 )
+from eprbsim.bounds import EQUAL_QUAD_REL_TOL, UNEQUAL_QUAD_REL_TOL
 
 FOUR_PI = 4.0 * math.pi
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# six points per decade from 1e-1 to 1e-4, the tau grid of the benchmark's
+# bound audit, plus both ends of the range the audit is run at
+DENSE_TAU_GRID = [round(10.0 ** (-1.0 - k / 6.0), 6) for k in range(19)] + [1.0, 1e-6]
 
 
 class TestUnequalSettingsBound:
@@ -101,6 +111,14 @@ class TestUnequalSettingsQuadrature:
         with pytest.raises(ValueError):
             unequal_settings_quadrature(math.pi, 1e-3)
 
+    def test_dense_angle_grid_at_module_tolerance(self):
+        tau = 7e-4
+        for alpha_deg in range(1, 180):
+            alpha = math.radians(alpha_deg)
+            assert unequal_settings_quadrature(alpha, tau) == pytest.approx(
+                16.0 * tau / math.sin(alpha), rel=UNEQUAL_QUAD_REL_TOL
+            ), alpha_deg
+
     def test_linear_in_tau(self):
         a = math.radians(50.0)
         assert unequal_settings_quadrature(a, 3e-3) == pytest.approx(
@@ -131,6 +149,19 @@ class TestEqualSettingsQuadrature:
     def test_matches_closed_form(self, tau):
         assert equal_settings_quadrature(tau) == pytest.approx(
             equal_settings_bound(tau), rel=1e-5
+        )
+
+    def test_dense_tau_grid_at_module_tolerance(self):
+        for tau in DENSE_TAU_GRID:
+            assert equal_settings_quadrature(tau) == pytest.approx(
+                equal_settings_bound(tau), rel=EQUAL_QUAD_REL_TOL
+            ), tau
+
+    @pytest.mark.parametrize("tau", [1e-30, 1e-60])
+    def test_tiny_tau_at_module_tolerance(self, tau):
+        # the saturated cap shrinks to tau^(1/3); its edge must still resolve
+        assert equal_settings_quadrature(tau) == pytest.approx(
+            equal_settings_bound(tau), rel=EQUAL_QUAD_REL_TOL
         )
 
     def test_monotone_in_tau(self):
@@ -181,6 +212,23 @@ class TestCheckSimulatedGamma:
         assert report.quadrature == pytest.approx(equal_settings_bound(tau), rel=1e-5)
         assert report.satisfied
 
+    def test_antipodal_settings_use_equal_settings_path(self):
+        # a2 = -a1 gives T1 = T2, so the equal-settings bound applies at pi
+        tau = 1e-3
+        stats = simulate_pair_stats(
+            UnitVector3.from_angle_deg(0.0),
+            UnitVector3.from_angle_deg(180.0),
+            self.same_bin_params(tau),
+            2_000_000,
+            seed=606,
+        )
+        report = check_simulated_gamma(stats, math.pi, tau)
+        assert report.closed_form == pytest.approx(equal_settings_bound(tau), rel=1e-12)
+        assert report.quadrature == pytest.approx(
+            equal_settings_bound(tau), rel=EQUAL_QUAD_REL_TOL
+        )
+        assert report.satisfied
+
     def test_trivial_full_resolution(self):
         params = self.same_bin_params(1.0)
         a = UnitVector3.from_angle_deg(0.0)
@@ -205,3 +253,26 @@ class TestCheckSimulatedGamma:
         stats = accumulate(batch, params)
         with pytest.raises(ValueError, match="W = tau"):
             check_simulated_gamma(stats, 0.0, 1e-3)
+
+
+def test_package_runs_without_scipy():
+    """``import eprbsim`` and a small bound audit, with scipy made unimportable."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import eprbsim\n"
+        "from eprbsim.cli import main\n"
+        "sys.exit(main(['bounds', '--events', '20000', '--alpha-grid', '0,90,180',\n"
+        "               '--tau-grid', '0.01', '--seed', '7', '--format', 'csv']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("alpha_deg")
+    assert len(lines) == 4

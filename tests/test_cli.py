@@ -111,6 +111,13 @@ class TestBoundsCommand:
         assert len(rows) == 1
         assert rows[0]["satisfied"] == "true"
 
+    def test_audit_angle_out_of_range_exits_1(self):
+        proc = run_cli("bounds", "--events", "20000", "--alpha-grid", "200")
+        assert proc.returncode == 1
+        assert "audit_alpha_deg" in proc.stderr and "[0, 180]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_continuous_mode_rejected(self):
         proc = run_cli("bounds", "--mode", "continuous", "--events", "1000")
         assert proc.returncode == 1

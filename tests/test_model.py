@@ -242,6 +242,7 @@ class TestModelParams:
             {"window": 1.5},
             {"d_exponent": 0.0},
             {"t_max": 0.5},
+            {"d_exponent": math.inf},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -16,6 +16,7 @@ from eprbsim import (
     run_chsh_experiment,
     run_correlation_sweep,
 )
+from eprbsim.bounds import EQUAL_QUAD_REL_TOL
 from eprbsim.runner import (
     BOUNDS_COLUMNS,
     CHSH_COLUMNS,
@@ -58,6 +59,9 @@ class TestExperimentConfig:
             {"alpha_grid_deg": ()},
             {"alpha_grid_deg": (0.0, math.inf)},
             {"audit_tau": (0.0,)},
+            {"d_exponent": math.inf},
+            {"audit_alpha_deg": (0.0, 200.0)},
+            {"audit_alpha_deg": (-15.0,)},
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -157,6 +161,15 @@ class TestBoundAudit:
             assert row["satisfied"] is True
             assert row["quad_rel_tol"] in (1e-6, 1e-8)
             assert row["stderr_gamma"] is not None
+
+    def test_antipodal_row_uses_equal_settings(self):
+        result = run_bound_audit(small_config(n_events=200_000, audit_alpha_deg=(0.0, 180.0)))
+        equal, antipodal = result.manifest.results["rows"]
+        assert antipodal["alpha_deg"] == 180.0
+        assert antipodal["closed_form"] == equal["closed_form"]
+        assert antipodal["quadrature"] == equal["quadrature"]
+        assert antipodal["quad_rel_tol"] == EQUAL_QUAD_REL_TOL
+        assert antipodal["satisfied"] is True
 
 
 class TestManifest:
