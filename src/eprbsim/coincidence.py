@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import CoincidenceMode, EventBatch, EventPair, ModelParams
+from .model import CoincidenceMode, EventBatch, EventPair, ModelParams, Workspace
 
 __all__ = [
     "CoincidenceStats",
@@ -29,11 +29,23 @@ __all__ = [
 ]
 
 
-def coincidence_mask(t1: np.ndarray, t2: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Boolean mask of coincident pairs for arrays of time tags."""
+def coincidence_mask(
+    t1: np.ndarray, t2: np.ndarray, params: ModelParams, workspace: Workspace | None = None
+) -> np.ndarray:
+    """Boolean mask of coincident pairs for arrays of time tags.
+
+    With a ``workspace`` (whose ``tmp`` buffers must not hold the tags) the
+    mask and its intermediates are written into its buffers.
+    """
+    n = len(t1)
+    a, b, mask = (None, None, None) if workspace is None else (
+        workspace.tmp[0][:n], workspace.tmp[1][:n], workspace.mask[:n])
     if params.coincidence_mode is CoincidenceMode.CONTINUOUS:
-        return np.abs(t1 - t2) <= params.window
-    return np.floor(t1 / params.tau) == np.floor(t2 / params.tau)
+        gap = np.abs(np.subtract(t1, t2, out=a), out=a)
+        return np.less_equal(gap, params.window, out=mask)
+    bin1 = np.floor(np.divide(t1, params.tau, out=a), out=a)
+    bin2 = np.floor(np.divide(t2, params.tau, out=b), out=b)
+    return np.equal(bin1, bin2, out=mask)
 
 
 def is_coincident(t1: float, t2: float, params: ModelParams) -> bool:
@@ -131,14 +143,20 @@ def merge_stats(parts: Iterable[CoincidenceStats]) -> CoincidenceStats:
     return out
 
 
-def _counts_from_batch(batch: EventBatch, params: ModelParams) -> tuple[int, int, int]:
-    mask = coincidence_mask(batch.t1, batch.t2, params)
+def _counts_from_batch(
+    batch: EventBatch, params: ModelParams, workspace: Workspace | None = None
+) -> tuple[int, int, int]:
+    """(events, coincidences, sum of x1*x2 over coincidences) of one batch.
+
+    Outcomes are +-1, so the sum is (agreeing coincidences) minus
+    (disagreeing ones), computed from boolean counts without a product array.
+    """
+    n = len(batch)
+    mask = coincidence_mask(batch.t1, batch.t2, params, workspace)
+    agree = np.equal(batch.x1, batch.x2, out=None if workspace is None else workspace.agree[:n])
+    np.logical_and(agree, mask, out=agree)
     n_c = int(np.count_nonzero(mask))
-    if n_c:
-        sum_xy = int((batch.x1[mask].astype(np.int64) * batch.x2[mask]).sum())
-    else:
-        sum_xy = 0
-    return len(batch), n_c, sum_xy
+    return n, n_c, 2 * int(np.count_nonzero(agree)) - n_c
 
 
 def accumulate(

@@ -36,6 +36,7 @@ __all__ = [
     "sample_time_tag",
     "generate_pair",
     "generate_batch",
+    "Workspace",
 ]
 
 _NORM_TOL = 1e-12
@@ -101,8 +102,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if not 0.0 <= self.window <= 1.0:
-            raise ValueError(f"window must be in [0, 1], got {self.window}")
+        if not 0.0 < self.window <= 1.0:
+            raise ValueError(f"window must be in (0, 1], got {self.window}")
         if not (math.isfinite(self.d_exponent) and self.d_exponent > 0.0):
             raise ValueError(f"d_exponent must be finite and > 0, got {self.d_exponent}")
         if self.t_max != 1.0:
@@ -180,15 +181,17 @@ def outcome(setting: UnitVector3, s: UnitVector3) -> int:
     return 1 if setting.dot(s) >= 0.0 else -1
 
 
-def _delay_from_dot_sq(dot_sq, d_exponent: float):
-    base = 1.0 - dot_sq
+def _delay_from_dot_sq(dot_sq, d_exponent: float, out=None, tmp=None):
+    """Delay law (1 - dot_sq)^(d/2); with ``out`` and ``tmp`` it writes into
+    them instead of allocating (``out`` may be ``dot_sq`` itself)."""
+    base = np.subtract(1.0, dot_sq, out=out)
     if d_exponent == 3.0:
-        return base * np.sqrt(base)
+        return np.multiply(base, np.sqrt(base, out=tmp), out=out)
     if d_exponent == 2.0:
         return base
     if d_exponent == 1.0:
-        return np.sqrt(base)
-    return np.power(base, 0.5 * d_exponent)
+        return np.sqrt(base, out=out)
+    return np.power(base, 0.5 * d_exponent, out=out)
 
 
 def delay_scale(setting: UnitVector3, s: UnitVector3, params: ModelParams) -> float:
@@ -236,6 +239,24 @@ def generate_pair(
     return EventPair(x1, x2, t1, t2, s)
 
 
+class Workspace:
+    """Reusable buffers for chunks of up to ``capacity`` events.
+
+    ``generate_batch`` writes the batch into ``t1``, ``t2``, ``x1`` and ``x2``
+    and uses ``tmp`` as scratch; the coincidence cut then reuses ``tmp`` and
+    writes ``mask`` and ``agree``.  A batch built in a workspace holds views
+    of these buffers, valid until the workspace is used for the next chunk.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.t1, self.t2, *self.tmp = (np.empty(capacity) for _ in range(6))
+        self.x1 = np.empty(capacity, np.int8)
+        self.x2 = np.empty(capacity, np.int8)
+        self.mask = np.empty(capacity, np.bool_)
+        self.agree = np.empty(capacity, np.bool_)
+
+
 def generate_batch(
     rng: np.random.Generator,
     a1: UnitVector3,
@@ -243,35 +264,56 @@ def generate_batch(
     params: ModelParams,
     n: int,
     keep_hidden: bool = False,
+    workspace: Workspace | None = None,
 ) -> EventBatch:
     """Vectorized pair generation; the workhorse for large event counts.
 
     Draw order is batch-wise (directions, then all station-1 tags, then all
     station-2 tags), so a batch is reproducible from its generator state but
     lays out the stream differently from repeated generate_pair calls.
+
+    With a ``workspace`` every array is written into its buffers and nothing
+    of size ``n`` is allocated; without one a fresh workspace is used.  The
+    floating-point operations and their order are the same either way, so
+    both give bit-identical batches.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = 1.0 - 2.0 * rng.random(n)
-    phi = 2.0 * np.pi * rng.random(n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    sx = r * np.cos(phi)
-    sy = r * np.sin(phi)
-    sz = z
+    ws = workspace if workspace is not None else Workspace(n)
+    if n > ws.capacity:
+        raise ValueError(f"n = {n} exceeds the workspace capacity {ws.capacity}")
+    t1, t2, x1, x2 = ws.t1[:n], ws.t2[:n], ws.x1[:n], ws.x2[:n]
+    w0, w1, w2, w3 = (b[:n] for b in ws.tmp)
 
-    d1 = sx * a1.x + sy * a1.y + sz * a1.z
-    d2 = sx * a2.x + sy * a2.y + sz * a2.z
-
-    one = np.int8(1)
-    minus = np.int8(-1)
-    x1 = np.where(d1 >= 0.0, one, minus)
-    # station 2 measures -s: sign(a2 . -s) with the same tie-break to +1
-    x2 = np.where(d2 <= 0.0, one, minus)
-
-    T1 = params.t_max * _delay_from_dot_sq(d1 * d1, params.d_exponent)
-    T2 = params.t_max * _delay_from_dot_sq(d2 * d2, params.d_exponent)
-    t1 = rng.random(n) * T1
-    t2 = rng.random(n) * T2
-
+    # z = 1 - 2u and phi = 2 pi u'
+    sz = np.subtract(1.0, np.multiply(2.0, rng.random(out=w0), out=w0), out=w0)
+    phi = np.multiply(2.0 * np.pi, rng.random(out=w1), out=w1)
+    # r = sqrt(max(0, 1 - z^2))
+    r = np.multiply(sz, sz, out=w2)
+    np.subtract(1.0, r, out=r)
+    np.sqrt(np.maximum(0.0, r, out=r), out=r)
+    sx = np.multiply(r, np.cos(phi, out=w3), out=w3)
+    sy = np.multiply(r, np.sin(phi, out=phi), out=phi)
     s = np.column_stack((sx, sy, sz)) if keep_hidden else None
+
+    # d = (sx a.x + sy a.y) + sz a.z, held in the tag buffers until the tags
+    # are drawn; w2 is free once r has been used
+    for d, a in ((t1, a1), (t2, a2)):
+        np.multiply(sx, a.x, out=d)
+        np.add(d, np.multiply(sy, a.y, out=w2), out=d)
+        np.add(d, np.multiply(sz, a.z, out=w2), out=d)
+
+    # outcomes as 0/1 bytes, then 2x - 1; station 2 measures -s:
+    # sign(a2 . -s) with the same tie-break to +1
+    np.greater_equal(t1, 0.0, out=x1.view(np.bool_))
+    np.less_equal(t2, 0.0, out=x2.view(np.bool_))
+    for x in (x1, x2):
+        np.subtract(np.multiply(x, 2, out=x), 1, out=x)
+
+    T1 = _delay_from_dot_sq(np.multiply(t1, t1, out=w0), params.d_exponent, out=w0, tmp=w1)
+    T2 = _delay_from_dot_sq(np.multiply(t2, t2, out=w2), params.d_exponent, out=w2, tmp=w3)
+    np.multiply(params.t_max, T1, out=T1)
+    np.multiply(params.t_max, T2, out=T2)
+    np.multiply(rng.random(out=t1), T1, out=t1)
+    np.multiply(rng.random(out=t2), T2, out=t2)
     return EventBatch(x1=x1, x2=x2, t1=t1, t2=t2, s=s)

@@ -2,10 +2,14 @@
 
 Event generation is split into fixed-size chunks; each chunk owns a
 counter-based random stream keyed by (seed, stream index, chunk start).
-Partial counts are integers and merge associatively, so results are
-bit-identical for any worker count and any completion order.  The chunk
-size is part of the algorithm, not configuration: changing it would change
-the sampled stream.
+Each run (a sweep, a CHSH experiment, a bound audit) is one flat plan: the
+chunks of all its setting pairs, each pair with its own model parameters and
+stream index, served by one process pool, or run in-process for one worker.
+Every process generates its chunks into one reusable workspace that lives as
+long as the plan.  Partial counts are integers, summed per pair in plan
+order, so results are bit-identical for any worker count and any completion
+order.  The chunk size is part of the algorithm, not configuration: changing
+it would change the sampled stream.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .bell import CorrelationQuartet, InequalityReport, verdict
 from .bounds import (
@@ -31,8 +33,15 @@ from .bounds import (
     check_simulated_gamma,
     equal_settings_apply,
 )
-from .coincidence import CoincidenceStats, coincidence_mask
-from .model import CoincidenceMode, ModelParams, UnitVector3, event_stream, generate_batch
+from .coincidence import CoincidenceStats, _counts_from_batch
+from .model import (
+    CoincidenceMode,
+    ModelParams,
+    UnitVector3,
+    Workspace,
+    event_stream,
+    generate_batch,
+)
 
 __all__ = [
     "ConfigError",
@@ -176,14 +185,65 @@ class ExperimentConfig:
 # chunked, worker-count-independent simulation
 
 
-def _chunk_counts(task: tuple) -> tuple[int, int, int]:
+# One setting pair of a plan: settings, model parameters and stream index.
+PlanPair = tuple[UnitVector3, UnitVector3, ModelParams, int]
+
+# The workspace of a pool worker, made by _init_worker when the worker starts
+# and gone when the plan's pool shuts down; the parent process never sets it.
+_worker_workspace: Workspace | None = None
+
+
+def _init_worker(capacity: int) -> None:
+    global _worker_workspace
+    _worker_workspace = Workspace(capacity)
+
+
+def _chunk_counts(task: tuple, workspace: Workspace) -> tuple[int, int, int]:
     seed, stream, start, size, a1, a2, params = task
     rng = event_stream(seed, start, stream=stream)
-    batch = generate_batch(rng, a1, a2, params, size)
-    mask = coincidence_mask(batch.t1, batch.t2, params)
-    n_c = int(np.count_nonzero(mask))
-    sum_xy = int((batch.x1[mask].astype(np.int64) * batch.x2[mask]).sum()) if n_c else 0
-    return size, n_c, sum_xy
+    batch = generate_batch(rng, a1, a2, params, size, workspace=workspace)
+    return _counts_from_batch(batch, params, workspace)
+
+
+def _pooled_chunk_counts(task: tuple) -> tuple[int, int, int]:
+    return _chunk_counts(task, _worker_workspace)
+
+
+def simulate_plan(
+    pairs: list[PlanPair], n_events: int, seed: int, workers: int = 1
+) -> list[CoincidenceStats]:
+    """Simulate every pair of a run, ``n_events`` each, as one flat plan.
+
+    The chunks of all pairs form one task list, served by one pool of up to
+    ``workers`` processes (or run in-process); each worker fills one
+    reusable workspace, which lives as long as the plan.  Each chunk's
+    stream is keyed by (seed, stream, chunk start), and the integer counts
+    are summed per pair in plan order, so the results depend neither on the
+    worker count nor on the completion order.
+    """
+    starts = range(0, n_events, CHUNK_SIZE)
+    tasks = [
+        (seed, stream, start, min(CHUNK_SIZE, n_events - start), a1, a2, params)
+        for a1, a2, params, stream in pairs
+        for start in starts
+    ]
+    capacity = min(CHUNK_SIZE, n_events)
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(tasks)),
+            initializer=_init_worker,
+            initargs=(capacity,),
+        ) as pool:
+            counts = list(pool.map(_pooled_chunk_counts, tasks, chunksize=1))
+    else:
+        workspace = Workspace(capacity)
+        counts = [_chunk_counts(t, workspace) for t in tasks]
+    stats = []
+    for i, (_, _, params, _) in enumerate(pairs):
+        parts = counts[i * len(starts):(i + 1) * len(starts)]
+        n, n_c, sum_xy = (sum(column) for column in zip(*parts))
+        stats.append(CoincidenceStats.from_counts(n, n_c, sum_xy, params=params))
+    return stats
 
 
 def simulate_pair_stats(
@@ -200,19 +260,7 @@ def simulate_pair_stats(
     ``stream`` isolates the random streams of different setting pairs within
     one experiment; results depend on (seed, stream, n_events) only.
     """
-    tasks = [
-        (seed, stream, start, min(CHUNK_SIZE, n_events - start), a1, a2, params)
-        for start in range(0, n_events, CHUNK_SIZE)
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_counts, tasks, chunksize=1))
-    else:
-        parts = [_chunk_counts(t) for t in tasks]
-    n = sum(p[0] for p in parts)
-    n_c = sum(p[1] for p in parts)
-    sum_xy = sum(p[2] for p in parts)
-    return CoincidenceStats.from_counts(n, n_c, sum_xy, params=params)
+    return simulate_plan([(a1, a2, params, stream)], n_events, seed, workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +362,7 @@ class SweepRow:
 
     @property
     def flagged(self) -> bool:
-        return not stats_has_correlation(self.stats)
-
-
-def stats_has_correlation(stats: CoincidenceStats) -> bool:
-    return stats.e_conditional is not None
+        return not self.stats.has_correlation
 
 
 @dataclass(frozen=True)
@@ -336,19 +380,19 @@ def run_correlation_sweep(config: ExperimentConfig) -> SweepResult:
     t0 = time.perf_counter()
     params = config.model_params()
     a1 = UnitVector3.from_angle_deg(0.0)
-    rows = []
-    for i, alpha_deg in enumerate(config.alpha_grid_deg):
-        a2 = UnitVector3.from_angle_deg(alpha_deg)
-        stats = simulate_pair_stats(
-            a1, a2, params, config.n_events, config.seed, stream=i, workers=config.workers
+    plan = [
+        (a1, UnitVector3.from_angle_deg(alpha_deg), params, i)
+        for i, alpha_deg in enumerate(config.alpha_grid_deg)
+    ]
+    all_stats = simulate_plan(plan, config.n_events, config.seed, config.workers)
+    rows = [
+        SweepRow(
+            alpha_deg=alpha_deg,
+            stats=stats,
+            reference=-math.cos(math.radians(alpha_deg)),
         )
-        rows.append(
-            SweepRow(
-                alpha_deg=alpha_deg,
-                stats=stats,
-                reference=-math.cos(math.radians(alpha_deg)),
-            )
-        )
+        for alpha_deg, stats in zip(config.alpha_grid_deg, all_stats)
+    ]
     results = {
         "rows": [
             {
@@ -383,24 +427,19 @@ def run_chsh_experiment(config: ExperimentConfig) -> ChshResult:
     params = config.model_params()
     a, b, c, d = config.settings_deg
     pair_angles = {"ac": (a, c), "ad": (a, d), "bc": (b, c), "bd": (b, d)}
-    pair_stats: dict[str, CoincidenceStats] = {}
-    for i, label in enumerate(PAIR_LABELS):
-        th1, th2 = pair_angles[label]
-        stats = simulate_pair_stats(
-            UnitVector3.from_angle_deg(th1),
-            UnitVector3.from_angle_deg(th2),
-            params,
-            config.n_events,
-            config.seed,
-            stream=i,
-            workers=config.workers,
-        )
-        if stats.n_coincident == 0:
+    plan = [
+        (UnitVector3.from_angle_deg(th1), UnitVector3.from_angle_deg(th2), params, i)
+        for i, (th1, th2) in enumerate(pair_angles[label] for label in PAIR_LABELS)
+    ]
+    all_stats = simulate_plan(plan, config.n_events, config.seed, config.workers)
+    pair_stats = dict(zip(PAIR_LABELS, all_stats))
+    for label in PAIR_LABELS:
+        if pair_stats[label].n_coincident == 0:
+            th1, th2 = pair_angles[label]
             raise EmptyEnsembleError(
                 f"empty coincidence ensemble for pair {label} "
                 f"(settings {th1} deg, {th2} deg)"
             )
-        pair_stats[label] = stats
     quartet = CorrelationQuartet(
         e_ac=pair_stats["ac"].e_conditional,
         e_ad=pair_stats["ad"].e_conditional,
@@ -455,23 +494,26 @@ def run_bound_audit(config: ExperimentConfig) -> BoundAuditResult:
         raise ConfigError("the bound audit requires same-bin mode with W = tau")
     t0 = time.perf_counter()
     a1 = UnitVector3.from_angle_deg(0.0)
-    reports: list[BoundReport] = []
-    stream = 0
-    for tau in config.audit_tau:
-        params = ModelParams(
-            tau=tau,
-            window=tau,
-            d_exponent=config.d_exponent,
-            coincidence_mode=CoincidenceMode.SAME_BIN,
+    grid = [(tau, alpha_deg) for tau in config.audit_tau for alpha_deg in config.audit_alpha_deg]
+    plan = [
+        (
+            a1,
+            UnitVector3.from_angle_deg(alpha_deg),
+            ModelParams(
+                tau=tau,
+                window=tau,
+                d_exponent=config.d_exponent,
+                coincidence_mode=CoincidenceMode.SAME_BIN,
+            ),
+            stream,
         )
-        for alpha_deg in config.audit_alpha_deg:
-            a2 = UnitVector3.from_angle_deg(alpha_deg)
-            stats = simulate_pair_stats(
-                a1, a2, params, config.n_events, config.seed,
-                stream=stream, workers=config.workers,
-            )
-            reports.append(check_simulated_gamma(stats, math.radians(alpha_deg), tau))
-            stream += 1
+        for stream, (tau, alpha_deg) in enumerate(grid)
+    ]
+    all_stats = simulate_plan(plan, config.n_events, config.seed, config.workers)
+    reports: list[BoundReport] = [
+        check_simulated_gamma(stats, math.radians(alpha_deg), tau)
+        for (tau, alpha_deg), stats in zip(grid, all_stats)
+    ]
     results = {
         "rows": [
             {

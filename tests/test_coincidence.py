@@ -33,7 +33,8 @@ def same_bin(tau: float) -> ModelParams:
 
 class TestIsCoincident:
     def test_zero_separation_always_coincident(self):
-        assert is_coincident(0.3, 0.3, continuous(0.0))
+        # the narrowest window ModelParams accepts (W = 0 is rejected)
+        assert is_coincident(0.3, 0.3, continuous(math.ulp(0.0)))
         assert is_coincident(0.3, 0.3, same_bin(0.1))
 
     def test_continuous_window(self):
@@ -155,12 +156,12 @@ class TestConditioningInvariants:
             assert stats.e_conditional == -1.0
 
     def test_window_monotonicity(self):
-        base = continuous(0.0, tau=0.5)
+        base = continuous(math.ulp(0.0), tau=0.5)
         batch = generate_batch(
             event_stream(13, 0), X_AXIS, UnitVector3.from_angle_deg(50.0), base, 20_000
         )
         previous = -1
-        for w in (0.0, 0.001, 0.01, 0.1, 0.5, 1.0):
+        for w in (math.ulp(0.0), 0.001, 0.01, 0.1, 0.5, 1.0):
             n_c = accumulate(batch, continuous(w, tau=0.5)).n_coincident
             assert n_c >= previous
             previous = n_c

@@ -17,6 +17,7 @@ from eprbsim import (
     sample_directions,
     sample_time_tag,
 )
+from eprbsim.model import Workspace
 
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)
 
@@ -232,6 +233,48 @@ class TestGeneratePair:
         assert pair.x1 * pair.x2 == -1
 
 
+def reference_batch(rng, a1, a2, n):
+    """The kernel in its allocating form, operation for operation (d = 3)."""
+    z = 1.0 - 2.0 * rng.random(n)
+    phi = 2.0 * np.pi * rng.random(n)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    sx = r * np.cos(phi)
+    sy = r * np.sin(phi)
+    d1 = sx * a1.x + sy * a1.y + z * a1.z
+    d2 = sx * a2.x + sy * a2.y + z * a2.z
+    base1 = 1.0 - d1 * d1
+    base2 = 1.0 - d2 * d2
+    t1 = rng.random(n) * (1.0 * (base1 * np.sqrt(base1)))
+    t2 = rng.random(n) * (1.0 * (base2 * np.sqrt(base2)))
+    x1 = np.where(d1 >= 0.0, 1, -1).astype(np.int8)
+    x2 = np.where(d2 <= 0.0, 1, -1).astype(np.int8)
+    return x1, x2, t1, t2
+
+
+class TestWorkspace:
+    def test_reused_workspace_is_bit_identical(self):
+        """Chunks generated into one reused workspace, the last one shorter,
+        equal fresh batches and the allocating reference bit for bit."""
+        params = ModelParams()
+        a1 = UnitVector3.from_angle_deg(20.0)
+        a2 = UnitVector3(0.48, 0.6, 0.64)
+        workspace = Workspace(4_096)
+        for start, n in ((0, 4_096), (4_096, 4_096), (8_192, 1_000)):
+            reused = generate_batch(event_stream(121, start), a1, a2, params, n,
+                                    workspace=workspace)
+            fresh = generate_batch(event_stream(121, start), a1, a2, params, n)
+            expected = reference_batch(event_stream(121, start), a1, a2, n)
+            for name, want in zip(("x1", "x2", "t1", "t2"), expected):
+                for got in (getattr(reused, name), getattr(fresh, name)):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+
+    def test_rejects_chunk_larger_than_capacity(self):
+        with pytest.raises(ValueError, match="capacity"):
+            generate_batch(event_stream(122, 0), X_AXIS, X_AXIS, ModelParams(), 11,
+                           workspace=Workspace(10))
+
+
 class TestModelParams:
     @pytest.mark.parametrize(
         "kwargs",
@@ -243,6 +286,7 @@ class TestModelParams:
             {"d_exponent": 0.0},
             {"t_max": 0.5},
             {"d_exponent": math.inf},
+            {"window": 0.0},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
 from eprbsim import (
@@ -16,15 +17,21 @@ from eprbsim import (
     run_chsh_experiment,
     run_correlation_sweep,
 )
+from eprbsim import runner
 from eprbsim.bounds import EQUAL_QUAD_REL_TOL
+from eprbsim.coincidence import _counts_from_batch
+from eprbsim.model import ModelParams, UnitVector3, Workspace, event_stream, generate_batch
 from eprbsim.runner import (
     BOUNDS_COLUMNS,
     CHSH_COLUMNS,
+    CHUNK_SIZE,
     SWEEP_COLUMNS,
     bounds_table_rows,
     chsh_table_rows,
     rows_to_csv,
     rows_to_table,
+    simulate_pair_stats,
+    simulate_plan,
     sweep_table_rows,
 )
 
@@ -170,6 +177,96 @@ class TestBoundAudit:
         assert antipodal["quadrature"] == equal["quadrature"]
         assert antipodal["quad_rel_tol"] == EQUAL_QUAD_REL_TOL
         assert antipodal["satisfied"] is True
+
+
+class TestRunPlan:
+    """A run is one plan of chunk tasks served by one pool; its per-pair
+    statistics must equal those of simulating each pair on its own."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_events", [1_000, CHUNK_SIZE, CHUNK_SIZE + 4_321])
+    def test_sweep_equals_separate_pairs(self, n_events, workers):
+        config = small_config(alpha_grid_deg=(0.0, 60.0), n_events=n_events, workers=workers)
+        params = config.model_params()
+        result = run_correlation_sweep(config)
+        for i, row in enumerate(result.rows):
+            alone = simulate_pair_stats(
+                UnitVector3.from_angle_deg(0.0), UnitVector3.from_angle_deg(row.alpha_deg),
+                params, n_events, config.seed, stream=i, workers=workers,
+            )
+            assert row.stats == alone
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chsh_equals_separate_pairs(self, workers):
+        config = small_config(n_events=CHUNK_SIZE + 17, workers=workers)
+        result = run_chsh_experiment(config)
+        for i, label in enumerate(runner.PAIR_LABELS):
+            th1, th2 = result.manifest.results["pair_settings_deg"][label]
+            alone = simulate_pair_stats(
+                UnitVector3.from_angle_deg(th1), UnitVector3.from_angle_deg(th2),
+                config.model_params(), config.n_events, config.seed, stream=i, workers=1,
+            )
+            assert result.pair_stats[label] == alone
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_audit_rows_carry_their_own_tau(self, workers):
+        config = small_config(
+            n_events=100_000, workers=workers, audit_tau=(0.05, 0.01), audit_alpha_deg=(0.0, 90.0)
+        )
+        reports = run_bound_audit(config).reports
+        plan = []
+        for tau in config.audit_tau:
+            for alpha_deg in config.audit_alpha_deg:
+                plan.append((
+                    UnitVector3.from_angle_deg(0.0), UnitVector3.from_angle_deg(alpha_deg),
+                    ModelParams(tau=tau, window=tau), len(plan),
+                ))
+        planned = simulate_plan(plan, config.n_events, config.seed, workers)
+        assert [s.tau for s in planned] == [0.05, 0.05, 0.01, 0.01]
+        for (a1, a2, params, stream), stats, report in zip(plan, planned, reports):
+            alone = simulate_pair_stats(a1, a2, params, config.n_events, config.seed, stream=stream)
+            assert stats == alone
+            assert report.tau == params.tau
+            assert report.simulated_gamma == alone.gamma_hat
+
+    def test_one_pool_per_run(self, monkeypatch):
+        pools = []
+
+        class CountingPool(runner.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+        run_correlation_sweep(small_config(n_events=50_000, workers=2))
+        assert pools == [2]
+        run_chsh_experiment(small_config(n_events=CHUNK_SIZE + 1, workers=2))
+        assert pools == [2, 2]
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    def test_chunk_counts_match_reference_reduction(self, mode):
+        params = ModelParams(tau=0.01, window=0.02, coincidence_mode=mode)
+        a1, a2 = UnitVector3.from_angle_deg(0.0), UnitVector3.from_angle_deg(40.0)
+        workspace = Workspace(30_000)
+        for n in (30_000, 1_234):
+            batch = generate_batch(event_stream(21, n), a1, a2, params, n, workspace=workspace)
+            if mode is CoincidenceMode.CONTINUOUS:
+                mask = np.abs(batch.t1 - batch.t2) <= params.window
+            else:
+                mask = np.floor(batch.t1 / params.tau) == np.floor(batch.t2 / params.tau)
+            sum_xy = int((batch.x1[mask].astype(np.int64) * batch.x2[mask]).sum())
+            expected = (n, int(np.count_nonzero(mask)), sum_xy)
+            assert expected[1] > 0
+            assert _counts_from_batch(batch, params, workspace) == expected
+            assert _counts_from_batch(batch, params) == expected
+
+    def test_chsh_names_first_empty_pair(self):
+        # ac (equal settings) keeps a few coincidences at this tau; ad and bc keep none
+        config = small_config(
+            settings_deg=(0.0, 90.0, 0.0, 90.0), tau=1e-5, window=1e-5, n_events=20_000
+        )
+        with pytest.raises(EmptyEnsembleError, match="pair ad "):
+            run_chsh_experiment(config)
 
 
 class TestManifest:
