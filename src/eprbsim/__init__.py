@@ -5,61 +5,18 @@ once events are post-selected on time-tag coincidence, while its
 coincidence probability stays far below the threshold needed to violate
 the post-selection-corrected CHSH inequality.  The package simulates the
 model, applies the window cut, evaluates both inequalities, and audits the
-simulated coincidence rates against analytic bounds.
+simulated coincidence rates against analytic bounds.  The package root
+exports the run API; the layers are imported from their own modules.
 """
 
 __version__ = "0.1.0"
 
-from .bell import (
-    CorrelationQuartet,
-    InequalityReport,
-    chsh_lhs,
-    gamma_threshold,
-    modified_bound,
-    verdict,
-)
-from .bounds import (
-    BoundReport,
-    approx_equal_settings,
-    check_simulated_gamma,
-    equal_settings_bound,
-    equal_settings_quadrature,
-    unequal_settings_bound,
-    unequal_settings_quadrature,
-)
-from .coincidence import (
-    CoincidenceStats,
-    accumulate,
-    coincidence_mask,
-    coincidence_probability_exact,
-    is_coincident,
-    merge_stats,
-    same_bin_probability_exact,
-)
-from .model import (
-    CoincidenceMode,
-    EventBatch,
-    EventPair,
-    ModelParams,
-    UnitVector3,
-    delay_scale,
-    event_stream,
-    generate_batch,
-    generate_pair,
-    outcome,
-    sample_direction,
-    sample_directions,
-    sample_time_tag,
-)
+from .model import CoincidenceMode, ModelParams, UnitVector3
 from .runner import (
-    BoundAuditResult,
-    ChshResult,
     ConfigError,
     EmptyEnsembleError,
     ExperimentConfig,
     RunManifest,
-    SweepResult,
-    SweepRow,
     run_bound_audit,
     run_chsh_experiment,
     run_correlation_sweep,
@@ -68,49 +25,15 @@ from .runner import (
 
 __all__ = [
     "__version__",
-    "CoincidenceMode",
-    "UnitVector3",
-    "ModelParams",
-    "EventPair",
-    "EventBatch",
-    "event_stream",
-    "sample_direction",
-    "sample_directions",
-    "outcome",
-    "delay_scale",
-    "sample_time_tag",
-    "generate_pair",
-    "generate_batch",
-    "CoincidenceStats",
-    "is_coincident",
-    "coincidence_mask",
-    "accumulate",
-    "merge_stats",
-    "coincidence_probability_exact",
-    "same_bin_probability_exact",
-    "CorrelationQuartet",
-    "InequalityReport",
-    "chsh_lhs",
-    "modified_bound",
-    "gamma_threshold",
-    "verdict",
-    "BoundReport",
-    "unequal_settings_bound",
-    "unequal_settings_quadrature",
-    "equal_settings_bound",
-    "equal_settings_quadrature",
-    "approx_equal_settings",
-    "check_simulated_gamma",
+    "ExperimentConfig",
     "ConfigError",
     "EmptyEnsembleError",
-    "ExperimentConfig",
     "RunManifest",
-    "SweepRow",
-    "SweepResult",
-    "ChshResult",
-    "BoundAuditResult",
-    "simulate_pair_stats",
     "run_correlation_sweep",
     "run_chsh_experiment",
     "run_bound_audit",
+    "simulate_pair_stats",
+    "ModelParams",
+    "UnitVector3",
+    "CoincidenceMode",
 ]

@@ -246,7 +246,7 @@ def check_simulated_gamma(stats: CoincidenceStats, alpha: float, tau: float) -> 
     if stats.mode is not CoincidenceMode.SAME_BIN:
         raise ValueError(
             "bound check requires same-bin statistics; "
-            f"got mode {stats.mode.value if stats.mode else None!r}"
+            f"got mode {stats.mode.value!r}"
         )
     if stats.window != tau or stats.tau != tau:
         raise ValueError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .runner import (
@@ -152,6 +153,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if args.workers is not None:
         data["workers"] = args.workers
     config = ExperimentConfig.from_dict(data)
+    # the headline check also runs seed + 1 .. seed + HEADLINE_SEEDS - 1;
+    # refuse a seed that takes the last of them out of range before any run
+    last = config.seed + reproduce.HEADLINE_SEEDS - 1
+    try:
+        replace(config, seed=last)
+    except ConfigError as exc:
+        raise ConfigError(f"reproduce-paper also runs seed {last}: {exc}") from None
     results = reproduce.run_all(config)
     if args.out:
         out = Path(args.out)

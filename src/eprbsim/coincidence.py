@@ -11,19 +11,16 @@ analytic rate bounds assume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoincidenceMode, EventBatch, EventPair, ModelParams, Workspace
+from .model import CoincidenceMode, EventBatch, ModelParams, Workspace
 
 __all__ = [
     "CoincidenceStats",
-    "is_coincident",
     "coincidence_mask",
     "accumulate",
-    "merge_stats",
     "coincidence_probability_exact",
     "same_bin_probability_exact",
 ]
@@ -32,7 +29,8 @@ __all__ = [
 def coincidence_mask(
     t1: np.ndarray, t2: np.ndarray, params: ModelParams, workspace: Workspace | None = None
 ) -> np.ndarray:
-    """Boolean mask of coincident pairs for arrays of time tags.
+    """Boolean mask of coincident pairs for arrays of time tags (the
+    continuous window is inclusive at its boundary).
 
     With a ``workspace`` (whose ``tmp`` buffers must not hold the tags) the
     mask and its intermediates are written into its buffers.
@@ -46,15 +44,6 @@ def coincidence_mask(
     bin1 = np.floor(np.divide(t1, params.tau, out=a), out=a)
     bin2 = np.floor(np.divide(t2, params.tau, out=b), out=b)
     return np.equal(bin1, bin2, out=mask)
-
-
-def is_coincident(t1: float, t2: float, params: ModelParams) -> bool:
-    """Window test for a single pair of tags (inclusive at the boundary)."""
-    if t1 < 0.0 or t2 < 0.0:
-        raise ValueError("time tags must be >= 0")
-    if params.coincidence_mode is CoincidenceMode.CONTINUOUS:
-        return abs(t1 - t2) <= params.window
-    return math.floor(t1 / params.tau) == math.floor(t2 / params.tau)
 
 
 @dataclass(frozen=True)
@@ -74,9 +63,9 @@ class CoincidenceStats:
     stderr_gamma: float
     e_conditional: float | None
     stderr_e: float | None
-    mode: CoincidenceMode | None = None
-    window: float | None = None
-    tau: float | None = None
+    mode: CoincidenceMode
+    window: float
+    tau: float
 
     def __post_init__(self) -> None:
         if not 0 <= self.n_coincident <= self.n_total:
@@ -91,7 +80,7 @@ class CoincidenceStats:
         n_coincident: int,
         sum_xy: int,
         *,
-        params: ModelParams | None = None,
+        params: ModelParams,
     ) -> "CoincidenceStats":
         if n_total < 1:
             raise ValueError("no events")
@@ -111,36 +100,14 @@ class CoincidenceStats:
             stderr_gamma=stderr_gamma,
             e_conditional=e,
             stderr_e=stderr_e,
-            mode=params.coincidence_mode if params else None,
-            window=params.window if params else None,
-            tau=params.tau if params else None,
+            mode=params.coincidence_mode,
+            window=params.window,
+            tau=params.tau,
         )
 
     @property
     def has_correlation(self) -> bool:
         return self.e_conditional is not None
-
-    def merged_with(self, other: "CoincidenceStats") -> "CoincidenceStats":
-        """Associative merge of raw counts; estimators are recomputed."""
-        if (self.mode, self.window, self.tau) != (other.mode, other.window, other.tau):
-            raise ValueError("cannot merge statistics from different coincidence settings")
-        merged = CoincidenceStats.from_counts(
-            self.n_total + other.n_total,
-            self.n_coincident + other.n_coincident,
-            self.sum_xy + other.sum_xy,
-        )
-        return replace(merged, mode=self.mode, window=self.window, tau=self.tau)
-
-
-def merge_stats(parts: Iterable[CoincidenceStats]) -> CoincidenceStats:
-    """Merge partial statistics from disjoint event ranges."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("no events")
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.merged_with(p)
-    return out
 
 
 def _counts_from_batch(
@@ -159,29 +126,14 @@ def _counts_from_batch(
     return n, n_c, 2 * int(np.count_nonzero(agree)) - n_c
 
 
-def accumulate(
-    events: EventBatch | Iterable[EventPair],
-    params: ModelParams,
-) -> CoincidenceStats:
-    """Apply the window cut to a stream of events and accumulate statistics.
+def accumulate(batch: EventBatch, params: ModelParams) -> CoincidenceStats:
+    """Apply the window cut to a batch of events and accumulate statistics.
 
-    Accepts an EventBatch or any iterable of EventPair.  Raises on an empty
-    stream.  With zero surviving coincidences the conditional correlation is
-    flagged undefined rather than reported as a number.
+    Raises on an empty batch.  With zero surviving coincidences the
+    conditional correlation is flagged undefined rather than reported as a
+    number.
     """
-    if isinstance(events, EventBatch):
-        n, n_c, sum_xy = _counts_from_batch(events, params)
-    else:
-        n = n_c = 0
-        sum_xy = 0
-        for pair in events:
-            n += 1
-            if is_coincident(pair.t1, pair.t2, params):
-                n_c += 1
-                sum_xy += pair.x1 * pair.x2
-    if n == 0:
-        raise ValueError("no events")
-    return CoincidenceStats.from_counts(n, n_c, sum_xy, params=params)
+    return CoincidenceStats.from_counts(*_counts_from_batch(batch, params), params=params)
 
 
 def coincidence_probability_exact(T1: float, T2: float, W: float) -> float:

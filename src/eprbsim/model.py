@@ -8,10 +8,9 @@ local setting and the local copy of the hidden variable only; locality is
 structural, not statistical.
 
 Time tags are drawn uniformly on ``[0, T)`` where the maximal delay
-``T = t_max * (1 - (a.s)^2)^(d/2)`` shrinks as the hidden direction aligns
-with the setting.  All times are expressed in units of the maximal delay
-(``t_max = 1``), so the resolution ``tau`` and window ``W`` are dimensionless
-fractions.
+``T = (1 - (a.s)^2)^(d/2)`` shrinks as the hidden direction aligns with the
+setting.  All times are expressed in units of the largest possible delay, so
+the resolution ``tau`` and window ``W`` are dimensionless fractions.
 """
 
 from __future__ import annotations
@@ -26,15 +25,8 @@ __all__ = [
     "CoincidenceMode",
     "UnitVector3",
     "ModelParams",
-    "EventPair",
     "EventBatch",
     "event_stream",
-    "sample_direction",
-    "sample_directions",
-    "outcome",
-    "delay_scale",
-    "sample_time_tag",
-    "generate_pair",
     "generate_batch",
     "Workspace",
 ]
@@ -63,17 +55,10 @@ class UnitVector3:
             raise ValueError(f"not a unit vector: |v|^2 = {norm_sq!r}")
 
     @classmethod
-    def from_array(cls, v: np.ndarray) -> "UnitVector3":
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
-    @classmethod
     def from_angle_deg(cls, angle_deg: float) -> "UnitVector3":
         """Setting in the x-y plane at the given azimuth (degrees)."""
         a = math.radians(angle_deg)
         return cls(math.cos(a), math.sin(a), 0.0)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
     def dot(self, other: "UnitVector3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -90,14 +75,13 @@ class ModelParams:
     ``d_exponent`` shapes the delay law ``T = (1 - (a.s)^2)^(d/2)``; the
     default 3 makes the same-bin coincidence density proportional to
     ``1/max(T1, T2)`` with the sin^2 azimuthal profile used by the analytic
-    bounds.  ``t_max`` is fixed to 1: it defines the unit of time.
+    bounds.
     """
 
     tau: float = 0.00025
     window: float = 0.00025
     d_exponent: float = 3.0
     coincidence_mode: CoincidenceMode = CoincidenceMode.SAME_BIN
-    t_max: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau <= 1.0:
@@ -106,19 +90,6 @@ class ModelParams:
             raise ValueError(f"window must be in (0, 1], got {self.window}")
         if not (math.isfinite(self.d_exponent) and self.d_exponent > 0.0):
             raise ValueError(f"d_exponent must be finite and > 0, got {self.d_exponent}")
-        if self.t_max != 1.0:
-            raise ValueError("t_max is fixed to 1 (all times are in units of the maximal delay)")
-
-
-@dataclass(frozen=True)
-class EventPair:
-    """One simulated event: outcomes, time tags, and the hidden direction."""
-
-    x1: int
-    x2: int
-    t1: float
-    t2: float
-    s: UnitVector3
 
 
 @dataclass(frozen=True)
@@ -134,17 +105,6 @@ class EventBatch:
     def __len__(self) -> int:
         return int(self.x1.shape[0])
 
-    def pair(self, i: int) -> EventPair:
-        if self.s is None:
-            raise ValueError("hidden directions were not retained for this batch")
-        return EventPair(
-            int(self.x1[i]),
-            int(self.x2[i]),
-            float(self.t1[i]),
-            float(self.t2[i]),
-            UnitVector3.from_array(self.s[i]),
-        )
-
 
 def event_stream(seed: int, start_index: int, stream: int = 0) -> np.random.Generator:
     """Counter-based random stream keyed by (seed, stream, start index).
@@ -156,34 +116,15 @@ def event_stream(seed: int, start_index: int, stream: int = 0) -> np.random.Gene
     return np.random.Generator(np.random.Philox(seq))
 
 
-def sample_direction(rng: np.random.Generator) -> UnitVector3:
-    """Draw one direction uniformly on the unit sphere.
+def _delay_from_dot_sq(dot_sq: np.ndarray, d_exponent: float, out: np.ndarray,
+                       tmp: np.ndarray) -> np.ndarray:
+    """Delay law T = (1 - dot_sq)^(d/2), written into ``out`` (which may be
+    ``dot_sq`` itself) with ``tmp`` as scratch.
 
-    Uses the area-preserving parametrization: cos(theta) uniform on [-1, 1],
-    azimuth uniform on [0, 2*pi).
+    Vanishes when the hidden direction is (anti)parallel to the setting and
+    reaches 1 when perpendicular; only the squared overlap enters, so it is
+    invariant under s -> -s and a -> -a.
     """
-    z = 1.0 - 2.0 * rng.random()
-    phi = 2.0 * math.pi * rng.random()
-    r = math.sqrt(max(0.0, 1.0 - z * z))
-    return UnitVector3(r * math.cos(phi), r * math.sin(phi), z)
-
-
-def sample_directions(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vectorized uniform sphere sampling; returns an (n, 3) array."""
-    z = 1.0 - 2.0 * rng.random(n)
-    phi = 2.0 * np.pi * rng.random(n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
-
-
-def outcome(setting: UnitVector3, s: UnitVector3) -> int:
-    """Deterministic +-1 outcome: the sign of setting . s (ties go to +1)."""
-    return 1 if setting.dot(s) >= 0.0 else -1
-
-
-def _delay_from_dot_sq(dot_sq, d_exponent: float, out=None, tmp=None):
-    """Delay law (1 - dot_sq)^(d/2); with ``out`` and ``tmp`` it writes into
-    them instead of allocating (``out`` may be ``dot_sq`` itself)."""
     base = np.subtract(1.0, dot_sq, out=out)
     if d_exponent == 3.0:
         return np.multiply(base, np.sqrt(base, out=tmp), out=out)
@@ -192,51 +133,6 @@ def _delay_from_dot_sq(dot_sq, d_exponent: float, out=None, tmp=None):
     if d_exponent == 1.0:
         return np.sqrt(base, out=out)
     return np.power(base, 0.5 * d_exponent, out=out)
-
-
-def delay_scale(setting: UnitVector3, s: UnitVector3, params: ModelParams) -> float:
-    """Maximal delay T = t_max * (1 - (setting . s)^2)^(d/2).
-
-    Vanishes when the hidden direction is (anti)parallel to the setting and
-    reaches t_max when perpendicular.  Invariant under s -> -s and
-    setting -> -setting because only the squared overlap enters.
-    """
-    d = setting.dot(s)
-    return float(params.t_max * _delay_from_dot_sq(d * d, params.d_exponent))
-
-
-def sample_time_tag(rng: np.random.Generator, T: float, params: ModelParams) -> float:
-    """Uniform time tag on [0, T); returns 0 for the degenerate T = 0.
-
-    The continuous value is returned unmodified; in same-bin mode the
-    downstream coincidence test uses the tag's bin index floor(t / tau).
-    """
-    if not 0.0 <= T <= params.t_max:
-        raise ValueError(f"delay scale out of range: {T}")
-    if T == 0.0:
-        return 0.0
-    return float(rng.random() * T)
-
-
-def generate_pair(
-    rng: np.random.Generator,
-    a1: UnitVector3,
-    a2: UnitVector3,
-    params: ModelParams,
-) -> EventPair:
-    """Generate one event pair.
-
-    Station 1 sees hidden variable s, station 2 sees -s.  Draw order is
-    fixed (direction, then tag 1, then tag 2) so station-1 quantities are
-    bit-identical under any change of a2, and vice versa.
-    """
-    s = sample_direction(rng)
-    x1 = outcome(a1, s)
-    t1 = sample_time_tag(rng, delay_scale(a1, s, params), params)
-    s2 = -s
-    x2 = outcome(a2, s2)
-    t2 = sample_time_tag(rng, delay_scale(a2, s2, params), params)
-    return EventPair(x1, x2, t1, t2, s)
 
 
 class Workspace:
@@ -268,9 +164,10 @@ def generate_batch(
 ) -> EventBatch:
     """Vectorized pair generation; the workhorse for large event counts.
 
-    Draw order is batch-wise (directions, then all station-1 tags, then all
-    station-2 tags), so a batch is reproducible from its generator state but
-    lays out the stream differently from repeated generate_pair calls.
+    Station 1 sees the hidden direction s, station 2 sees -s; each outcome is
+    the sign of the local overlap (ties go to +1).  Draw order is batch-wise
+    (directions, then all station-1 tags, then all station-2 tags), so every
+    station-1 quantity is bit-identical under any change of a2, and vice versa.
 
     With a ``workspace`` every array is written into its buffers and nothing
     of size ``n`` is allocated; without one a fresh workspace is used.  The
@@ -312,8 +209,6 @@ def generate_batch(
 
     T1 = _delay_from_dot_sq(np.multiply(t1, t1, out=w0), params.d_exponent, out=w0, tmp=w1)
     T2 = _delay_from_dot_sq(np.multiply(t2, t2, out=w2), params.d_exponent, out=w2, tmp=w3)
-    np.multiply(params.t_max, T1, out=T1)
-    np.multiply(params.t_max, T2, out=T2)
     np.multiply(rng.random(out=t1), T1, out=t1)
     np.multiply(rng.random(out=t2), T2, out=t2)
     return EventBatch(x1=x1, x2=x2, t1=t1, t2=t2, s=s)

@@ -21,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import __version__
@@ -76,6 +76,13 @@ class EmptyEnsembleError(RuntimeError):
     (CLI exit code 2)."""
 
 
+_EXPECTED = {tuple: "a list of numbers", float: "a number", int: "an integer"}
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines an experiment, plus the worker count.
@@ -97,6 +104,17 @@ class ExperimentConfig:
     audit_tau: tuple[float, ...] = DEFAULT_AUDIT_TAU
 
     def __post_init__(self) -> None:
+        # each field takes the type of its default: tuples hold real numbers,
+        # float fields take any real number, the others their exact type
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind is tuple:
+                ok = isinstance(value, tuple) and all(map(_is_real, value))
+            else:
+                ok = _is_real(value) if kind is float else type(value) is kind
+            if not ok:
+                expected = _EXPECTED.get(kind, kind.__name__)
+                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
         if len(self.settings_deg) != 4:
             raise ConfigError("settings_deg must hold exactly four angles")
         for name in ("settings_deg", "alpha_grid_deg", "audit_alpha_deg"):
@@ -104,12 +122,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must contain finite angles")
         if not self.alpha_grid_deg:
             raise ConfigError("alpha_grid_deg must not be empty")
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
-        if not 0.0 < self.window <= 1.0:
-            raise ConfigError(f"window must be in (0, 1], got {self.window}")
-        if not (math.isfinite(self.d_exponent) and self.d_exponent > 0.0):
-            raise ConfigError(f"d_exponent must be finite and > 0, got {self.d_exponent}")
+        try:
+            self.model_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.n_events < 1:
             raise ConfigError(f"n_events must be >= 1, got {self.n_events}")
         if not 0 <= self.seed < 2**64:
@@ -132,53 +148,29 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "settings_deg": list(self.settings_deg),
-            "alpha_grid_deg": list(self.alpha_grid_deg),
-            "tau": self.tau,
-            "window": self.window,
-            "d_exponent": self.d_exponent,
-            "coincidence_mode": self.coincidence_mode.value,
-            "n_events": self.n_events,
-            "seed": self.seed,
-            "workers": self.workers,
-            "audit_alpha_deg": list(self.audit_alpha_deg),
-            "audit_tau": list(self.audit_tau),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["coincidence_mode"] = self.coincidence_mode.value
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "settings_deg",
-            "alpha_grid_deg",
-            "tau",
-            "window",
-            "d_exponent",
-            "coincidence_mode",
-            "n_events",
-            "seed",
-            "workers",
-            "audit_alpha_deg",
-            "audit_tau",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        for key in ("settings_deg", "alpha_grid_deg", "audit_alpha_deg", "audit_tau"):
-            if key in kwargs:
-                kwargs[key] = tuple(float(v) for v in kwargs[key])
-        if "coincidence_mode" in kwargs and not isinstance(
-            kwargs["coincidence_mode"], CoincidenceMode
-        ):
-            try:
-                kwargs["coincidence_mode"] = CoincidenceMode(kwargs["coincidence_mode"])
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
         try:
-            return cls(**kwargs)
-        except TypeError as exc:
+            # lists of numbers become tuples of floats; anything else is left
+            # for __post_init__ to refuse
+            for f in fields(cls):
+                values = kwargs.get(f.name)
+                if (isinstance(f.default, tuple) and isinstance(values, (list, tuple))
+                        and all(map(_is_real, values))):
+                    kwargs[f.name] = tuple(float(v) for v in values)
+            if "coincidence_mode" in kwargs:
+                kwargs["coincidence_mode"] = CoincidenceMode(kwargs["coincidence_mode"])
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from None
+        return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +268,7 @@ def _stats_dict(stats: CoincidenceStats) -> dict:
         "stderr_gamma": stats.stderr_gamma,
         "e_conditional": stats.e_conditional,
         "stderr_e": stats.stderr_e,
-        "mode": stats.mode.value if stats.mode else None,
+        "mode": stats.mode.value,
         "window": stats.window,
         "tau": stats.tau,
     }

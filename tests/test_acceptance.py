@@ -30,14 +30,15 @@ import pytest
 from eprbsim import (
     CoincidenceMode,
     ExperimentConfig,
-    approx_equal_settings,
-    equal_settings_bound,
-    equal_settings_quadrature,
-    gamma_threshold,
-    modified_bound,
     run_bound_audit,
     run_chsh_experiment,
     run_correlation_sweep,
+)
+from eprbsim.bell import gamma_threshold, modified_bound
+from eprbsim.bounds import (
+    approx_equal_settings,
+    equal_settings_bound,
+    equal_settings_quadrature,
     unequal_settings_bound,
     unequal_settings_quadrature,
 )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eprbsim import CorrelationQuartet, chsh_lhs, gamma_threshold, modified_bound, verdict
+from eprbsim.bell import CorrelationQuartet, chsh_lhs, gamma_threshold, modified_bound, verdict
 
 TWO_SQRT_TWO = 2.8284271247461903
 GAMMA_0 = 0.8786796564403576

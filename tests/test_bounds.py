@@ -17,22 +17,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprbsim import (
-    CoincidenceMode,
-    ModelParams,
-    UnitVector3,
-    accumulate,
+from eprbsim import CoincidenceMode, ModelParams, UnitVector3, simulate_pair_stats
+from eprbsim.bounds import (
+    EQUAL_QUAD_REL_TOL,
+    UNEQUAL_QUAD_REL_TOL,
     approx_equal_settings,
     check_simulated_gamma,
     equal_settings_bound,
     equal_settings_quadrature,
-    event_stream,
-    generate_batch,
-    simulate_pair_stats,
     unequal_settings_bound,
     unequal_settings_quadrature,
 )
-from eprbsim.bounds import EQUAL_QUAD_REL_TOL, UNEQUAL_QUAD_REL_TOL
+from eprbsim.coincidence import accumulate
+from eprbsim.model import event_stream, generate_batch
 
 FOUR_PI = 4.0 * math.pi
 SRC = str(Path(__file__).resolve().parents[1] / "src")

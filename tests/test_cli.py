@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -76,6 +78,24 @@ class TestSweepCommand:
         proc = run_cli("sweep", "--no-such-flag")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n_events": 1e5},
+            {"settings_deg": 5},
+            {"alpha_grid_deg": ["a"]},
+            {"seed": 1.5},
+        ],
+    )
+    def test_config_file_type_errors_exit_1(self, tmp_path, data):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data))
+        proc = run_cli("sweep", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert next(iter(data)) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestChshCommand:
     def test_verdict_summary_printed(self):
@@ -122,6 +142,17 @@ class TestBoundsCommand:
         proc = run_cli("bounds", "--mode", "continuous", "--events", "1000")
         assert proc.returncode == 1
         assert "same-bin" in proc.stderr
+
+
+class TestReproduceCommand:
+    def test_seed_too_large_for_headline_seeds_exits_1(self):
+        """The headline check runs seed .. seed + 4, so 2**64 - 4 is refused
+        before any check starts (the checks print to stdout)."""
+        proc = run_cli("reproduce-paper", "--seed", str(2**64 - 4))
+        assert proc.returncode == 1
+        assert "seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestHelp:

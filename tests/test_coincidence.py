@@ -5,20 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from eprbsim import (
+from eprbsim.coincidence import (
+    CoincidenceStats,
+    _counts_from_batch,
+    accumulate,
+    coincidence_mask,
+    coincidence_probability_exact,
+    same_bin_probability_exact,
+)
+from eprbsim.model import (
     CoincidenceMode,
+    EventBatch,
     ModelParams,
     UnitVector3,
-    accumulate,
-    coincidence_probability_exact,
     event_stream,
     generate_batch,
-    generate_pair,
-    is_coincident,
-    merge_stats,
-    same_bin_probability_exact,
-    simulate_pair_stats,
 )
+from eprbsim.runner import simulate_pair_stats
 
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)
 
@@ -29,6 +32,11 @@ def continuous(window: float, tau: float = 0.25) -> ModelParams:
 
 def same_bin(tau: float) -> ModelParams:
     return ModelParams(tau=tau, window=tau, coincidence_mode=CoincidenceMode.SAME_BIN)
+
+
+def is_coincident(t1: float, t2: float, params: ModelParams) -> bool:
+    """The window test on one pair of tags, through the array mask."""
+    return bool(coincidence_mask(np.array([t1]), np.array([t2]), params)[0])
 
 
 class TestIsCoincident:
@@ -49,10 +57,6 @@ class TestIsCoincident:
         assert is_coincident(0.19, 0.11, params)
         assert not is_coincident(0.19, 0.21, params)
 
-    def test_rejects_negative_tags(self):
-        with pytest.raises(ValueError):
-            is_coincident(-0.1, 0.2, continuous(0.5))
-
 
 class TestAccumulate:
     def test_equal_settings_exact_anticorrelation(self):
@@ -65,52 +69,59 @@ class TestAccumulate:
         assert stats.stderr_e == 0.0
 
     def test_empty_stream_raises(self):
+        empty = EventBatch(*(np.empty(0, dtype) for dtype in (np.int8, np.int8, float, float)))
         with pytest.raises(ValueError, match="no events"):
-            accumulate([], same_bin(0.1))
+            accumulate(empty, same_bin(0.1))
 
     def test_zero_coincidences_flagged_undefined(self):
         params = continuous(window=1e-9, tau=0.5)
-        pairs = [
-            generate_pair(event_stream(8, i), X_AXIS, UnitVector3.from_angle_deg(45.0), params)
-            for i in range(50)
-        ]
-        stats = accumulate(pairs, params)
+        batch = generate_batch(event_stream(8, 0), X_AXIS, UnitVector3.from_angle_deg(45.0),
+                               params, 50)
+        stats = accumulate(batch, params)
+        assert stats.n_total == 50
         assert stats.n_coincident == 0
         assert stats.e_conditional is None
         assert stats.stderr_e is None
         assert not stats.has_correlation
 
     def test_batch_and_pair_paths_agree(self):
-        params = same_bin(0.05)
-        batch = generate_batch(
-            event_stream(9, 0), X_AXIS, UnitVector3.from_angle_deg(30.0), params,
-            5_000, keep_hidden=True,
-        )
-        from_batch = accumulate(batch, params)
-        from_pairs = accumulate((batch.pair(i) for i in range(len(batch))), params)
-        assert from_batch == from_pairs
+        """The array reduction equals a pair-by-pair loop over the same
+        events in both modes."""
+        for params in (same_bin(0.05), continuous(0.05)):
+            batch = generate_batch(
+                event_stream(9, 0), X_AXIS, UnitVector3.from_angle_deg(30.0), params, 5_000
+            )
+            cont = params.coincidence_mode is CoincidenceMode.CONTINUOUS
+            n_c = sum_xy = 0
+            for x1, x2, t1, t2 in zip(batch.x1, batch.x2, batch.t1, batch.t2):
+                if cont:
+                    hit = abs(t1 - t2) <= params.window
+                else:
+                    hit = math.floor(t1 / params.tau) == math.floor(t2 / params.tau)
+                if hit:
+                    n_c += 1
+                    sum_xy += int(x1) * int(x2)
+            stats = accumulate(batch, params)
+            assert n_c > 0
+            assert (stats.n_total, stats.n_coincident, stats.sum_xy) == (5_000, n_c, sum_xy)
 
     def test_merge_of_partials_equals_whole(self):
+        """Counts summed over slices of a batch, as the runner sums its
+        chunks, equal the counts of the whole batch."""
         params = same_bin(0.02)
         a2 = UnitVector3.from_angle_deg(60.0)
         whole = generate_batch(event_stream(10, 0), X_AXIS, a2, params, 30_000)
         parts = [
-            accumulate(
-                type(whole)(
-                    whole.x1[lo:hi], whole.x2[lo:hi], whole.t1[lo:hi], whole.t2[lo:hi]
-                ),
+            _counts_from_batch(
+                EventBatch(whole.x1[lo:hi], whole.x2[lo:hi], whole.t1[lo:hi], whole.t2[lo:hi]),
                 params,
             )
             for lo, hi in [(0, 7_000), (7_000, 19_000), (19_000, 30_000)]
         ]
-        assert merge_stats(parts) == accumulate(whole, params)
-
-    def test_merge_rejects_mixed_settings(self):
-        params_a = same_bin(0.02)
-        params_b = same_bin(0.04)
-        batch = generate_batch(event_stream(11, 0), X_AXIS, X_AXIS, params_a, 1_000)
-        with pytest.raises(ValueError):
-            accumulate(batch, params_a).merged_with(accumulate(batch, params_b))
+        n, n_c, sum_xy = (sum(column) for column in zip(*parts))
+        assert CoincidenceStats.from_counts(n, n_c, sum_xy, params=params) == accumulate(
+            whole, params
+        )
 
     def test_stderr_formulas(self):
         params = same_bin(0.05)

@@ -1,25 +1,53 @@
-"""Event-generation tests: sphere sampling, outcomes, delays, locality."""
+"""Event-generation tests: sphere sampling, outcomes, delays, locality.
+
+Every test runs the one event kernel, ``generate_batch``; the delay law is
+also checked directly through ``_delay_from_dot_sq``.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from eprbsim import (
+from eprbsim.model import (
     ModelParams,
     UnitVector3,
-    delay_scale,
+    Workspace,
+    _delay_from_dot_sq,
     event_stream,
     generate_batch,
-    generate_pair,
-    outcome,
-    sample_direction,
-    sample_directions,
-    sample_time_tag,
 )
-from eprbsim.model import Workspace
 
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)
+Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
+
+
+class ConstantGenerator:
+    """Stands in for a numpy Generator whose every draw is ``u``."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self, out):
+        out.fill(self.u)
+        return out
+
+
+def hidden_directions(seed: int, n: int) -> np.ndarray:
+    """The kernel's hidden directions, an (n, 3) array."""
+    return generate_batch(event_stream(seed, 0), X_AXIS, X_AXIS, ModelParams(), n,
+                          keep_hidden=True).s
+
+
+def delay(dot_sq, d_exponent: float = 3.0) -> np.ndarray:
+    dot_sq = np.atleast_1d(np.asarray(dot_sq, dtype=float))
+    return _delay_from_dot_sq(dot_sq, d_exponent, out=np.empty_like(dot_sq),
+                              tmp=np.empty_like(dot_sq))
+
+
+def delay_scales(s: np.ndarray, a: UnitVector3, d_exponent: float = 3.0) -> np.ndarray:
+    """T = (1 - (a.s)^2)^(d/2) for each row of s."""
+    return delay((s @ np.array([a.x, a.y, a.z])) ** 2, d_exponent)
 
 
 class TestUnitVector3:
@@ -43,20 +71,17 @@ class TestUnitVector3:
 
 class TestSampleDirection:
     def test_mean_z_vanishes(self):
-        rng = event_stream(101, 0)
-        s = sample_directions(rng, 1_000_000)
+        s = hidden_directions(101, 1_000_000)
         assert abs(s[:, 2].mean()) < 0.003
 
     def test_second_moment_is_one_third(self):
-        rng = event_stream(102, 0)
-        s = sample_directions(rng, 1_000_000)
+        s = hidden_directions(102, 1_000_000)
         assert abs((s[:, 2] ** 2).mean() - 1.0 / 3.0) < 0.002
 
     def test_azimuth_uniform_ks(self):
         """Kolmogorov-Smirnov distance of atan2(y, x) against the uniform
         law on [-pi, pi) stays below 0.002 at a million samples."""
-        rng = event_stream(103, 0)
-        s = sample_directions(rng, 1_000_000)
+        s = hidden_directions(103, 1_000_000)
         phi = np.sort(np.arctan2(s[:, 1], s[:, 0]))
         n = phi.size
         cdf = (phi + np.pi) / (2.0 * np.pi)
@@ -65,114 +90,113 @@ class TestSampleDirection:
         assert max(d_plus, d_minus) < 0.002
 
     def test_unit_norm(self):
-        rng = event_stream(104, 0)
-        s = sample_directions(rng, 10_000)
+        s = hidden_directions(104, 10_000)
         np.testing.assert_allclose((s**2).sum(axis=1), 1.0, atol=1e-12)
-
-    def test_scalar_sampler_is_unit(self):
-        rng = event_stream(105, 0)
-        for _ in range(100):
-            v = sample_direction(rng)
-            assert abs(v.dot(v) - 1.0) < 1e-12
 
 
 class TestOutcome:
+    # With a = S the overlap a.S can round above 1, where the delay law is
+    # NaN; only the outcomes are checked here.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
     def test_aligned(self):
-        v = UnitVector3.from_angle_deg(17.0)
-        assert outcome(v, v) == 1
+        s = hidden_directions(105, 100)
+        for i in range(100):
+            a = UnitVector3(*s[i])
+            batch = generate_batch(event_stream(105, 0), a, a, ModelParams(), 100)
+            assert (batch.x1[i], batch.x2[i]) == (1, -1)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
     def test_antipodal(self):
-        v = UnitVector3.from_angle_deg(17.0)
-        assert outcome(v, -v) == -1
+        s = hidden_directions(105, 100)
+        for i in range(100):
+            a = -UnitVector3(*s[i])
+            batch = generate_batch(event_stream(105, 0), a, a, ModelParams(), 100)
+            assert (batch.x1[i], batch.x2[i]) == (-1, 1)
 
     def test_tie_breaks_positive(self):
-        assert outcome(X_AXIS, UnitVector3(0.0, 1.0, 0.0)) == 1
+        """u = 1/2 puts S at azimuth pi on the equator, so a = z gives
+        a.S = 0 exactly at both stations, and both outcomes are +1."""
+        batch = generate_batch(ConstantGenerator(0.5), Z_AXIS, Z_AXIS, ModelParams(), 1,
+                               keep_hidden=True)
+        assert batch.s[0, 2] == 0.0
+        assert (batch.x1[0], batch.x2[0]) == (1, 1)
 
     @pytest.mark.parametrize("alpha_deg", [60.0, 90.0, 120.0])
     def test_unconditional_triangle_law(self, alpha_deg):
         """Without post-selection the product of signs averages to
         -(1 - 2*alpha/pi), linear in the angle."""
-        rng = event_stream(106, 0)
-        n = 1_000_000
-        s = sample_directions(rng, n)
-        a = UnitVector3.from_angle_deg(0.0).as_array()
-        b = UnitVector3.from_angle_deg(alpha_deg).as_array()
-        x1 = np.where(s @ a >= 0.0, 1, -1)
-        x2 = np.where(s @ b <= 0.0, 1, -1)
+        batch = generate_batch(event_stream(106, 0), UnitVector3.from_angle_deg(0.0),
+                               UnitVector3.from_angle_deg(alpha_deg), ModelParams(), 1_000_000)
         expected = -(1.0 - 2.0 * math.radians(alpha_deg) / math.pi)
-        assert abs((x1 * x2).mean() - expected) < 0.003
+        assert abs((batch.x1.astype(np.int64) * batch.x2).mean() - expected) < 0.003
 
 
 class TestDelayScale:
     def test_perpendicular_gives_full_scale(self):
-        assert delay_scale(X_AXIS, UnitVector3(0.0, 0.0, 1.0), ModelParams()) == 1.0
+        assert delay(0.0)[0] == 1.0
 
     def test_parallel_gives_zero(self):
-        assert delay_scale(X_AXIS, X_AXIS, ModelParams()) == 0.0
+        assert delay(1.0)[0] == 0.0
 
     def test_half_overlap_value(self):
-        s = UnitVector3(0.5, math.sqrt(0.75), 0.0)
-        T = delay_scale(X_AXIS, s, ModelParams())
-        assert T == pytest.approx(0.649519052838329, abs=1e-12)
+        assert delay(0.25)[0] == pytest.approx(0.649519052838329, abs=1e-12)
 
     def test_sign_symmetries(self):
-        rng = event_stream(107, 0)
+        """a -> -a leaves every tag bit-identical and negates every outcome,
+        at both stations, on one random stream."""
         params = ModelParams()
-        for _ in range(200):
-            a = sample_direction(rng)
-            s = sample_direction(rng)
-            T = delay_scale(a, s, params)
-            assert delay_scale(a, -s, params) == T
-            assert delay_scale(-a, s, params) == T
+        a1 = UnitVector3(0.48, 0.6, 0.64)
+        a2 = UnitVector3.from_angle_deg(37.0)
+        b = generate_batch(event_stream(107, 0), a1, a2, params, 10_000)
+        flipped = generate_batch(event_stream(107, 0), -a1, -a2, params, 10_000)
+        assert flipped.t1.tobytes() == b.t1.tobytes()
+        assert flipped.t2.tobytes() == b.t2.tobytes()
+        assert np.array_equal(flipped.x1, -b.x1)
+        assert np.array_equal(flipped.x2, -b.x2)
 
     def test_range(self):
-        rng = event_stream(108, 0)
-        params = ModelParams(d_exponent=2.5)
-        for _ in range(200):
-            T = delay_scale(sample_direction(rng), sample_direction(rng), params)
-            assert 0.0 <= T <= 1.0
+        dot_sq = np.linspace(0.0, 1.0, 10_001)
+        T = delay(dot_sq, 2.5)
+        assert T.min() >= 0.0 and T.max() <= 1.0
+        batch = generate_batch(event_stream(108, 0), X_AXIS, UnitVector3.from_angle_deg(70.0),
+                               ModelParams(d_exponent=2.5), 100_000)
+        for t in (batch.t1, batch.t2):
+            assert t.min() >= 0.0 and t.max() < 1.0
 
 
 class TestSampleTimeTag:
     def test_degenerate_interval(self):
-        rng = event_stream(109, 0)
-        assert sample_time_tag(rng, 0.0, ModelParams()) == 0.0
+        """u = 0 puts S on the z axis; a = z gives T = 0 and a zero tag."""
+        batch = generate_batch(ConstantGenerator(0.0), Z_AXIS, Z_AXIS, ModelParams(), 1)
+        assert (batch.t1[0], batch.t2[0]) == (0.0, 0.0)
 
     def test_uniform_mean(self):
-        rng = event_stream(110, 0)
-        params = ModelParams()
-        tags = np.array([sample_time_tag(rng, 1.0, params) for _ in range(100_000)])
-        assert abs(tags.mean() - 0.5) < 0.005
+        """Tags are uniform on [0, T): t / T averages to 1/2."""
+        batch = generate_batch(event_stream(110, 0), X_AXIS, X_AXIS, ModelParams(), 100_000,
+                               keep_hidden=True)
+        u = batch.t1 / delay_scales(batch.s, X_AXIS)
+        assert abs(u.mean() - 0.5) < 0.005
 
     def test_support(self):
-        rng = event_stream(111, 0)
-        params = ModelParams()
-        tags = np.array([sample_time_tag(rng, 0.4, params) for _ in range(100_000)])
-        assert tags.min() >= 0.0
-        assert tags.max() < 0.4
-
-    def test_rejects_bad_scale(self):
-        rng = event_stream(112, 0)
-        with pytest.raises(ValueError):
-            sample_time_tag(rng, 1.5, ModelParams())
+        a2 = UnitVector3.from_angle_deg(40.0)
+        batch = generate_batch(event_stream(111, 0), X_AXIS, a2, ModelParams(), 100_000,
+                               keep_hidden=True)
+        for t, T in ((batch.t1, delay_scales(batch.s, X_AXIS)),
+                     (batch.t2, delay_scales(-batch.s, a2))):
+            assert t.min() >= 0.0
+            assert np.all(t <= T)
 
 
 class TestGeneratePair:
     def test_equal_settings_anticorrelate(self):
-        params = ModelParams()
         a = UnitVector3.from_angle_deg(33.0)
-        rng = event_stream(113, 0)
-        for _ in range(500):
-            pair = generate_pair(rng, a, a, params)
-            assert pair.x1 * pair.x2 == -1
+        batch = generate_batch(event_stream(113, 0), a, a, ModelParams(), 100_000)
+        assert np.all(batch.x1 * batch.x2 == -1)
 
     def test_antipodal_settings_correlate(self):
-        params = ModelParams()
         a = UnitVector3.from_angle_deg(33.0)
-        rng = event_stream(114, 0)
-        for _ in range(500):
-            pair = generate_pair(rng, a, -a, params)
-            assert pair.x1 * pair.x2 == 1
+        batch = generate_batch(event_stream(114, 0), a, -a, ModelParams(), 100_000)
+        assert np.all(batch.x1 * batch.x2 == 1)
 
     def test_perpendicular_settings_uncorrelated(self):
         params = ModelParams()
@@ -184,26 +208,25 @@ class TestGeneratePair:
         assert abs(mean) < 0.003
 
     def test_tags_bounded_by_delay_scale(self):
-        params = ModelParams()
-        rng = event_stream(116, 0)
         a1 = X_AXIS
         a2 = UnitVector3.from_angle_deg(45.0)
-        for _ in range(500):
-            pair = generate_pair(rng, a1, a2, params)
-            assert 0.0 <= pair.t1 <= delay_scale(a1, pair.s, params) <= 1.0
-            assert 0.0 <= pair.t2 <= delay_scale(a2, -pair.s, params) <= 1.0
+        batch = generate_batch(event_stream(116, 0), a1, a2, ModelParams(), 10_000,
+                               keep_hidden=True)
+        T1, T2 = delay_scales(batch.s, a1), delay_scales(-batch.s, a2)
+        assert np.all((0.0 <= batch.t1) & (batch.t1 <= T1) & (T1 <= 1.0))
+        assert np.all((0.0 <= batch.t2) & (batch.t2 <= T2) & (T2 <= 1.0))
 
     def test_locality_station_1(self):
         """Station 1 output is bit-identical under any change of the remote
         setting, event by event."""
         params = ModelParams()
         a1 = UnitVector3.from_angle_deg(10.0)
-        a2 = UnitVector3.from_angle_deg(50.0)
-        a2_alt = UnitVector3.from_angle_deg(170.0)
-        for i in range(10_000):
-            p = generate_pair(event_stream(117, i), a1, a2, params)
-            q = generate_pair(event_stream(117, i), a1, a2_alt, params)
-            assert (p.x1, p.t1) == (q.x1, q.t1)
+        b1 = generate_batch(event_stream(117, 0), a1, UnitVector3.from_angle_deg(50.0),
+                            params, 50_000)
+        b2 = generate_batch(event_stream(117, 0), a1, UnitVector3.from_angle_deg(170.0),
+                            params, 50_000)
+        assert np.array_equal(b1.x1, b2.x1)
+        assert b1.t1.tobytes() == b2.t1.tobytes()
 
     def test_locality_station_2_batch(self):
         params = ModelParams()
@@ -223,14 +246,14 @@ class TestGeneratePair:
         assert np.array_equal(b1.t1, b2.t1)
         assert np.array_equal(b1.t2, b2.t2)
 
-    def test_batch_pair_view_requires_hidden(self):
+    def test_hidden_directions_kept_on_request(self):
         params = ModelParams()
         batch = generate_batch(event_stream(120, 0), X_AXIS, X_AXIS, params, 10)
-        with pytest.raises(ValueError):
-            batch.pair(0)
+        assert batch.s is None
         kept = generate_batch(event_stream(120, 0), X_AXIS, X_AXIS, params, 10, keep_hidden=True)
-        pair = kept.pair(3)
-        assert pair.x1 * pair.x2 == -1
+        assert kept.s.shape == (10, 3)
+        assert np.array_equal(kept.x1, np.where(kept.s[:, 0] >= 0.0, 1, -1))
+        assert np.all(kept.x1 * kept.x2 == -1)
 
 
 def reference_batch(rng, a1, a2, n):
@@ -284,7 +307,7 @@ class TestModelParams:
             {"window": -0.1},
             {"window": 1.5},
             {"d_exponent": 0.0},
-            {"t_max": 0.5},
+            {"tau": math.nan},
             {"d_exponent": math.inf},
             {"window": 0.0},
         ],

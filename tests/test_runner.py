@@ -69,11 +69,50 @@ class TestExperimentConfig:
             {"d_exponent": math.inf},
             {"audit_alpha_deg": (0.0, 200.0)},
             {"audit_alpha_deg": (-15.0,)},
+            {"n_events": 1e5},
+            {"seed": 1.5},
+            {"workers": True},
+            {"tau": "0.01"},
+            {"settings_deg": 5},
+            {"alpha_grid_deg": ("a",)},
+            {"coincidence_mode": "continuous"},
         ],
     )
     def test_rejects_invalid(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"alpha_grid_deg": ["a"]},
+            {"alpha_grid_deg": "45"},
+            {"audit_tau": [10**400]},
+            {"coincidence_mode": 3},
+        ],
+    )
+    def test_from_dict_rejects_bad_types(self, data):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(data)
+
+    def test_to_dict_keys_and_values(self):
+        assert ExperimentConfig().to_dict() == {
+            "settings_deg": [0.0, 90.0, 45.0, 135.0],
+            "alpha_grid_deg": [float(a) for a in range(0, 181, 15)],
+            "tau": 0.00025,
+            "window": 0.00025,
+            "d_exponent": 3.0,
+            "coincidence_mode": "same-bin",
+            "n_events": 10_000_000,
+            "seed": 20060913,
+            "workers": 1,
+            "audit_alpha_deg": [0.0, 30.0, 90.0, 150.0],
+            "audit_tau": [1e-2, 1e-3],
+        }
+
+    def test_model_params_messages_carry_through(self):
+        with pytest.raises(ConfigError, match=r"^window must be in \(0, 1\], got 1.5$"):
+            small_config(window=1.5)
 
     def test_dict_roundtrip(self):
         config = small_config()
