@@ -76,9 +76,10 @@ class BoundReport:
     tau: float
     closed_form: float
     quadrature: float
-    simulated_gamma: float | None = None
-    stderr_gamma: float | None = None
-    satisfied: bool | None = None
+    quad_rel_tol: float
+    simulated_gamma: float
+    stderr_gamma: float
+    satisfied: bool
 
 
 def unequal_settings_bound(alpha: float, tau: float) -> float:
@@ -238,10 +239,13 @@ def check_simulated_gamma(stats: CoincidenceStats, alpha: float, tau: float) -> 
     """Compare a simulated coincidence rate against the applicable bound.
 
     Requires same-bin statistics taken with window = tau; the bounds do not
-    describe the continuous-window convention.  ``satisfied`` demands the
-    estimate clear the bound with four standard errors to spare, so a pass
-    is never a fluctuation.  The bounds are one-sided: any compliant rate
-    passes, equality is not expected.
+    describe the continuous-window convention.  At alpha = 0 and alpha = pi
+    the equal-settings bound applies, elsewhere the unequal-settings one;
+    ``quad_rel_tol`` is the accuracy of the quadrature that goes with it.
+    ``satisfied`` is false only when the estimate exceeds the closed form by
+    more than four standard errors, so a violation is never a fluctuation.
+    The bounds are one-sided: any compliant rate passes, equality is not
+    expected.
     """
     if stats.mode is not CoincidenceMode.SAME_BIN:
         raise ValueError(
@@ -258,16 +262,18 @@ def check_simulated_gamma(stats: CoincidenceStats, alpha: float, tau: float) -> 
     if equal_settings_apply(alpha):
         closed = equal_settings_bound(tau)
         quadr = equal_settings_quadrature(tau)
+        rel_tol = EQUAL_QUAD_REL_TOL
     else:
         closed = unequal_settings_bound(alpha, tau)
         quadr = unequal_settings_quadrature(alpha, tau)
-    satisfied = stats.gamma_hat + 4.0 * stats.stderr_gamma <= closed
+        rel_tol = UNEQUAL_QUAD_REL_TOL
     return BoundReport(
         alpha=alpha,
         tau=tau,
         closed_form=closed,
         quadrature=quadr,
+        quad_rel_tol=rel_tol,
         simulated_gamma=stats.gamma_hat,
         stderr_gamma=stats.stderr_gamma,
-        satisfied=satisfied,
+        satisfied=stats.gamma_hat - 4.0 * stats.stderr_gamma <= closed,
     )

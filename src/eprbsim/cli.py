@@ -13,24 +13,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .runner import (
-    BOUNDS_COLUMNS,
-    CHSH_COLUMNS,
-    SWEEP_COLUMNS,
+    COLUMNS,
     ConfigError,
     EmptyEnsembleError,
     ExperimentConfig,
-    bounds_table_rows,
-    chsh_table_rows,
+    RunManifest,
     rows_to_csv,
     rows_to_table,
     run_bound_audit,
     run_chsh_experiment,
     run_correlation_sweep,
-    sweep_table_rows,
+    table_rows,
 )
 from . import reproduce
 
@@ -103,7 +100,8 @@ def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _emit(args: argparse.Namespace, rows: list[dict], columns: list[str], manifest) -> None:
+def _emit(args: argparse.Namespace, manifest: RunManifest) -> None:
+    rows, columns = table_rows(manifest), COLUMNS[manifest.kind]
     if args.format == "csv":
         sys.stdout.write(rows_to_csv(rows, columns))
     else:
@@ -115,34 +113,27 @@ def _emit(args: argparse.Namespace, rows: list[dict], columns: list[str], manife
         (out / f"{manifest.kind}.csv").write_text(rows_to_csv(rows, columns))
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args, "sweep")
-    result = run_correlation_sweep(config)
-    _emit(args, sweep_table_rows(result), SWEEP_COLUMNS, result.manifest)
-    return EXIT_OK
+_RUNS = {
+    "sweep": run_correlation_sweep,
+    "chsh": run_chsh_experiment,
+    "bounds": run_bound_audit,
+}
 
 
-def _cmd_chsh(args: argparse.Namespace) -> int:
-    config = _load_config(args, "chsh")
-    result = run_chsh_experiment(config)
-    _emit(args, chsh_table_rows(result), CHSH_COLUMNS, result.manifest)
-    r = result.report
-    if args.format == "table":
+def _cmd_run(args: argparse.Namespace) -> int:
+    config = _load_config(args, args.command)
+    manifest = _RUNS[args.command](config).manifest
+    _emit(args, manifest)
+    if manifest.kind == "chsh" and args.format == "table":
+        r = manifest.results["report"]
         print(
-            f"CHSH = {r.chsh_lhs:.6f} +- {r.chsh_stderr:.6f}  "
-            f"(plain bound 2: {'violated' if r.violates_chsh else 'satisfied'})"
+            f"CHSH = {r['chsh_lhs']:.6f} +- {r['chsh_stderr']:.6f}  "
+            f"(plain bound 2: {'violated' if r['violates_chsh'] else 'satisfied'})"
         )
         print(
-            f"corrected bound 6/gamma-4 = {r.modified_bound:.6g} at gamma_min = "
-            f"{r.gamma_min:.6g}: {'violated' if r.violates_modified else 'satisfied'}"
+            f"corrected bound 6/gamma-4 = {r['modified_bound']:.6g} at gamma_min = "
+            f"{r['gamma_min']:.6g}: {'violated' if r['violates_modified'] else 'satisfied'}"
         )
-    return EXIT_OK
-
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    config = _load_config(args, "bounds")
-    result = run_bound_audit(config)
-    _emit(args, bounds_table_rows(result), BOUNDS_COLUMNS, result.manifest)
     return EXIT_OK
 
 
@@ -164,10 +155,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        summary = [
-            {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ]
+        summary = [asdict(r) for r in results]
         (out / "reproduction_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECKS_FAILED
 
@@ -179,19 +167,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="conditional correlation vs setting angle")
-    _add_common_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_chsh = sub.add_parser("chsh", help="four-settings CHSH experiment with verdicts")
-    _add_common_flags(p_chsh)
-    p_chsh.set_defaults(func=_cmd_chsh)
-
-    p_bounds = sub.add_parser("bounds", help="audit simulated rates against analytic bounds")
-    _add_common_flags(p_bounds)
-    p_bounds.add_argument("--tau-grid", metavar="LIST", dest="tau_grid",
-                          help="comma-separated resolutions for the audit")
-    p_bounds.set_defaults(func=_cmd_bounds)
+    for command, text in (
+        ("sweep", "conditional correlation vs setting angle"),
+        ("chsh", "four-settings CHSH experiment with verdicts"),
+        ("bounds", "audit simulated rates against analytic bounds"),
+    ):
+        p_run = sub.add_parser(command, help=text)
+        _add_common_flags(p_run)
+        p_run.set_defaults(func=_cmd_run)
+        if command == "bounds":
+            p_run.add_argument("--tau-grid", metavar="LIST", dest="tau_grid",
+                               help="comma-separated resolutions for the audit")
 
     p_rep = sub.add_parser(
         "reproduce-paper",

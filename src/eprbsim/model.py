@@ -16,6 +16,7 @@ the resolution ``tau`` and window ``W`` are dimensionless fractions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,8 +85,11 @@ class ModelParams:
     coincidence_mode: CoincidenceMode = CoincidenceMode.SAME_BIN
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
+        # below the smallest normal float, t / tau overflows for every tag
+        if not sys.float_info.min <= self.tau <= 1.0:
+            raise ValueError(
+                f"tau must be in [{sys.float_info.min!r}, 1], got {self.tau}"
+            )
         if not 0.0 < self.window <= 1.0:
             raise ValueError(f"window must be in (0, 1], got {self.window}")
         if not (math.isfinite(self.d_exponent) and self.d_exponent > 0.0):
@@ -123,9 +127,11 @@ def _delay_from_dot_sq(dot_sq: np.ndarray, d_exponent: float, out: np.ndarray,
 
     Vanishes when the hidden direction is (anti)parallel to the setting and
     reaches 1 when perpendicular; only the squared overlap enters, so it is
-    invariant under s -> -s and a -> -a.
+    invariant under s -> -s and a -> -a.  An overlap that rounds above 1
+    gives T = 0, as an exact one does.
     """
     base = np.subtract(1.0, dot_sq, out=out)
+    np.maximum(base, 0.0, out=base)
     if d_exponent == 3.0:
         return np.multiply(base, np.sqrt(base, out=tmp), out=out)
     if d_exponent == 2.0:

@@ -21,18 +21,13 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from enum import Enum
 
 from . import __version__
 from .bell import CorrelationQuartet, InequalityReport, verdict
-from .bounds import (
-    EQUAL_QUAD_REL_TOL,
-    UNEQUAL_QUAD_REL_TOL,
-    BoundReport,
-    check_simulated_gamma,
-    equal_settings_apply,
-)
+from .bounds import BoundReport, check_simulated_gamma
 from .coincidence import CoincidenceStats, _counts_from_batch
 from .model import (
     CoincidenceMode,
@@ -81,6 +76,17 @@ _EXPECTED = {tuple: "a list of numbers", float: "a number", int: "an integer"}
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _record(obj) -> dict:
+    """A dataclass as a JSON-ready dict of its fields: enums by value,
+    tuples as lists."""
+    def plain(value):
+        if isinstance(value, Enum):
+            return value.value
+        return list(value) if isinstance(value, tuple) else value
+
+    return asdict(obj, dict_factory=lambda items: {k: plain(v) for k, v in items})
 
 
 @dataclass(frozen=True)
@@ -136,8 +142,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"audit_alpha_deg values must be in [0, 180], got {list(self.audit_alpha_deg)}"
             )
-        if not self.audit_tau or not all(0.0 < t <= 1.0 for t in self.audit_tau):
-            raise ConfigError("audit_tau values must be in (0, 1]")
+        if not self.audit_tau:
+            raise ConfigError("audit_tau must not be empty")
+        for tau in self.audit_tau:
+            try:
+                self.audit_params(tau)
+            except ValueError as exc:
+                raise ConfigError(f"audit_tau: {exc}") from None
 
     def model_params(self) -> ModelParams:
         return ModelParams(
@@ -147,10 +158,15 @@ class ExperimentConfig:
             coincidence_mode=self.coincidence_mode,
         )
 
+    def audit_params(self, tau: float) -> ModelParams:
+        """The model parameters of the audit rows at resolution ``tau``:
+        same-bin tagging with W = tau."""
+        return replace(
+            self.model_params(), tau=tau, window=tau, coincidence_mode=CoincidenceMode.SAME_BIN
+        )
+
     def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["coincidence_mode"] = self.coincidence_mode.value
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()}
+        return _record(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -259,28 +275,13 @@ def simulate_pair_stats(
 # manifests
 
 
-def _stats_dict(stats: CoincidenceStats) -> dict:
-    return {
-        "n_total": stats.n_total,
-        "n_coincident": stats.n_coincident,
-        "sum_xy": stats.sum_xy,
-        "gamma_hat": stats.gamma_hat,
-        "stderr_gamma": stats.stderr_gamma,
-        "e_conditional": stats.e_conditional,
-        "stderr_e": stats.stderr_e,
-        "mode": stats.mode.value,
-        "window": stats.window,
-        "tau": stats.tau,
-    }
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Config snapshot plus results, serializable to structured text.
 
-    ``reproducible_json`` covers kind, version, config (minus workers) and
-    results; it is bit-identical for identical (seed, config) regardless of
-    worker count.  Timestamps and durations live outside it.
+    ``reproducible_json`` covers every field but the timestamp and the
+    duration, with the config minus its worker count; it is bit-identical
+    for identical (seed, config) regardless of worker count.
     """
 
     kind: str
@@ -289,41 +290,21 @@ class RunManifest:
     version: str = __version__
     created_utc: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
     duration_s: float = 0.0
-    workers: int = 1
 
     def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "config": self.config,
-            "results": self.results,
-            "version": self.version,
-            "created_utc": self.created_utc,
-            "duration_s": self.duration_s,
-            "workers": self.workers,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
+        # keys that are not fields, such as the top-level worker count of
+        # older manifests, are ignored
         data = json.loads(text)
-        return cls(
-            kind=data["kind"],
-            config=data["config"],
-            results=data["results"],
-            version=data["version"],
-            created_utc=data["created_utc"],
-            duration_s=data["duration_s"],
-            workers=data["workers"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
     def reproducible_json(self) -> str:
-        config = {k: v for k, v in self.config.items() if k != "workers"}
-        payload = {
-            "kind": self.kind,
-            "version": self.version,
-            "config": config,
-            "results": self.results,
-        }
+        payload = asdict(self)
+        del payload["created_utc"], payload["duration_s"]
+        payload["config"].pop("workers", None)
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
@@ -336,7 +317,6 @@ def _make_manifest(kind: str, config: ExperimentConfig, results: dict, t0: float
         config=config.to_dict(),
         results=results,
         duration_s=time.perf_counter() - t0,
-        workers=config.workers,
     )
 
 
@@ -391,7 +371,7 @@ def run_correlation_sweep(config: ExperimentConfig) -> SweepResult:
                 "alpha_deg": r.alpha_deg,
                 "reference_minus_cos": r.reference,
                 "flagged": r.flagged,
-                **_stats_dict(r.stats),
+                **_record(r.stats),
             }
             for r in rows
         ]
@@ -408,7 +388,6 @@ PAIR_LABELS = ("ac", "ad", "bc", "bd")
 @dataclass(frozen=True)
 class ChshResult:
     pair_stats: dict[str, CoincidenceStats]
-    quartet: CorrelationQuartet
     report: InequalityReport
     manifest: RunManifest
 
@@ -432,38 +411,18 @@ def run_chsh_experiment(config: ExperimentConfig) -> ChshResult:
                 f"empty coincidence ensemble for pair {label} "
                 f"(settings {th1} deg, {th2} deg)"
             )
-    quartet = CorrelationQuartet(
-        e_ac=pair_stats["ac"].e_conditional,
-        e_ad=pair_stats["ad"].e_conditional,
-        e_bc=pair_stats["bc"].e_conditional,
-        e_bd=pair_stats["bd"].e_conditional,
-        gamma_ac=pair_stats["ac"].gamma_hat,
-        gamma_ad=pair_stats["ad"].gamma_hat,
-        gamma_bc=pair_stats["bc"].gamma_hat,
-        gamma_bd=pair_stats["bd"].gamma_hat,
-        stderr_e_ac=pair_stats["ac"].stderr_e,
-        stderr_e_ad=pair_stats["ad"].stderr_e,
-        stderr_e_bc=pair_stats["bc"].stderr_e,
-        stderr_e_bd=pair_stats["bd"].stderr_e,
-    )
-    report = verdict(quartet)
+    report = verdict(CorrelationQuartet(**{
+        f"{prefix}_{label}": getattr(pair_stats[label], name)
+        for prefix, name in (("e", "e_conditional"), ("gamma", "gamma_hat"), ("stderr_e", "stderr_e"))
+        for label in PAIR_LABELS
+    }))
     results = {
-        "pairs": {label: _stats_dict(pair_stats[label]) for label in PAIR_LABELS},
+        "pairs": {label: _record(pair_stats[label]) for label in PAIR_LABELS},
         "pair_settings_deg": {label: list(pair_angles[label]) for label in PAIR_LABELS},
-        "report": {
-            "chsh_lhs": report.chsh_lhs,
-            "chsh_stderr": report.chsh_stderr,
-            "gamma_min": report.gamma_min,
-            "gammas": list(report.gammas),
-            "modified_bound": report.modified_bound,
-            "violates_chsh": report.violates_chsh,
-            "violates_modified": report.violates_modified,
-            "gamma_threshold_for_lhs": report.gamma_threshold_for_lhs,
-        },
+        "report": _record(report),
     }
     return ChshResult(
         pair_stats=pair_stats,
-        quartet=quartet,
         report=report,
         manifest=_make_manifest("chsh", config, results, t0),
     )
@@ -479,6 +438,13 @@ class BoundAuditResult:
     manifest: RunManifest
 
 
+def _audit_row(report: BoundReport) -> dict:
+    """A report as a manifest row, with the angle in degrees."""
+    row = _record(report)
+    row["alpha_deg"] = math.degrees(row.pop("alpha"))
+    return row
+
+
 def run_bound_audit(config: ExperimentConfig) -> BoundAuditResult:
     """Simulated coincidence rates against the analytic bounds on a
     (tau, alpha) grid; same-bin tagging with W = tau throughout."""
@@ -488,17 +454,7 @@ def run_bound_audit(config: ExperimentConfig) -> BoundAuditResult:
     a1 = UnitVector3.from_angle_deg(0.0)
     grid = [(tau, alpha_deg) for tau in config.audit_tau for alpha_deg in config.audit_alpha_deg]
     plan = [
-        (
-            a1,
-            UnitVector3.from_angle_deg(alpha_deg),
-            ModelParams(
-                tau=tau,
-                window=tau,
-                d_exponent=config.d_exponent,
-                coincidence_mode=CoincidenceMode.SAME_BIN,
-            ),
-            stream,
-        )
+        (a1, UnitVector3.from_angle_deg(alpha_deg), config.audit_params(tau), stream)
         for stream, (tau, alpha_deg) in enumerate(grid)
     ]
     all_stats = simulate_plan(plan, config.n_events, config.seed, config.workers)
@@ -506,25 +462,7 @@ def run_bound_audit(config: ExperimentConfig) -> BoundAuditResult:
         check_simulated_gamma(stats, math.radians(alpha_deg), tau)
         for (tau, alpha_deg), stats in zip(grid, all_stats)
     ]
-    results = {
-        "rows": [
-            {
-                "alpha_deg": math.degrees(r.alpha),
-                "tau": r.tau,
-                "closed_form": r.closed_form,
-                "quadrature": r.quadrature,
-                "quad_rel_tol": (
-                    EQUAL_QUAD_REL_TOL
-                    if equal_settings_apply(r.alpha)
-                    else UNEQUAL_QUAD_REL_TOL
-                ),
-                "simulated_gamma": r.simulated_gamma,
-                "stderr_gamma": r.stderr_gamma,
-                "satisfied": r.satisfied,
-            }
-            for r in reports
-        ]
-    }
+    results = {"rows": [_audit_row(r) for r in reports]}
     return BoundAuditResult(
         reports=reports, manifest=_make_manifest("bounds", config, results, t0)
     )
@@ -573,55 +511,26 @@ def rows_to_table(rows: list[dict], columns: list[str], precision: int = 6) -> s
     return "\n".join(lines) + "\n"
 
 
-SWEEP_COLUMNS = [
-    "alpha_deg",
-    "n_total",
-    "n_coincident",
-    "gamma_hat",
-    "stderr_gamma",
-    "e_conditional",
-    "stderr_e",
-    "reference_minus_cos",
-    "flagged",
+# the estimators of a setting pair, without the raw sum and the cut behind them
+_ESTIMATES = [
+    f.name for f in fields(CoincidenceStats) if f.name not in ("sum_xy", "mode", "window", "tau")
 ]
 
-CHSH_COLUMNS = [
-    "pair",
-    "setting_1_deg",
-    "setting_2_deg",
-    "n_total",
-    "n_coincident",
-    "gamma_hat",
-    "stderr_gamma",
-    "e_conditional",
-    "stderr_e",
-]
-
-BOUNDS_COLUMNS = [
-    "alpha_deg",
-    "tau",
-    "closed_form",
-    "quadrature",
-    "quad_rel_tol",
-    "simulated_gamma",
-    "stderr_gamma",
-    "satisfied",
-]
+COLUMNS = {
+    "sweep": ["alpha_deg", *_ESTIMATES, "reference_minus_cos", "flagged"],
+    "chsh": ["pair", "setting_1_deg", "setting_2_deg", *_ESTIMATES],
+    "bounds": ["alpha_deg", *(f.name for f in fields(BoundReport) if f.name != "alpha")],
+}
 
 
-def sweep_table_rows(result: SweepResult) -> list[dict]:
-    return result.manifest.results["rows"]
-
-
-def chsh_table_rows(result: ChshResult) -> list[dict]:
+def table_rows(manifest: RunManifest) -> list[dict]:
+    """The rows of a run's table, read from its manifest alone."""
+    results = manifest.results
+    if manifest.kind != "chsh":
+        return results["rows"]
     rows = []
     for label in PAIR_LABELS:
-        entry = dict(result.manifest.results["pairs"][label])
-        th1, th2 = result.manifest.results["pair_settings_deg"][label]
-        entry.update({"pair": label, "setting_1_deg": th1, "setting_2_deg": th2})
-        rows.append(entry)
+        th1, th2 = results["pair_settings_deg"][label]
+        rows.append({"pair": label, "setting_1_deg": th1, "setting_2_deg": th2,
+                     **results["pairs"][label]})
     return rows
-
-
-def bounds_table_rows(result: BoundAuditResult) -> list[dict]:
-    return result.manifest.results["rows"]

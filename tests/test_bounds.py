@@ -28,7 +28,7 @@ from eprbsim.bounds import (
     unequal_settings_bound,
     unequal_settings_quadrature,
 )
-from eprbsim.coincidence import accumulate
+from eprbsim.coincidence import CoincidenceStats, accumulate
 from eprbsim.model import event_stream, generate_batch
 
 FOUR_PI = 4.0 * math.pi
@@ -194,6 +194,8 @@ class TestCheckSimulatedGamma:
         assert report.closed_form == pytest.approx(8e-3, rel=1e-12)
         assert report.simulated_gamma <= 8e-3
         assert report.satisfied
+        assert report.simulated_gamma + 4.0 * report.stderr_gamma <= report.closed_form
+        assert report.quad_rel_tol == UNEQUAL_QUAD_REL_TOL
 
     def test_equal_settings_path(self):
         tau = 1e-3
@@ -208,6 +210,8 @@ class TestCheckSimulatedGamma:
         assert report.closed_form == pytest.approx(equal_settings_bound(tau), rel=1e-12)
         assert report.quadrature == pytest.approx(equal_settings_bound(tau), rel=1e-5)
         assert report.satisfied
+        assert report.simulated_gamma + 4.0 * report.stderr_gamma <= report.closed_form
+        assert report.quad_rel_tol == EQUAL_QUAD_REL_TOL
 
     def test_antipodal_settings_use_equal_settings_path(self):
         # a2 = -a1 gives T1 = T2, so the equal-settings bound applies at pi
@@ -225,6 +229,8 @@ class TestCheckSimulatedGamma:
             equal_settings_bound(tau), rel=EQUAL_QUAD_REL_TOL
         )
         assert report.satisfied
+        assert report.simulated_gamma + 4.0 * report.stderr_gamma <= report.closed_form
+        assert report.quad_rel_tol == EQUAL_QUAD_REL_TOL
 
     def test_trivial_full_resolution(self):
         params = self.same_bin_params(1.0)
@@ -234,6 +240,25 @@ class TestCheckSimulatedGamma:
         assert stats.gamma_hat == 1.0
         report = check_simulated_gamma(stats, 0.0, 1.0)
         assert report.satisfied  # bound 4*pi exceeds any probability
+        assert report.simulated_gamma + 4.0 * report.stderr_gamma <= report.closed_form
+
+    @pytest.mark.parametrize(
+        "n_coincident, satisfied",
+        [(7, True), (9, True), (2_000, False)],
+    )
+    def test_satisfied_unless_four_sigma_above(self, n_coincident, satisfied):
+        """Violated only when gamma - 4 sigma exceeds the closed form
+        (8e-2 at tau = 1e-2, 90 deg); a rate above the bound by less than
+        four standard errors is no violation.  Counts out of 100 and 10,000
+        events."""
+        tau = 1e-2
+        n_total = 100 if n_coincident < 100 else 10_000
+        stats = CoincidenceStats.from_counts(
+            n_total, n_coincident, 0, params=self.same_bin_params(tau)
+        )
+        report = check_simulated_gamma(stats, math.pi / 2, tau)
+        assert report.closed_form == pytest.approx(8e-2, rel=1e-12)
+        assert report.satisfied is satisfied
 
     def test_rejects_continuous_statistics(self):
         params = ModelParams(tau=1e-3, window=1e-3, coincidence_mode=CoincidenceMode.CONTINUOUS)

@@ -1,4 +1,5 @@
-"""End-to-end CLI tests through subprocesses: flags, files, exit codes."""
+"""End-to-end CLI tests, through subprocesses and ``cli.main``: flags,
+files, exit codes, and tables rendered from the written manifest."""
 
 import csv
 import io
@@ -9,6 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from eprbsim.cli import main
+from eprbsim.runner import COLUMNS, RunManifest, rows_to_csv, rows_to_table, table_rows
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -111,6 +115,15 @@ class TestChshCommand:
         assert proc.returncode == 2
         assert "empty coincidence ensemble" in proc.stderr
 
+    def test_subnormal_tau_exits_1(self):
+        """Below the smallest normal float every tag / tau overflows to the
+        same infinite bin, which once gave gamma = 1 and exit code 0."""
+        proc = run_cli("chsh", "--events", "20000", "--tau", "1e-320", "--window", "1e-320")
+        assert proc.returncode == 1
+        assert "tau" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "chsh"
         proc = run_cli("chsh", "--events", "100000", "--seed", "5", "--out", str(out))
@@ -130,6 +143,8 @@ class TestBoundsCommand:
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert len(rows) == 1
         assert rows[0]["satisfied"] == "true"
+        gamma, stderr = float(rows[0]["simulated_gamma"]), float(rows[0]["stderr_gamma"])
+        assert gamma + 4.0 * stderr <= float(rows[0]["closed_form"])
 
     def test_audit_angle_out_of_range_exits_1(self):
         proc = run_cli("bounds", "--events", "20000", "--alpha-grid", "200")
@@ -138,10 +153,48 @@ class TestBoundsCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_subnormal_audit_tau_exits_1(self):
+        proc = run_cli("bounds", "--events", "20000", "--tau-grid", "1e-320")
+        assert proc.returncode == 1
+        assert "audit_tau" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_continuous_mode_rejected(self):
         proc = run_cli("bounds", "--mode", "continuous", "--events", "1000")
         assert proc.returncode == 1
         assert "same-bin" in proc.stderr
+
+
+RUN_ARGS = {
+    "sweep": ["--alpha-grid", "0,45,90"],
+    "chsh": ["--tau", "0.01", "--window", "0.01"],
+    "bounds": ["--alpha-grid", "0,90,180", "--tau-grid", "0.01"],
+}
+
+
+class TestTablesFollowManifest:
+    """stdout and the ``--out`` CSV are the rows of the written manifest."""
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    @pytest.mark.parametrize("command", sorted(RUN_ARGS))
+    def test_stdout_is_manifest_table(self, tmp_path, capsys, command, fmt):
+        argv = [command, *RUN_ARGS[command], "--events", "20000", "--seed", "5",
+                "--format", fmt, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        manifest = RunManifest.from_json((tmp_path / "manifest.json").read_text())
+        assert manifest.kind == command
+        assert manifest.config["workers"] == 1
+        assert "workers" not in json.loads((tmp_path / "manifest.json").read_text())
+        rows, columns = table_rows(manifest), COLUMNS[command]
+        assert len(rows) == (4 if command == "chsh" else 3)
+        render = rows_to_csv if fmt == "csv" else rows_to_table
+        assert stdout.startswith(render(rows, columns))
+        # only the chsh table is followed by its two verdict lines
+        extra = stdout[len(render(rows, columns)):].splitlines()
+        assert len(extra) == (2 if command == "chsh" and fmt == "table" else 0)
+        assert (tmp_path / f"{command}.csv").read_text() == rows_to_csv(rows, columns)
 
 
 class TestReproduceCommand:

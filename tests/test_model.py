@@ -5,6 +5,7 @@ also checked directly through ``_delay_from_dot_sq``.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -95,23 +96,28 @@ class TestSampleDirection:
 
 
 class TestOutcome:
-    # With a = S the overlap a.S can round above 1, where the delay law is
-    # NaN; only the outcomes are checked here.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+    # With a = +-S the overlap a.S is 1 only up to rounding, and can round
+    # above 1; the delay law then clamps to 0, so both tags are 0 or within
+    # a few ulps of it, never NaN.
+    ALIGNED_TAG_MAX = 1e-22
+
     def test_aligned(self):
         s = hidden_directions(105, 100)
         for i in range(100):
             a = UnitVector3(*s[i])
             batch = generate_batch(event_stream(105, 0), a, a, ModelParams(), 100)
             assert (batch.x1[i], batch.x2[i]) == (1, -1)
+            assert 0.0 <= batch.t1[i] <= self.ALIGNED_TAG_MAX
+            assert 0.0 <= batch.t2[i] <= self.ALIGNED_TAG_MAX
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
     def test_antipodal(self):
         s = hidden_directions(105, 100)
         for i in range(100):
             a = -UnitVector3(*s[i])
             batch = generate_batch(event_stream(105, 0), a, a, ModelParams(), 100)
             assert (batch.x1[i], batch.x2[i]) == (-1, 1)
+            assert 0.0 <= batch.t1[i] <= self.ALIGNED_TAG_MAX
+            assert 0.0 <= batch.t2[i] <= self.ALIGNED_TAG_MAX
 
     def test_tie_breaks_positive(self):
         """u = 1/2 puts S at azimuth pi on the equator, so a = z gives
@@ -137,6 +143,10 @@ class TestDelayScale:
 
     def test_parallel_gives_zero(self):
         assert delay(1.0)[0] == 0.0
+
+    @pytest.mark.parametrize("d_exponent", [1.0, 2.0, 3.0, 2.5])
+    def test_overlap_rounded_above_one_gives_zero(self, d_exponent):
+        assert delay(1.0 + 2.0**-52, d_exponent)[0] == 0.0
 
     def test_half_overlap_value(self):
         assert delay(0.25)[0] == pytest.approx(0.649519052838329, abs=1e-12)
@@ -310,8 +320,12 @@ class TestModelParams:
             {"tau": math.nan},
             {"d_exponent": math.inf},
             {"window": 0.0},
+            {"tau": 1e-320},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    def test_smallest_normal_tau_accepted(self):
+        assert ModelParams(tau=sys.float_info.min).tau == sys.float_info.min

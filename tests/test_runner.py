@@ -22,17 +22,13 @@ from eprbsim.bounds import EQUAL_QUAD_REL_TOL
 from eprbsim.coincidence import _counts_from_batch
 from eprbsim.model import ModelParams, UnitVector3, Workspace, event_stream, generate_batch
 from eprbsim.runner import (
-    BOUNDS_COLUMNS,
-    CHSH_COLUMNS,
     CHUNK_SIZE,
-    SWEEP_COLUMNS,
-    bounds_table_rows,
-    chsh_table_rows,
+    COLUMNS,
     rows_to_csv,
     rows_to_table,
     simulate_pair_stats,
     simulate_plan,
-    sweep_table_rows,
+    table_rows,
 )
 
 
@@ -66,6 +62,9 @@ class TestExperimentConfig:
             {"alpha_grid_deg": ()},
             {"alpha_grid_deg": (0.0, math.inf)},
             {"audit_tau": (0.0,)},
+            {"audit_tau": ()},
+            {"audit_tau": (1e-320,)},
+            {"tau": 1e-320},
             {"d_exponent": math.inf},
             {"audit_alpha_deg": (0.0, 200.0)},
             {"audit_alpha_deg": (-15.0,)},
@@ -205,6 +204,7 @@ class TestBoundAudit:
         assert {r["alpha_deg"] for r in rows} == {0.0, 90.0}
         for row in rows:
             assert row["satisfied"] is True
+            assert row["simulated_gamma"] + 4.0 * row["stderr_gamma"] <= row["closed_form"]
             assert row["quad_rel_tol"] in (1e-6, 1e-8)
             assert row["stderr_gamma"] is not None
 
@@ -216,6 +216,8 @@ class TestBoundAudit:
         assert antipodal["quadrature"] == equal["quadrature"]
         assert antipodal["quad_rel_tol"] == EQUAL_QUAD_REL_TOL
         assert antipodal["satisfied"] is True
+        assert (antipodal["simulated_gamma"] + 4.0 * antipodal["stderr_gamma"]
+                <= antipodal["closed_form"])
 
 
 class TestRunPlan:
@@ -320,7 +322,7 @@ class TestManifest:
         m1 = run_correlation_sweep(config1).manifest
         m2 = run_correlation_sweep(config2).manifest
         assert m1.reproducible_json() == m2.reproducible_json()
-        assert m1.workers != m2.workers
+        assert m1.config["workers"] != m2.config["workers"]
 
     def test_digest_is_stable_hex(self):
         manifest = run_correlation_sweep(small_config()).manifest
@@ -332,7 +334,7 @@ class TestManifest:
 class TestTabularOutput:
     def test_sweep_csv_parses_back(self):
         result = run_correlation_sweep(small_config())
-        text = rows_to_csv(sweep_table_rows(result), SWEEP_COLUMNS)
+        text = rows_to_csv(table_rows(result.manifest), COLUMNS["sweep"])
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 3
         assert rows[0]["alpha_deg"] == "0.0"
@@ -342,22 +344,22 @@ class TestTabularOutput:
     def test_csv_empty_cell_for_undefined_correlation(self):
         config = small_config(tau=1e-7, window=1e-7, n_events=200, alpha_grid_deg=(45.0,))
         result = run_correlation_sweep(config)
-        text = rows_to_csv(sweep_table_rows(result), SWEEP_COLUMNS)
+        text = rows_to_csv(table_rows(result.manifest), COLUMNS["sweep"])
         row = next(csv.DictReader(io.StringIO(text)))
         assert row["e_conditional"] == ""
         assert row["flagged"] == "true"
 
     def test_chsh_rows_include_settings(self):
         result = run_chsh_experiment(small_config(n_events=100_000))
-        rows = chsh_table_rows(result)
+        rows = table_rows(result.manifest)
         assert [r["pair"] for r in rows] == ["ac", "ad", "bc", "bd"]
-        text = rows_to_csv(rows, CHSH_COLUMNS)
+        text = rows_to_csv(rows, COLUMNS["chsh"])
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert parsed[0]["setting_2_deg"] == "45.0"
 
     def test_bounds_table_renders(self):
         result = run_bound_audit(small_config(n_events=100_000))
-        table = rows_to_table(bounds_table_rows(result), BOUNDS_COLUMNS)
+        table = rows_to_table(table_rows(result.manifest), COLUMNS["bounds"])
         lines = table.strip().splitlines()
         assert lines[0].split()[:2] == ["alpha_deg", "tau"]
         assert len(lines) == 2 + len(result.reports)
