@@ -6,6 +6,10 @@ width ``tau`` and keeps a pair when both tags land in the same bin; this is
 the convention under which the per-pair coincidence probability equals
 ``tau * min(T1, T2) / (T1 * T2)`` almost everywhere, which is what the
 analytic rate bounds assume.
+
+The runner counts coincidences with ``block_counts``: a cheap, provably
+conservative screen on bounds of the tags, then the exact kernel and the
+cut on the few pairs that pass it.
 """
 
 from __future__ import annotations
@@ -15,12 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoincidenceMode, EventBatch, ModelParams, Workspace
+from .model import (
+    CoincidenceMode,
+    EventBatch,
+    ModelParams,
+    UnitVector3,
+    Workspace,
+    _events_from_uniforms,
+    tag_bounds,
+)
 
 __all__ = [
     "CoincidenceStats",
     "coincidence_mask",
     "accumulate",
+    "block_counts",
     "coincidence_probability_exact",
     "same_bin_probability_exact",
 ]
@@ -124,6 +137,56 @@ def _counts_from_batch(
     np.logical_and(agree, mask, out=agree)
     n_c = int(np.count_nonzero(mask))
     return n, n_c, 2 * int(np.count_nonzero(agree)) - n_c
+
+
+# Absolute slack on the screen's limit: it covers the 2^-52 by which a
+# same-bin pair's tags may differ beyond tau, and np.power errors of up to
+# about a thousand ulps in the tag bounds (model.tag_bounds).
+_SCREEN_SLACK = 2.0 ** -40
+
+
+def _screen_limit(params: ModelParams) -> float | None:
+    """The largest tag difference, plus slack, that a coincident pair can
+    have; None when the cut keeps every pair (tau = 1 or W = 1)."""
+    cut = params.window if params.coincidence_mode is CoincidenceMode.CONTINUOUS else params.tau
+    return None if cut >= 1.0 else cut + _SCREEN_SLACK
+
+
+def block_counts(
+    u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams, workspace: Workspace
+) -> tuple[int, int, int]:
+    """(events, coincidences, sum of x1*x2 over coincidences) of the events
+    of the uniforms ``u`` (4, n), whose rows it may overwrite; equal to
+    ``_counts_from_batch`` of the kernel's batch of ``u``.
+
+    When the cut can reject a pair, a screen keeps only the pairs whose tag
+    intervals (``model.tag_bounds``) come within the limit, and the kernel
+    runs on them alone.  Soundness: a same-bin pair has k <= fl(t/tau) < k+1
+    for both tags, and fl(t/tau) is within a relative 2^-53 of t/tau, so
+    |t1 - t2| < tau + 2^-53 (t1 + t2) < tau + 2^-52 (this matters for tau
+    below 2^-52); a continuous pair has fl(|t1 - t2|) <= W, so |t1 - t2| <=
+    W + 2^-53.  With t1 >= lo1 and t2 <= hi2 up to the few ulps of np.power,
+    lo1 - hi2 then lies below the cut plus ``_SCREEN_SLACK``, and rounding
+    to nearest keeps that order: fl(lo1 - hi2) <= fl(cut + slack).  The same
+    holds for lo2 - hi1, so no coincident pair is screened out.  Every
+    operation of the kernel is elementwise, so the kept events get the
+    outcomes and tags they would get in the whole block.
+    """
+    n = u.shape[1]
+    limit = _screen_limit(params)
+    if limit is not None:
+        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params, workspace)
+        keep = np.less_equal(np.subtract(lo1, hi2, out=lo1), limit, out=workspace.mask[:n])
+        near = np.less_equal(np.subtract(lo2, hi1, out=lo2), limit, out=workspace.agree[:n])
+        index = np.flatnonzero(np.logical_and(keep, near, out=keep))
+        if len(index) == 0:
+            return n, 0, 0
+        # take(mode="clip") writes straight into the buffer; the default
+        # mode would first copy it
+        u = np.take(u, index, axis=1, out=workspace.kept(len(index)), mode="clip")
+    batch = _events_from_uniforms(u, a1, a2, params, workspace)
+    _, n_c, sum_xy = _counts_from_batch(batch, params, workspace)
+    return n, n_c, sum_xy
 
 
 def accumulate(batch: EventBatch, params: ModelParams) -> CoincidenceStats:

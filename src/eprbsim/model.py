@@ -29,6 +29,8 @@ __all__ = [
     "EventBatch",
     "event_stream",
     "generate_batch",
+    "batch_streams",
+    "tag_bounds",
     "Workspace",
 ]
 
@@ -141,22 +143,122 @@ def _delay_from_dot_sq(dot_sq: np.ndarray, d_exponent: float, out: np.ndarray,
     return np.power(base, 0.5 * d_exponent, out=out)
 
 
-class Workspace:
-    """Reusable buffers for chunks of up to ``capacity`` events.
+# Margin on the overlap a.S in tag_bounds.  Its float32 cos and sin differ
+# from the kernel's float64 ones by at most 2.6e-7, so a.S is off by at most
+# 3.7e-7, well inside the margin.
+OVERLAP_EPS = 1e-5
 
-    ``generate_batch`` writes the batch into ``t1``, ``t2``, ``x1`` and ``x2``
-    and uses ``tmp`` as scratch; the coincidence cut then reuses ``tmp`` and
-    writes ``mask`` and ``agree``.  A batch built in a workspace holds views
-    of these buffers, valid until the workspace is used for the next chunk.
+
+class Workspace:
+    """Reusable buffers for blocks of up to ``capacity`` events.
+
+    ``uniforms(n)`` is the block's four uniform draws, one row each: z, phi,
+    station-1 tags and station-2 tags.  The kernel consumes its rows in place
+    (station tags end up in rows 2 and 3) and uses ``tmp``, ``x1`` and
+    ``x2``; the coincidence cut then reuses ``tmp`` and writes ``mask`` and
+    ``agree``.  The screen uses ``tmp`` and ``f32`` and leaves the pairs that
+    may coincide in ``mask``; their uniforms are gathered into ``kept(m)``.
+    A batch built in a workspace holds views of these buffers, valid until
+    the workspace is used for the next block.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self.t1, self.t2, *self.tmp = (np.empty(capacity) for _ in range(6))
+        self._uniforms = np.empty(4 * capacity)
+        self._kept = np.empty(4 * capacity)
+        self.tmp = [np.empty(capacity) for _ in range(6)]
+        self.f32 = np.empty((2, capacity), np.float32)
         self.x1 = np.empty(capacity, np.int8)
         self.x2 = np.empty(capacity, np.int8)
         self.mask = np.empty(capacity, np.bool_)
         self.agree = np.empty(capacity, np.bool_)
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """A C-contiguous (4, n) view for the uniforms of ``n`` events."""
+        return self._uniforms[:4 * n].reshape(4, n)
+
+    def kept(self, m: int) -> np.ndarray:
+        """A C-contiguous (4, m) view for the uniforms of ``m`` kept events."""
+        return self._kept[:4 * m].reshape(4, m)
+
+
+def batch_streams(
+    seed: int, start_index: int, n: int, stream: int = 0
+) -> list[np.random.Generator]:
+    """The four draws of ``generate_batch(event_stream(seed, start_index,
+    stream), ..., n)``, each from its own generator.
+
+    ``generate_batch`` draws n doubles for z, then n for phi, then n per
+    station, from one Philox stream.  Philox yields four doubles per counter
+    step, so draw k starts ``k*n // 4`` steps in, after ``k*n % 4`` more
+    doubles.  Each returned generator is moved there, so drawing its doubles
+    in blocks of any size gives exactly the doubles of the whole batch.
+    """
+    streams = []
+    for k in range(4):
+        rng = event_stream(seed, start_index, stream)
+        rng.bit_generator.advance(k * n // 4)
+        rng.random(k * n % 4)
+        streams.append(rng)
+    return streams
+
+
+def _radius(sz: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """r = sqrt(max(0, 1 - z^2)), written into ``out``."""
+    r = np.multiply(sz, sz, out=out)
+    np.subtract(1.0, r, out=r)
+    return np.sqrt(np.maximum(0.0, r, out=r), out=r)
+
+
+def _overlap(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray, a: UnitVector3, out: np.ndarray,
+             tmp: np.ndarray) -> np.ndarray:
+    """d = (sx a.x + sy a.y) + sz a.z, written into ``out``.  The last term
+    is skipped when a.z == 0: it only adds +-0, which can turn a -0 into +0
+    but changes neither the outcome nor d^2."""
+    np.multiply(sx, a.x, out=out)
+    np.add(out, np.multiply(sy, a.y, out=tmp), out=out)
+    if a.z != 0.0:
+        np.add(out, np.multiply(sz, a.z, out=tmp), out=out)
+    return out
+
+
+def _events_from_uniforms(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
+                          ws: Workspace, keep_hidden: bool = False) -> EventBatch:
+    """The exact float64 kernel: the events of the uniforms ``u`` (4, n),
+    whose rows it overwrites.
+
+    Every operation is elementwise, so an event's outcomes and tags depend
+    on its own four uniforms only, not on its position or on the other
+    events of ``u``.
+    """
+    n = u.shape[1]
+    w0, w1, w2, w3 = (b[:n] for b in ws.tmp[:4])
+    x1, x2 = ws.x1[:n], ws.x2[:n]
+
+    # z = 1 - 2u and phi = 2 pi u'
+    sz = np.subtract(1.0, np.multiply(2.0, u[0], out=u[0]), out=u[0])
+    phi = np.multiply(2.0 * np.pi, u[1], out=u[1])
+    r = _radius(sz, out=w0)
+    sx = np.multiply(r, np.cos(phi, out=w1), out=w1)
+    sy = np.multiply(r, np.sin(phi, out=phi), out=phi)
+    s = np.column_stack((sx, sy, sz)) if keep_hidden else None
+
+    # w0 is free once r has been used
+    d1 = _overlap(sx, sy, sz, a1, out=w2, tmp=w0)
+    d2 = _overlap(sx, sy, sz, a2, out=w3, tmp=w0)
+
+    # outcomes as 0/1 bytes, then 2x - 1; station 2 measures -s:
+    # sign(a2 . -s) with the same tie-break to +1
+    np.greater_equal(d1, 0.0, out=x1.view(np.bool_))
+    np.less_equal(d2, 0.0, out=x2.view(np.bool_))
+    for x in (x1, x2):
+        np.subtract(np.multiply(x, 2, out=x), 1, out=x)
+
+    T1 = _delay_from_dot_sq(np.multiply(d1, d1, out=d1), params.d_exponent, out=d1, tmp=w0)
+    T2 = _delay_from_dot_sq(np.multiply(d2, d2, out=d2), params.d_exponent, out=d2, tmp=w1)
+    t1 = np.multiply(u[2], T1, out=u[2])
+    t2 = np.multiply(u[3], T2, out=u[3])
+    return EventBatch(x1=x1, x2=x2, t1=t1, t2=t2, s=s)
 
 
 def generate_batch(
@@ -185,36 +287,58 @@ def generate_batch(
     ws = workspace if workspace is not None else Workspace(n)
     if n > ws.capacity:
         raise ValueError(f"n = {n} exceeds the workspace capacity {ws.capacity}")
-    t1, t2, x1, x2 = ws.t1[:n], ws.t2[:n], ws.x1[:n], ws.x2[:n]
-    w0, w1, w2, w3 = (b[:n] for b in ws.tmp)
+    u = ws.uniforms(n)
+    for row in u:
+        rng.random(out=row)
+    return _events_from_uniforms(u, a1, a2, params, ws, keep_hidden)
 
-    # z = 1 - 2u and phi = 2 pi u'
-    sz = np.subtract(1.0, np.multiply(2.0, rng.random(out=w0), out=w0), out=w0)
-    phi = np.multiply(2.0 * np.pi, rng.random(out=w1), out=w1)
-    # r = sqrt(max(0, 1 - z^2))
-    r = np.multiply(sz, sz, out=w2)
-    np.subtract(1.0, r, out=r)
-    np.sqrt(np.maximum(0.0, r, out=r), out=r)
-    sx = np.multiply(r, np.cos(phi, out=w3), out=w3)
-    sy = np.multiply(r, np.sin(phi, out=phi), out=phi)
-    s = np.column_stack((sx, sy, sz)) if keep_hidden else None
 
-    # d = (sx a.x + sy a.y) + sz a.z, held in the tag buffers until the tags
-    # are drawn; w2 is free once r has been used
-    for d, a in ((t1, a1), (t2, a2)):
-        np.multiply(sx, a.x, out=d)
-        np.add(d, np.multiply(sy, a.y, out=w2), out=d)
-        np.add(d, np.multiply(sz, a.z, out=w2), out=d)
+def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
+               ws: Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds (lo1, hi1, lo2, hi2) on the tags that the kernel makes of the
+    uniforms ``u`` (4, n), which are left as they are; each station's bounds
+    depend on its own setting and its own copy of s only.  They avoid the
+    kernel's float64 cos and sin, its most expensive steps.
 
-    # outcomes as 0/1 bytes, then 2x - 1; station 2 measures -s:
-    # sign(a2 . -s) with the same tie-break to +1
-    np.greater_equal(t1, 0.0, out=x1.view(np.bool_))
-    np.less_equal(t2, 0.0, out=x2.view(np.bool_))
-    for x in (x1, x2):
-        np.subtract(np.multiply(x, 2, out=x), 1, out=x)
+    Soundness, step by step:
 
-    T1 = _delay_from_dot_sq(np.multiply(t1, t1, out=w0), params.d_exponent, out=w0, tmp=w1)
-    T2 = _delay_from_dot_sq(np.multiply(t2, t2, out=w2), params.d_exponent, out=w2, tmp=w3)
-    np.multiply(rng.random(out=t1), T1, out=t1)
-    np.multiply(rng.random(out=t2), T2, out=t2)
-    return EventBatch(x1=x1, x2=x2, t1=t1, t2=t2, s=s)
+    * Overlap.  The bounds take cos and sin of float32(phi) and otherwise
+      the kernel's operations, so their overlap d~ has |d~ - d| <=
+      (|a.x| + |a.y|) delta + 2^-48, where delta is the float32 error,
+      pinned below OVERLAP_EPS / 10 by a test.  The gap OVERLAP_EPS -
+      |d~ - d| > 0.8 OVERLAP_EPS dominates the one rounding of |d~| +-
+      OVERLAP_EPS for any d, so dlo = max(|d~| - eps, 0) <= |d| <= |d~| +
+      eps = dhi.
+    * Delay.  T is computed from fl(d*d) = fl(|d|*|d|) by 1 - x, max(x, 0),
+      square roots and products.  Each is correctly rounded, and rounding to
+      nearest never reverses the order of two inputs, so T(dhi) <= T(|d|) <=
+      T(dlo) when computed the same way.  np.power (exponents other than 1,
+      2 and 3) is accurate to a few ulps but is not monotone by
+      construction, so there T may leave the bounds by a few 2^-53 (T <= 1).
+    * Tags.  The kernel's tag is fl(u*T) with the same u, so fl(u*T(dhi)) <=
+      t <= fl(u*T(dlo)) by the same rounding argument, up to the np.power
+      ulps, for which the cut's limit carries the slack
+      (``coincidence.block_counts``).
+    """
+    n = u.shape[1]
+    w0, w1, w2, w3, w4, w5 = (b[:n] for b in ws.tmp)
+    p, q = ws.f32[0][:n], ws.f32[1][:n]
+
+    sz = np.subtract(1.0, np.multiply(2.0, u[0], out=w0), out=w0)
+    r = _radius(sz, out=w1)
+    np.multiply(2.0 * np.pi, u[1], out=p, casting="same_kind")
+    rc = np.multiply(r, np.cos(p, out=q), out=w2)
+    rs = np.multiply(r, np.sin(p, out=p), out=w1)
+    d1 = _overlap(rc, rs, sz, a1, out=w3, tmp=w5)
+    d2 = _overlap(rc, rs, sz, a2, out=w4, tmp=w5)
+
+    bounds = []
+    for d, lo, t in ((d1, w0, u[2]), (d2, w1, u[3])):
+        np.abs(d, out=d)
+        np.add(d, OVERLAP_EPS, out=lo)
+        np.maximum(np.subtract(d, OVERLAP_EPS, out=d), 0.0, out=d)
+        for x in (lo, d):
+            _delay_from_dot_sq(np.multiply(x, x, out=x), params.d_exponent, out=x, tmp=w5)
+            np.multiply(t, x, out=x)
+        bounds += [lo, d]
+    return tuple(bounds)

@@ -1,6 +1,7 @@
 """Window post-selection, estimators, and the exact probability oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from eprbsim.coincidence import (
     CoincidenceStats,
     _counts_from_batch,
     accumulate,
+    block_counts,
     coincidence_mask,
     coincidence_probability_exact,
     same_bin_probability_exact,
@@ -18,6 +20,8 @@ from eprbsim.model import (
     EventBatch,
     ModelParams,
     UnitVector3,
+    Workspace,
+    _events_from_uniforms,
     event_stream,
     generate_batch,
 )
@@ -277,3 +281,51 @@ class TestSameBinProbabilityExact:
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits - p) < 4.0 * sigma
         assert hits <= min(1.0, tau * min(T1, T2) / (T1 * T2)) + 3.0 * sigma
+
+
+class TestScreen:
+    """``block_counts`` screens with float32 bounds, then runs the exact
+    kernel on the kept pairs; its counts must equal the kernel's on the
+    whole block, also for pairs built to sit at the edge of the cut."""
+
+    @staticmethod
+    def edge_uniforms(seed: int, n: int, a1, a2, params, cut: float) -> np.ndarray:
+        """Uniforms whose tags sit at the edge of the cut.
+
+        Half of the station-1 tags are moved to 0, 1 or 2 cut widths (plus
+        up to 1e-6 of one).  Each station-2 tag is then placed one cut width
+        away from its station-1 tag, to within 1e-6 of it, or anywhere
+        within three cut widths.  A tenth of the pairs, and those that
+        would need a uniform outside [0, 1), keep their random tags.
+        """
+        u = event_stream(seed, 0).random((4, n))
+        batch = generate_batch(event_stream(seed, 0), a1, a2, params, n)
+        T1, T2 = batch.t1 / u[2], batch.t2 / u[3]
+        rng = np.random.default_rng(seed)
+        half = rng.random((2, n)) < 0.5
+        t1 = np.where(half[0], cut * rng.integers(0, 3, n) * (1.0 + rng.uniform(0.0, 1e-6, n)),
+                      batch.t1)
+        width = rng.choice([-1.0, 1.0], n) * (1.0 + rng.uniform(-1e-6, 1e-6, n))
+        t2 = t1 + cut * np.where(half[1], width, rng.uniform(-3.0, 3.0, n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u2, u3 = t1 / T1, t2 / T2
+        usable = np.arange(n) % 10 != 0
+        for v in (u2, u3):
+            usable &= np.isfinite(v) & (v >= 0.0) & (v < 1.0)
+        u[2:] = np.where(usable, [u2, u3], u[2:])
+        return u
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    @pytest.mark.parametrize("alpha_deg", [0.0, 45.0, 90.0, 180.0])
+    @pytest.mark.parametrize("cut", [1.0, 0.1, 2.5e-4, 1e-9, 1e-300, sys.float_info.min])
+    def test_screened_counts_equal_whole_block(self, mode, alpha_deg, cut):
+        params = ModelParams(tau=cut, window=cut, coincidence_mode=mode)
+        a1, a2 = UnitVector3.from_angle_deg(30.0), UnitVector3.from_angle_deg(30.0 + alpha_deg)
+        n = 20_000
+        u = self.edge_uniforms(41, n, a1, a2, params, cut)
+        ws = Workspace(n)
+        want = _counts_from_batch(_events_from_uniforms(u.copy(), a1, a2, params, ws), params)
+        screened = ws.uniforms(n)
+        screened[:] = u
+        assert block_counts(screened, a1, a2, params, ws) == want
+        assert want[1] > (0 if cut < 1e-9 else n // 100)

@@ -21,7 +21,7 @@ from eprbsim import (
 )
 from eprbsim.runner import CHUNK_SIZE, simulate_plan
 
-SAME_BIN, CONTINUOUS = CoincidenceMode.SAME_BIN, CoincidenceMode.CONTINUOUS
+CONTINUOUS = CoincidenceMode.CONTINUOUS
 ALPHAS = (0.0, 45.0, 90.0, 180.0)
 OFF_PLANE = UnitVector3(0.48, 0.6, 0.64)
 
@@ -78,32 +78,38 @@ RUNS = {
 
 # name: (manifest digest, per-pair counts)
 GOLDEN = {
-    'bounds_audit': (
-        '684b916cca43e95a0c85e0da69ab86bbbc80c4983a990a2f334f1dcc0358e417',
-        [(20001, 1354), (20001, 521), (20001, 292), (20001, 511), (20001, 278), (20001, 55), (20001, 24), (20001, 44)],
+    "bounds_audit": (
+        "684b916cca43e95a0c85e0da69ab86bbbc80c4983a990a2f334f1dcc0358e417",
+        [
+            (20001, 1354), (20001, 521), (20001, 292), (20001, 511), (20001, 278), (20001, 55),
+            (20001, 24), (20001, 44),
+        ],
     ),
-    'chsh_same_bin_tau_2.5e-4': (
-        '4fd795905be3be4975669e0c3474800f7600a7e1bfd3e0e141b7e58ff3e68ad0',
+    "chsh_same_bin_tau_2.5e-4": (
+        "4fd795905be3be4975669e0c3474800f7600a7e1bfd3e0e141b7e58ff3e68ad0",
         [(562817, 258, -190), (562817, 249, 185), (562817, 252, -188), (562817, 248, -160)],
     ),
-    'off_plane_two_chunks': (
+    "off_plane_two_chunks": (
         None,
         [(528609, 8994, -5960), (528609, 1719, -1107), (528609, 180, -180)],
     ),
-    'sweep_continuous_w_1': (
-        '0c3ef0115927317d3352499f571f25da7b57779b5425b75f2ee913156ee2adc7',
-        [(12345, 12345, -12345), (12345, 12345, -6207), (12345, 12345, -163), (12345, 12345, 12345)],
+    "sweep_continuous_w_1": (
+        "0c3ef0115927317d3352499f571f25da7b57779b5425b75f2ee913156ee2adc7",
+        [
+            (12345, 12345, -12345), (12345, 12345, -6207), (12345, 12345, -163),
+            (12345, 12345, 12345),
+        ],
     ),
-    'sweep_continuous_w_1e-3_d0.7': (
-        '714117bb5cd50a61f20ee5acc5d1e9b59ebcfdcd8a14cdbc3bf6686e6153d3c5',
+    "sweep_continuous_w_1e-3_d0.7": (
+        "714117bb5cd50a61f20ee5acc5d1e9b59ebcfdcd8a14cdbc3bf6686e6153d3c5",
         [(49153, 138, -138), (49153, 107, -59), (49153, 105, -1), (49153, 116, 116)],
     ),
-    'sweep_same_bin_tau_1e-2_d1': (
-        '3cb1b573391f1f44b60c822d409a88d5afb454d68a51b54de635bad32c25ba60',
+    "sweep_same_bin_tau_1e-2_d1": (
+        "3cb1b573391f1f44b60c822d409a88d5afb454d68a51b54de635bad32c25ba60",
         [(200001, 3117, -3117), (200001, 2347, -1291), (200001, 2204, -26), (200001, 3174, 3174)],
     ),
-    'sweep_same_bin_tau_1e-300': (
-        'dfca4a296066d6ef765a3127f49b541212d7d04841439f4dca59ad9a2a873b04',
+    "sweep_same_bin_tau_1e-300": (
+        "dfca4a296066d6ef765a3127f49b541212d7d04841439f4dca59ad9a2a873b04",
         [(12345, 0, 0), (12345, 0, 0), (12345, 0, 0), (12345, 0, 0)],
     ),
 }

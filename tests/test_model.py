@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 
 from eprbsim.model import (
+    OVERLAP_EPS,
     ModelParams,
     UnitVector3,
     Workspace,
     _delay_from_dot_sq,
+    batch_streams,
     event_stream,
     generate_batch,
+    tag_bounds,
 )
 
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)
@@ -329,3 +332,44 @@ class TestModelParams:
 
     def test_smallest_normal_tau_accepted(self):
         assert ModelParams(tau=sys.float_info.min).tau == sys.float_info.min
+
+
+class TestBlockStreams:
+    @pytest.mark.parametrize("n", [1 << 19, 38_529, 12_345, 3])
+    def test_blocks_draw_the_batch_doubles(self, n):
+        """Each stream, drawn in blocks of any size, gives exactly the
+        doubles of its draw in one whole-batch generator."""
+        whole = event_stream(31, 1_000, stream=2).random(4 * n)
+        for k, rng in enumerate(batch_streams(31, 1_000, n, stream=2)):
+            blocks = [rng.random(size) for size in (min(n, 1_000), max(n - 1_000, 0))]
+            assert np.concatenate(blocks).tobytes() == whole[k * n:(k + 1) * n].tobytes()
+
+
+class TestTagBounds:
+    """The screen's assumptions: float32 trigonometry within a tenth of the
+    overlap margin, and kernel tags inside the screen's bounds."""
+
+    @pytest.mark.parametrize("trig", [np.cos, np.sin])
+    def test_float32_trig_within_a_tenth_of_the_margin(self, trig):
+        phi = 2.0 * np.pi * np.concatenate(
+            [np.arange(1 << 22) / (1 << 22), np.random.default_rng(5).random(1 << 20)])
+        err = np.abs(trig(phi.astype(np.float32)).astype(np.float64) - trig(phi))
+        assert err.max() <= OVERLAP_EPS / 10
+
+    @pytest.mark.parametrize("d_exponent", [3.0, 2.0, 1.0, 0.7, 40.0])
+    @pytest.mark.parametrize("a2", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
+                                    UnitVector3(0.48, 0.6, 0.64)])
+    def test_kernel_tags_within_bounds(self, d_exponent, a2):
+        params = ModelParams(d_exponent=d_exponent)
+        a1 = UnitVector3.from_angle_deg(100.0)
+        n = 50_000
+        ws = Workspace(n)
+        u = ws.uniforms(n)
+        u[:] = event_stream(32, 0).random((4, n))
+        lo1, hi1, lo2, hi2 = (b.copy() for b in tag_bounds(u, a1, a2, params, ws))
+        batch = generate_batch(event_stream(32, 0), a1, a2, params, n)
+        # np.power is not correctly rounded; the cut's limit allows for that
+        slack = 0.0 if d_exponent in (1.0, 2.0, 3.0) else 2.0 ** -45
+        for lo, t, hi in ((lo1, batch.t1, hi1), (lo2, batch.t2, hi2)):
+            assert np.all(lo - slack <= t) and np.all(t <= hi + slack)
+            assert np.all(lo >= 0.0) and np.median(hi - lo) < 1e-4

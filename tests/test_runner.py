@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,6 +273,7 @@ class TestRunPlan:
             assert report.simulated_gamma == alone.gamma_hat
 
     def test_one_pool_per_run(self, monkeypatch):
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 8)
         pools = []
 
         class CountingPool(runner.ProcessPoolExecutor):
@@ -300,6 +303,53 @@ class TestRunPlan:
             assert expected[1] > 0
             assert _counts_from_batch(batch, params, workspace) == expected
             assert _counts_from_batch(batch, params) == expected
+
+    def test_pool_capped_at_available_cpus(self, monkeypatch):
+        """``--workers 1000`` starts no more processes than there are CPUs;
+        the pool is faked and runs in-process."""
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(runner, "_worker_workspace", None)
+        config = small_config(alpha_grid_deg=tuple(float(a) for a in range(0, 181, 20)))
+        pooled = run_correlation_sweep(replace(config, workers=1000))
+        assert pools == [3]
+        serial = run_correlation_sweep(config)
+        assert pooled.manifest.digest() == serial.manifest.digest()
+        run_correlation_sweep(replace(config, workers=2, alpha_grid_deg=(0.0,)))
+        assert pools == [3]  # one task: run in-process
+
+    @pytest.mark.parametrize("block_size", [1_000, 4_099, runner.BLOCK_SIZE])
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    @pytest.mark.parametrize("alpha_deg", [0.0, 45.0, 90.0, 180.0])
+    @pytest.mark.parametrize("cut", [1.0, 0.1, 2.5e-4, 1e-300, sys.float_info.min])
+    def test_blocked_chunk_equals_whole_chunk(self, monkeypatch, block_size, mode, alpha_deg,
+                                              cut):
+        """A chunk generated in blocks and screened gives the counts of the
+        whole-chunk kernel and reduction."""
+        monkeypatch.setattr(runner, "BLOCK_SIZE", block_size)
+        params = ModelParams(tau=cut, window=cut, coincidence_mode=mode)
+        a1, a2 = UnitVector3.from_angle_deg(10.0), UnitVector3.from_angle_deg(10.0 + alpha_deg)
+        n = 30_001
+        batch = generate_batch(event_stream(23, 5_000, stream=3), a1, a2, params, n)
+        want = _counts_from_batch(batch, params)
+        task = (23, 3, 5_000, n, a1, a2, params)
+        assert runner._chunk_counts(task, Workspace(min(block_size, n))) == want
 
     def test_chsh_names_first_empty_pair(self):
         # ac (equal settings) keeps a few coincidences at this tau; ad and bc keep none
