@@ -2,7 +2,10 @@
 per-pair integer counts.
 
 The values were recorded from the whole-chunk kernel, before the runner
-generated chunks in blocks and screened them.  Any change to the sampled
+generated chunks in blocks and screened them; the two runs without a cut
+(``sweep_same_bin_tau_1_d2`` and ``no_cut_two_chunks``) were recorded from
+the full blocked kernel, before the runner settled their outcomes from the
+overlap signs alone.  Any change to the sampled
 stream, the kernel's arithmetic or the coincidence cut shows up here as a
 changed count or digest.  The event counts are deliberately not multiples
 of the block size, of the chunk size or of 4.
@@ -62,6 +65,19 @@ def _off_plane():
     return None, [_counts(s) for s in simulate_plan(plan, CHUNK_SIZE + 4_321, seed=10)]
 
 
+def _no_cut_two_chunks():
+    """Continuous W = 1, where the cut keeps every pair, over two chunks:
+    an off-plane setting, equal settings and antipodal settings."""
+    a1 = UnitVector3.from_angle_deg(20.0)
+    params = ModelParams(window=1.0, coincidence_mode=CONTINUOUS)
+    plan = [
+        (a1, OFF_PLANE, params, 0),
+        (OFF_PLANE, OFF_PLANE, params, 1),
+        (OFF_PLANE, -OFF_PLANE, params, 2),
+    ]
+    return None, [_counts(s) for s in simulate_plan(plan, CHUNK_SIZE + 4_321, seed=11)]
+
+
 RUNS = {
     "chsh_same_bin_tau_2.5e-4": lambda: _chsh(n_events=CHUNK_SIZE + 38_529),
     "sweep_same_bin_tau_1e-2_d1": lambda: _sweep(
@@ -72,8 +88,11 @@ RUNS = {
         window=1e-3, d_exponent=0.7, coincidence_mode=CONTINUOUS, n_events=49_153),
     "sweep_continuous_w_1": lambda: _sweep(
         window=1.0, coincidence_mode=CONTINUOUS, n_events=12_345),
+    "sweep_same_bin_tau_1_d2": lambda: _sweep(
+        tau=1.0, window=1.0, d_exponent=2.0, n_events=40_003),
     "bounds_audit": lambda: _audit(n_events=20_001),
     "off_plane_two_chunks": _off_plane,
+    "no_cut_two_chunks": _no_cut_two_chunks,
 }
 
 # name: (manifest digest, per-pair counts)
@@ -88,6 +107,10 @@ GOLDEN = {
     "chsh_same_bin_tau_2.5e-4": (
         "4fd795905be3be4975669e0c3474800f7600a7e1bfd3e0e141b7e58ff3e68ad0",
         [(562817, 258, -190), (562817, 249, 185), (562817, 252, -188), (562817, 248, -160)],
+    ),
+    "no_cut_two_chunks": (
+        None,
+        [(528609, 528609, -240379), (528609, 528609, -528609), (528609, 528609, 528609)],
     ),
     "off_plane_two_chunks": (
         None,
@@ -107,6 +130,13 @@ GOLDEN = {
     "sweep_same_bin_tau_1e-2_d1": (
         "3cb1b573391f1f44b60c822d409a88d5afb454d68a51b54de635bad32c25ba60",
         [(200001, 3117, -3117), (200001, 2347, -1291), (200001, 2204, -26), (200001, 3174, 3174)],
+    ),
+    "sweep_same_bin_tau_1_d2": (
+        "84ab2acb08e6af87415dde7dbb76f52eb55dce7baca8b91ffee13767314f62a7",
+        [
+            (40003, 40003, -40003), (40003, 40003, -20281), (40003, 40003, -237),
+            (40003, 40003, 40003),
+        ],
     ),
     "sweep_same_bin_tau_1e-300": (
         "dfca4a296066d6ef765a3127f49b541212d7d04841439f4dca59ad9a2a873b04",
