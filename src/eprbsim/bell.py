@@ -23,6 +23,9 @@ __all__ = [
 ]
 
 CHSH_CLASSICAL_BOUND = 2.0
+# a bound counts as violated only when the estimate exceeds it by more than
+# this many standard errors, so a violation is never a fluctuation
+VIOLATION_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,9 @@ def verdict(q: CorrelationQuartet) -> InequalityReport:
     corrected bound assumes a single gamma; using the smallest rate gives the
     largest (most conservative) bound, so a modified-inequality violation is
     never an artifact of rate heterogeneity.  All four rates are reported.
+    A bound is violated only when the CHSH value exceeds it by more than
+    VIOLATION_SIGMAS standard errors; without standard errors, when it
+    exceeds it at all.
     """
     if min(q.gammas) <= 0.0:
         raise ValueError("empty post-selected ensemble: some gamma is 0")
@@ -114,13 +120,14 @@ def verdict(q: CorrelationQuartet) -> InequalityReport:
     )
     gamma_min = min(q.gammas)
     bound = modified_bound(gamma_min)
+    lower = lhs - VIOLATION_SIGMAS * stderr
     return InequalityReport(
         chsh_lhs=lhs,
         chsh_stderr=stderr,
         gamma_min=gamma_min,
         gammas=q.gammas,
         modified_bound=bound,
-        violates_chsh=lhs > CHSH_CLASSICAL_BOUND,
-        violates_modified=lhs > bound,
+        violates_chsh=lower > CHSH_CLASSICAL_BOUND,
+        violates_modified=lower > bound,
         gamma_threshold_for_lhs=gamma_threshold(lhs),
     )

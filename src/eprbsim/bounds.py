@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bell import VIOLATION_SIGMAS
 from .coincidence import CoincidenceStats
 from .model import CoincidenceMode
 
@@ -275,5 +276,5 @@ def check_simulated_gamma(stats: CoincidenceStats, alpha: float, tau: float) -> 
         quad_rel_tol=rel_tol,
         simulated_gamma=stats.gamma_hat,
         stderr_gamma=stats.stderr_gamma,
-        satisfied=stats.gamma_hat - 4.0 * stats.stderr_gamma <= closed,
+        satisfied=stats.gamma_hat - VIOLATION_SIGMAS * stats.stderr_gamma <= closed,
     )

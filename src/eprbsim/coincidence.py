@@ -9,7 +9,9 @@ analytic rate bounds assume.
 
 The runner counts coincidences with ``block_counts``: a cheap, provably
 conservative screen on bounds of the tags, then the exact kernel and the
-cut on the few pairs that pass it.
+cut on the few pairs that pass it.  When the cut keeps every pair, the
+screen settles the outcomes from the signs of the overlaps, and the tags
+are never drawn.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    OVERLAP_EPS,
     CoincidenceMode,
     EventBatch,
     ModelParams,
     UnitVector3,
     Workspace,
     _events_from_uniforms,
+    _exact_overlaps,
+    screen_overlaps,
     tag_bounds,
 )
 
@@ -34,6 +39,7 @@ __all__ = [
     "coincidence_mask",
     "accumulate",
     "block_counts",
+    "uniform_rows",
     "coincidence_probability_exact",
     "same_bin_probability_exact",
 ]
@@ -152,12 +158,53 @@ def _screen_limit(params: ModelParams) -> float | None:
     return None if cut >= 1.0 else cut + _SCREEN_SLACK
 
 
+def uniform_rows(params: ModelParams) -> int:
+    """How many of an event's four uniforms ``block_counts`` reads: z and
+    phi alone when the cut keeps every pair, else the two tags as well."""
+    return 2 if _screen_limit(params) is None else 4
+
+
+def _outcome_counts(
+    u: np.ndarray, a1: UnitVector3, a2: UnitVector3, workspace: Workspace
+) -> tuple[int, int, int]:
+    """``block_counts`` when the cut keeps every pair: only the outcomes
+    count, and they are settled from rows 0 and 1 of ``u`` (z and phi)."""
+    n = u.shape[1]
+    d1, d2 = screen_overlaps(u, a1, a2, workspace)
+    # outcomes agree when d1 >= 0 and d2 <= 0 agree, so d1 d2 < 0 when
+    # neither is 0; |d1 d2| > eps^2 is far from underflow
+    agree = np.less(np.multiply(d1, d2, out=workspace.tmp[5][:n]), 0.0,
+                    out=workspace.agree[:n])
+    n_agree = np.count_nonzero(agree)
+    # the pairs the screen cannot settle: |d~| <= eps at either station
+    low = np.minimum(np.abs(d1, out=d1), np.abs(d2, out=d2), out=d1)
+    index = np.flatnonzero(np.less_equal(low, OVERLAP_EPS, out=workspace.mask[:n]))
+    if len(index):
+        n_agree -= np.count_nonzero(agree[index])
+        zphi = np.take(u[:2], index, axis=1, out=workspace.kept(len(index))[:2], mode="clip")
+        e1, e2, _ = _exact_overlaps(zphi, a1, a2, workspace)
+        n_agree += np.count_nonzero((e1 >= 0.0) == (e2 <= 0.0))
+    return n, n, 2 * int(n_agree) - n
+
+
 def block_counts(
     u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams, workspace: Workspace
 ) -> tuple[int, int, int]:
     """(events, coincidences, sum of x1*x2 over coincidences) of the events
     of the uniforms ``u`` (4, n), whose rows it may overwrite; equal to
     ``_counts_from_batch`` of the kernel's batch of ``u``.
+
+    When the cut keeps every pair (tau = 1 or W = 1; ``_screen_limit`` is
+    None), only rows 0 and 1 are read, and ``u`` may hold just those two
+    (``uniform_rows``).  Every pair is coincident: tags are fl(u T) with
+    u < 1 and T <= 1, so they lie in [0, 1), fl(|t1 - t2|) <= 1 <= W and
+    floor(t / 1) = 0.  The counts are then (n, n, 2 agree - n), and whether
+    a pair's outcomes agree depends on the signs of its two overlaps alone.
+    The screen's overlaps d~ differ from the kernel's d by less than
+    ``model.OVERLAP_EPS`` (``model.tag_bounds``), so where |d~| > eps at
+    both stations, sign(d) = sign(d~) and d != 0, and the tie-break to +1
+    never applies.  The other pairs, about 2 eps of them, get the kernel's
+    exact overlaps, from their z and phi alone.
 
     When the cut can reject a pair, a screen keeps only the pairs whose tag
     intervals (``model.tag_bounds``) come within the limit, and the kernel
@@ -174,16 +221,17 @@ def block_counts(
     """
     n = u.shape[1]
     limit = _screen_limit(params)
-    if limit is not None:
-        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params, workspace)
-        keep = np.less_equal(np.subtract(lo1, hi2, out=lo1), limit, out=workspace.mask[:n])
-        near = np.less_equal(np.subtract(lo2, hi1, out=lo2), limit, out=workspace.agree[:n])
-        index = np.flatnonzero(np.logical_and(keep, near, out=keep))
-        if len(index) == 0:
-            return n, 0, 0
-        # take(mode="clip") writes straight into the buffer; the default
-        # mode would first copy it
-        u = np.take(u, index, axis=1, out=workspace.kept(len(index)), mode="clip")
+    if limit is None:
+        return _outcome_counts(u, a1, a2, workspace)
+    lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params, workspace)
+    keep = np.less_equal(np.subtract(lo1, hi2, out=lo1), limit, out=workspace.mask[:n])
+    near = np.less_equal(np.subtract(lo2, hi1, out=lo2), limit, out=workspace.agree[:n])
+    index = np.flatnonzero(np.logical_and(keep, near, out=keep))
+    if len(index) == 0:
+        return n, 0, 0
+    # take(mode="clip") writes straight into the buffer; the default
+    # mode would first copy it
+    u = np.take(u, index, axis=1, out=workspace.kept(len(index)), mode="clip")
     batch = _events_from_uniforms(u, a1, a2, params, workspace)
     _, n_c, sum_xy = _counts_from_batch(batch, params, workspace)
     return n, n_c, sum_xy

@@ -30,6 +30,7 @@ __all__ = [
     "event_stream",
     "generate_batch",
     "batch_streams",
+    "screen_overlaps",
     "tag_bounds",
     "Workspace",
 ]
@@ -153,11 +154,14 @@ class Workspace:
     """Reusable buffers for blocks of up to ``capacity`` events.
 
     ``uniforms(n)`` is the block's four uniform draws, one row each: z, phi,
-    station-1 tags and station-2 tags.  The kernel consumes its rows in place
-    (station tags end up in rows 2 and 3) and uses ``tmp``, ``x1`` and
+    station-1 tags and station-2 tags.  When the cut keeps every pair only
+    rows 0 and 1 are drawn, and rows 2 and 3 hold whatever the last block
+    left there; nothing reads them then.  The kernel consumes its rows in
+    place (station tags end up in rows 2 and 3) and uses ``tmp``, ``x1`` and
     ``x2``; the coincidence cut then reuses ``tmp`` and writes ``mask`` and
     ``agree``.  The screen uses ``tmp`` and ``f32`` and leaves the pairs that
-    may coincide in ``mask``; their uniforms are gathered into ``kept(m)``.
+    may coincide, or whose outcomes it cannot settle, in ``mask``; their
+    uniforms are gathered into ``kept(m)``.
     A batch built in a workspace holds views of these buffers, valid until
     the workspace is used for the next block.
     """
@@ -183,19 +187,20 @@ class Workspace:
 
 
 def batch_streams(
-    seed: int, start_index: int, n: int, stream: int = 0
+    seed: int, start_index: int, n: int, stream: int = 0, rows: int = 4
 ) -> list[np.random.Generator]:
-    """The four draws of ``generate_batch(event_stream(seed, start_index,
-    stream), ..., n)``, each from its own generator.
+    """The first ``rows`` of the four draws of ``generate_batch(event_stream(
+    seed, start_index, stream), ..., n)``, each from its own generator.
 
     ``generate_batch`` draws n doubles for z, then n for phi, then n per
     station, from one Philox stream.  Philox yields four doubles per counter
     step, so draw k starts ``k*n // 4`` steps in, after ``k*n % 4`` more
     doubles.  Each returned generator is moved there, so drawing its doubles
-    in blocks of any size gives exactly the doubles of the whole batch.
+    in blocks of any size gives exactly the doubles of the whole batch; the
+    draws after the first ``rows`` are neither made nor skipped.
     """
     streams = []
-    for k in range(4):
+    for k in range(rows):
         rng = event_stream(seed, start_index, stream)
         rng.bit_generator.advance(k * n // 4)
         rng.random(k * n % 4)
@@ -222,18 +227,15 @@ def _overlap(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray, a: UnitVector3, out
     return out
 
 
-def _events_from_uniforms(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
-                          ws: Workspace, keep_hidden: bool = False) -> EventBatch:
-    """The exact float64 kernel: the events of the uniforms ``u`` (4, n),
-    whose rows it overwrites.
-
-    Every operation is elementwise, so an event's outcomes and tags depend
-    on its own four uniforms only, not on its position or on the other
-    events of ``u``.
-    """
+def _exact_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, ws: Workspace,
+                    keep_hidden: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The kernel's float64 overlaps (d1, d2) = (a1.s, a2.s) of the hidden
+    directions drawn from rows 0 and 1 of ``u`` (z and phi), which it
+    overwrites; rows 2 and 3 are not read.  d1 and d2 are written into
+    ``ws.tmp[2]`` and ``ws.tmp[3]``, and ``ws.tmp[0]`` and ``ws.tmp[1]`` are
+    used as scratch.  Also returns the (n, 3) directions on request."""
     n = u.shape[1]
     w0, w1, w2, w3 = (b[:n] for b in ws.tmp[:4])
-    x1, x2 = ws.x1[:n], ws.x2[:n]
 
     # z = 1 - 2u and phi = 2 pi u'
     sz = np.subtract(1.0, np.multiply(2.0, u[0], out=u[0]), out=u[0])
@@ -246,6 +248,22 @@ def _events_from_uniforms(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, param
     # w0 is free once r has been used
     d1 = _overlap(sx, sy, sz, a1, out=w2, tmp=w0)
     d2 = _overlap(sx, sy, sz, a2, out=w3, tmp=w0)
+    return d1, d2, s
+
+
+def _events_from_uniforms(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
+                          ws: Workspace, keep_hidden: bool = False) -> EventBatch:
+    """The exact float64 kernel: the events of the uniforms ``u`` (4, n),
+    whose rows it overwrites.
+
+    Every operation is elementwise, so an event's outcomes and tags depend
+    on its own four uniforms only, not on its position or on the other
+    events of ``u``.
+    """
+    n = u.shape[1]
+    w0, w1 = ws.tmp[0][:n], ws.tmp[1][:n]
+    x1, x2 = ws.x1[:n], ws.x2[:n]
+    d1, d2, s = _exact_overlaps(u, a1, a2, ws, keep_hidden)
 
     # outcomes as 0/1 bytes, then 2x - 1; station 2 measures -s:
     # sign(a2 . -s) with the same tie-break to +1
@@ -293,17 +311,41 @@ def generate_batch(
     return _events_from_uniforms(u, a1, a2, params, ws, keep_hidden)
 
 
+def screen_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
+                    ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate overlaps (d~1, d~2) of the hidden directions drawn from
+    rows 0 and 1 of ``u`` (z and phi), which are left as they are; rows 2
+    and 3 are not read.  They avoid the kernel's float64 cos and sin, its
+    most expensive steps, and differ from the kernel's overlaps by less than
+    OVERLAP_EPS (proof in ``tag_bounds``).  d~1 and d~2 are written into
+    ``ws.tmp[3]`` and ``ws.tmp[4]``; ``ws.tmp[0]``, ``ws.tmp[1]``,
+    ``ws.tmp[2]``, ``ws.tmp[5]`` and ``ws.f32`` are used as scratch.
+    """
+    n = u.shape[1]
+    w0, w1, w2, w3, w4, w5 = (b[:n] for b in ws.tmp)
+    p, q = ws.f32[0][:n], ws.f32[1][:n]
+
+    sz = np.subtract(1.0, np.multiply(2.0, u[0], out=w0), out=w0)
+    r = _radius(sz, out=w1)
+    np.multiply(2.0 * np.pi, u[1], out=p, casting="same_kind")
+    rc = np.multiply(r, np.cos(p, out=q), out=w2)
+    rs = np.multiply(r, np.sin(p, out=p), out=w1)
+    d1 = _overlap(rc, rs, sz, a1, out=w3, tmp=w5)
+    d2 = _overlap(rc, rs, sz, a2, out=w4, tmp=w5)
+    return d1, d2
+
+
 def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
                ws: Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Bounds (lo1, hi1, lo2, hi2) on the tags that the kernel makes of the
     uniforms ``u`` (4, n), which are left as they are; each station's bounds
-    depend on its own setting and its own copy of s only.  They avoid the
-    kernel's float64 cos and sin, its most expensive steps.
+    depend on its own setting and its own copy of s only.  They start from
+    the overlaps of ``screen_overlaps``.
 
     Soundness, step by step:
 
-    * Overlap.  The bounds take cos and sin of float32(phi) and otherwise
-      the kernel's operations, so their overlap d~ has |d~ - d| <=
+    * Overlap.  The screen takes cos and sin of float32(phi) and otherwise
+      the kernel's operations, so its overlap d~ has |d~ - d| <=
       (|a.x| + |a.y|) delta + 2^-48, where delta is the float32 error,
       pinned below OVERLAP_EPS / 10 by a test.  The gap OVERLAP_EPS -
       |d~ - d| > 0.8 OVERLAP_EPS dominates the one rounding of |d~| +-
@@ -321,16 +363,8 @@ def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelPar
       (``coincidence.block_counts``).
     """
     n = u.shape[1]
-    w0, w1, w2, w3, w4, w5 = (b[:n] for b in ws.tmp)
-    p, q = ws.f32[0][:n], ws.f32[1][:n]
-
-    sz = np.subtract(1.0, np.multiply(2.0, u[0], out=w0), out=w0)
-    r = _radius(sz, out=w1)
-    np.multiply(2.0 * np.pi, u[1], out=p, casting="same_kind")
-    rc = np.multiply(r, np.cos(p, out=q), out=w2)
-    rs = np.multiply(r, np.sin(p, out=p), out=w1)
-    d1 = _overlap(rc, rs, sz, a1, out=w3, tmp=w5)
-    d2 = _overlap(rc, rs, sz, a2, out=w4, tmp=w5)
+    w0, w1, w5 = ws.tmp[0][:n], ws.tmp[1][:n], ws.tmp[5][:n]
+    d1, d2 = screen_overlaps(u, a1, a2, ws)
 
     bounds = []
     for d, lo, t in ((d1, w0, u[2]), (d2, w1, u[3])):

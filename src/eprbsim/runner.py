@@ -10,7 +10,10 @@ workspace of one block, which lives as long as the plan; each of a chunk's
 four draws comes from its own copy of the chunk's stream, so the blocks draw
 exactly the doubles of the whole chunk.  When the cut can reject a pair, a
 block is screened first and only the pairs that may coincide go through the
-exact kernel (``coincidence.block_counts``).  Partial counts are integers,
+exact kernel (``coincidence.block_counts``).  When it keeps every pair
+(tau = 1 or W = 1), only z and phi are drawn, and the outcomes are settled
+from the signs of the screen's overlaps, with the exact overlaps for the
+few pairs whose signs it cannot settle.  Partial counts are integers,
 summed per pair in plan order, so results are bit-identical for any worker
 count, any completion order and any block size.  The chunk size is part of
 the algorithm, not configuration: changing it would change the sampled
@@ -34,7 +37,7 @@ from enum import Enum
 from . import __version__
 from .bell import CorrelationQuartet, InequalityReport, verdict
 from .bounds import BoundReport, check_simulated_gamma
-from .coincidence import CoincidenceStats, block_counts
+from .coincidence import CoincidenceStats, block_counts, uniform_rows
 from .model import CoincidenceMode, ModelParams, UnitVector3, Workspace, batch_streams
 
 __all__ = [
@@ -210,12 +213,14 @@ def _init_worker(capacity: int) -> None:
 
 def _chunk_counts(task: tuple, workspace: Workspace) -> tuple[int, int, int]:
     """The counts of one chunk, generated in blocks of up to BLOCK_SIZE
-    events; equal to those of ``generate_batch`` on the whole chunk."""
+    events; equal to those of ``generate_batch`` on the whole chunk.  Only
+    the uniforms that the counts need are drawn (``uniform_rows``)."""
     seed, stream, start, size, a1, a2, params = task
-    streams = batch_streams(seed, start, size, stream=stream)
+    rows = uniform_rows(params)
+    streams = batch_streams(seed, start, size, stream=stream, rows=rows)
     counts = []
     for offset in range(0, size, BLOCK_SIZE):
-        u = workspace.uniforms(min(BLOCK_SIZE, size - offset))
+        u = workspace.uniforms(min(BLOCK_SIZE, size - offset))[:rows]
         for row, rng in zip(u, streams):
             rng.random(out=row)
         counts.append(block_counts(u, a1, a2, params, workspace))

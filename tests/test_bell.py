@@ -128,6 +128,19 @@ class TestVerdict:
         report = verdict(q)
         assert report.chsh_stderr == pytest.approx(math.sqrt(0.0025), abs=1e-15)
 
+    @pytest.mark.parametrize("sigmas, violated", [(3.0, False), (5.0, True)])
+    def test_violation_needs_four_standard_errors(self, sigmas, violated):
+        """At gamma = 1 both bounds are 2; a CHSH value 3 standard errors
+        above them is no violation, one 5 standard errors above is."""
+        stderr = 0.02  # four pairs at 0.01 each, in quadrature
+        e = (2.0 + sigmas * stderr) / 4.0
+        q = CorrelationQuartet(e, -e, e, e, 1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 0.01, 0.01)
+        report = verdict(q)
+        assert report.chsh_stderr == pytest.approx(stderr, abs=1e-15)
+        assert report.modified_bound == 2.0
+        assert report.violates_chsh is violated
+        assert report.violates_modified is violated
+
     def test_threshold_field_matches_lhs(self):
         report = verdict(cosine_quartet(0.3))
         assert report.gamma_threshold_for_lhs == pytest.approx(

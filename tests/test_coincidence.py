@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from eprbsim.coincidence import (
     same_bin_probability_exact,
 )
 from eprbsim.model import (
+    OVERLAP_EPS,
     CoincidenceMode,
     EventBatch,
     ModelParams,
     UnitVector3,
     Workspace,
     _events_from_uniforms,
+    _exact_overlaps,
     event_stream,
     generate_batch,
 )
@@ -329,3 +332,88 @@ class TestScreen:
         screened[:] = u
         assert block_counts(screened, a1, a2, params, ws) == want
         assert want[1] > (0 if cut < 1e-9 else n // 100)
+
+
+class RowGenerator:
+    """Stands in for a numpy Generator whose successive draws are the rows
+    of ``u``."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.rows = iter(u)
+
+    def random(self, out):
+        out[:] = next(self.rows)
+        return out
+
+
+class TestOutcomeScreen:
+    """Without a cut (tau = 1 or W = 1), ``block_counts`` settles outcomes
+    from the float32 screen's overlap signs and falls back to the exact
+    overlaps within OVERLAP_EPS of 0; its counts must equal the kernel's
+    for hidden directions placed at that edge."""
+
+    TARGETS = [sign * v for v in (OVERLAP_EPS / 2, OVERLAP_EPS, 2 * OVERLAP_EPS, 1e-12)
+               for sign in (1.0, -1.0)]
+
+    @staticmethod
+    def placed_uniforms(a: UnitVector3, targets, z: np.ndarray) -> np.ndarray:
+        """Uniforms (2, m) of z and phi whose hidden direction s has a.s at
+        each target, for each z and both roots in phi."""
+        rho, psi = math.hypot(a.x, a.y), math.atan2(a.y, a.x)
+        t, z = np.meshgrid(targets, z)
+        r = np.sqrt(1.0 - z * z)
+        delta = np.arccos((t - z * a.z) / (r * rho))
+        phi = np.concatenate([(psi + delta).ravel(), (psi - delta).ravel()])
+        u1 = np.mod(phi / (2.0 * np.pi), 1.0)
+        u1[u1 >= 1.0] = 0.0
+        return np.array([np.tile((1.0 - z.ravel()) / 2.0, 2), u1])
+
+    @staticmethod
+    def zero_uniforms(a: UnitVector3) -> tuple[float, float]:
+        """z and phi uniforms at which the kernel's a.s is exactly 0: s along
+        the z axis for an in-plane setting, s = (1, 0, 0) for one with
+        a.x = 0."""
+        return (0.0, 0.25) if a.z == 0.0 else (0.5, 0.0)
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    @pytest.mark.parametrize("a1, a2", [
+        (UnitVector3.from_angle_deg(30.0), UnitVector3.from_angle_deg(75.0)),
+        (UnitVector3(0.0, 0.6, 0.8), UnitVector3.from_angle_deg(50.0)),
+        (UnitVector3.from_angle_deg(50.0), UnitVector3(0.0, 0.6, 0.8)),
+    ])
+    def test_edge_overlaps_give_the_kernel_counts(self, mode, a1, a2):
+        params = ModelParams(tau=1.0, window=1.0, coincidence_mode=mode)
+        z = np.linspace(-0.3, 0.3, 25)
+        placed = [self.placed_uniforms(a, self.TARGETS, z) for a in (a1, a2)]
+        zeros = np.array([self.zero_uniforms(a) for a in (a1, a2)]).T
+        n = 4_099
+        u = event_stream(43, 0).random((4, n))
+        zphi = np.concatenate([*placed, zeros], axis=1)
+        u[:2, :zphi.shape[1]] = zphi
+
+        # the placements are where they were meant to be
+        d1, d2, _ = _exact_overlaps(u[:2].copy(), a1, a2, Workspace(n))
+        m = placed[0].shape[1]
+        want = np.tile(np.repeat([self.TARGETS], len(z), axis=0).ravel(), 2)
+        assert np.abs(d1[:m] - want).max() < 1e-15
+        assert np.abs(d2[m:2 * m] - want).max() < 1e-15
+        assert d1[2 * m] == 0.0 and d2[2 * m + 1] == 0.0
+
+        batch = generate_batch(RowGenerator(u), a1, a2, params, n)
+        sign_xy = np.where(batch.x1 == batch.x2, 1, -1)
+        want = _counts_from_batch(batch, params)
+        assert want[:2] == (n, n)
+        # each placed event alone, so that no two errors can cancel
+        ws = Workspace(1)
+        for j in range(zphi.shape[1]):
+            ws.uniforms(1)[:2] = u[:2, j:j + 1]
+            assert block_counts(ws.uniforms(1)[:2], a1, a2, params, ws) == (1, 1, sign_xy[j])
+        ws = Workspace(n)
+        block = ws.uniforms(n)
+        block[:2] = u[:2]
+        block[2:] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert block_counts(block, a1, a2, params, ws) == want
+            # only z and phi are needed
+            assert block_counts(ws.uniforms(n)[:2], a1, a2, params, ws) == want

@@ -16,9 +16,11 @@ from eprbsim.model import (
     UnitVector3,
     Workspace,
     _delay_from_dot_sq,
+    _exact_overlaps,
     batch_streams,
     event_stream,
     generate_batch,
+    screen_overlaps,
     tag_bounds,
 )
 
@@ -344,6 +346,16 @@ class TestBlockStreams:
             blocks = [rng.random(size) for size in (min(n, 1_000), max(n - 1_000, 0))]
             assert np.concatenate(blocks).tobytes() == whole[k * n:(k + 1) * n].tobytes()
 
+    def test_first_two_draws_only(self):
+        """Asking for z and phi alone gives their doubles and makes no
+        generator for the tags."""
+        n = 38_529
+        whole = event_stream(31, 1_000, stream=2).random(2 * n)
+        streams = batch_streams(31, 1_000, n, stream=2, rows=2)
+        assert len(streams) == 2
+        for k, rng in enumerate(streams):
+            assert rng.random(n).tobytes() == whole[k * n:(k + 1) * n].tobytes()
+
 
 class TestTagBounds:
     """The screen's assumptions: float32 trigonometry within a tenth of the
@@ -355,6 +367,17 @@ class TestTagBounds:
             [np.arange(1 << 22) / (1 << 22), np.random.default_rng(5).random(1 << 20)])
         err = np.abs(trig(phi.astype(np.float32)).astype(np.float64) - trig(phi))
         assert err.max() <= OVERLAP_EPS / 10
+
+    @pytest.mark.parametrize("a", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
+                                   UnitVector3(0.48, 0.6, 0.64)])
+    def test_screen_overlaps_within_a_tenth_of_the_margin(self, a):
+        n = 1 << 16
+        ws = Workspace(n)
+        u = ws.uniforms(n)
+        u[:] = event_stream(33, 0).random((4, n))
+        approx = screen_overlaps(u, a, a, ws)[0].copy()
+        exact = _exact_overlaps(u.copy(), a, a, ws)[0]
+        assert np.abs(approx - exact).max() <= OVERLAP_EPS / 10
 
     @pytest.mark.parametrize("d_exponent", [3.0, 2.0, 1.0, 0.7, 40.0])
     @pytest.mark.parametrize("a2", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,14 @@ from eprbsim import (
 from eprbsim import runner
 from eprbsim.bounds import EQUAL_QUAD_REL_TOL
 from eprbsim.coincidence import _counts_from_batch
-from eprbsim.model import ModelParams, UnitVector3, Workspace, event_stream, generate_batch
+from eprbsim.model import (
+    ModelParams,
+    UnitVector3,
+    Workspace,
+    batch_streams,
+    event_stream,
+    generate_batch,
+)
 from eprbsim.runner import (
     CHUNK_SIZE,
     COLUMNS,
@@ -187,10 +195,25 @@ class TestChshExperiment:
         report = result.report
         assert report.gamma_min == min(report.gammas)
         assert report.modified_bound == pytest.approx(6.0 / report.gamma_min - 4.0)
-        assert report.violates_chsh == (report.chsh_lhs > 2.0)
+        lower = report.chsh_lhs - 4.0 * report.chsh_stderr
+        assert report.chsh_stderr > 0.0
+        assert report.violates_chsh == (lower > 2.0)
+        assert report.violates_modified == (lower > report.modified_bound)
         payload = result.manifest.results["report"]
         assert payload["chsh_lhs"] == report.chsh_lhs
         assert payload["violates_modified"] == report.violates_modified
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_local_model_without_cut_violates_nothing(self, seed):
+        """With W = 1 the local model keeps every pair and its CHSH value is
+        2 in expectation; noise above 2 is not reported as a violation."""
+        config = small_config(coincidence_mode=CoincidenceMode.CONTINUOUS, window=1.0,
+                              n_events=200_000, seed=seed)
+        report = run_chsh_experiment(config).report
+        assert report.gammas == (1.0, 1.0, 1.0, 1.0)
+        assert abs(report.chsh_lhs - 2.0) < 4.0 * report.chsh_stderr
+        assert not report.violates_chsh
+        assert not report.violates_modified
 
 
 class TestBoundAudit:
@@ -350,6 +373,51 @@ class TestRunPlan:
         want = _counts_from_batch(batch, params)
         task = (23, 3, 5_000, n, a1, a2, params)
         assert runner._chunk_counts(task, Workspace(min(block_size, n))) == want
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    @pytest.mark.parametrize("cut, rows", [(1.0, 2), (0.999, 4), (2.5e-4, 4)])
+    def test_chunk_draws_only_the_rows_it_needs(self, monkeypatch, mode, cut, rows):
+        """A chunk without a cut draws z and phi only and never makes the
+        tag streams; with a cut it draws all four rows.  Either way it gives
+        the whole-chunk kernel's counts."""
+        made, drawn = [], set()
+
+        class CountingStream:
+            def __init__(self, rng, k):
+                self.rng, self.k = rng, k
+
+            def random(self, out):
+                drawn.add(self.k)
+                return self.rng.random(out=out)
+
+        def counting_streams(*args, **kwargs):
+            streams = batch_streams(*args, **kwargs)
+            made.append(len(streams))
+            return [CountingStream(rng, k) for k, rng in enumerate(streams)]
+
+        monkeypatch.setattr(runner, "batch_streams", counting_streams)
+        params = ModelParams(tau=cut, window=cut, coincidence_mode=mode)
+        a1, a2 = UnitVector3.from_angle_deg(10.0), UnitVector3.from_angle_deg(55.0)
+        n = 40_001
+        want = _counts_from_batch(generate_batch(event_stream(24, 0, stream=1), a1, a2,
+                                                 params, n), params)
+        assert runner._chunk_counts((24, 1, 0, n, a1, a2, params), Workspace(n)) == want
+        assert made == [rows]
+        assert drawn == set(range(rows))
+
+    def test_no_cut_chunk_ignores_stale_tag_rows(self):
+        """Rows 2 and 3 of the workspace are neither drawn nor read without
+        a cut: NaN left there changes no count and raises no warning."""
+        params = ModelParams(window=1.0, coincidence_mode=CoincidenceMode.CONTINUOUS)
+        a1, a2 = UnitVector3(0.48, 0.6, 0.64), UnitVector3.from_angle_deg(30.0)
+        n = 30_001
+        want = _counts_from_batch(generate_batch(event_stream(25, 0), a1, a2, params, n),
+                                  params)
+        workspace = Workspace(runner.BLOCK_SIZE)
+        workspace.uniforms(runner.BLOCK_SIZE)[2:] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert runner._chunk_counts((25, 0, 0, n, a1, a2, params), workspace) == want
 
     def test_chsh_names_first_empty_pair(self):
         # ac (equal settings) keeps a few coincidences at this tau; ad and bc keep none
