@@ -86,10 +86,7 @@ def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     if args.mode is not None:
         overrides["coincidence_mode"] = args.mode
     if args.settings is not None:
-        settings = _csv_floats(args.settings)
-        if len(settings) != 4:
-            raise ConfigError("--settings needs exactly four angles")
-        overrides["settings_deg"] = settings
+        overrides["settings_deg"] = _csv_floats(args.settings)
     if args.alpha_grid is not None:
         grid = _csv_floats(args.alpha_grid)
         # the bounds audit has its own angle grid

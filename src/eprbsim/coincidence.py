@@ -45,24 +45,12 @@ __all__ = [
 ]
 
 
-def coincidence_mask(
-    t1: np.ndarray, t2: np.ndarray, params: ModelParams, workspace: Workspace | None = None
-) -> np.ndarray:
+def coincidence_mask(t1: np.ndarray, t2: np.ndarray, params: ModelParams) -> np.ndarray:
     """Boolean mask of coincident pairs for arrays of time tags (the
-    continuous window is inclusive at its boundary).
-
-    With a ``workspace`` (whose ``tmp`` buffers must not hold the tags) the
-    mask and its intermediates are written into its buffers.
-    """
-    n = len(t1)
-    a, b, mask = (None, None, None) if workspace is None else (
-        workspace.tmp[0][:n], workspace.tmp[1][:n], workspace.mask[:n])
+    continuous window is inclusive at its boundary)."""
     if params.coincidence_mode is CoincidenceMode.CONTINUOUS:
-        gap = np.abs(np.subtract(t1, t2, out=a), out=a)
-        return np.less_equal(gap, params.window, out=mask)
-    bin1 = np.floor(np.divide(t1, params.tau, out=a), out=a)
-    bin2 = np.floor(np.divide(t2, params.tau, out=b), out=b)
-    return np.equal(bin1, bin2, out=mask)
+        return np.abs(t1 - t2) <= params.window
+    return np.floor(t1 / params.tau) == np.floor(t2 / params.tau)
 
 
 @dataclass(frozen=True)
@@ -129,20 +117,16 @@ class CoincidenceStats:
         return self.e_conditional is not None
 
 
-def _counts_from_batch(
-    batch: EventBatch, params: ModelParams, workspace: Workspace | None = None
-) -> tuple[int, int, int]:
+def _counts_from_batch(batch: EventBatch, params: ModelParams) -> tuple[int, int, int]:
     """(events, coincidences, sum of x1*x2 over coincidences) of one batch.
 
     Outcomes are +-1, so the sum is (agreeing coincidences) minus
     (disagreeing ones), computed from boolean counts without a product array.
     """
-    n = len(batch)
-    mask = coincidence_mask(batch.t1, batch.t2, params, workspace)
-    agree = np.equal(batch.x1, batch.x2, out=None if workspace is None else workspace.agree[:n])
-    np.logical_and(agree, mask, out=agree)
+    mask = coincidence_mask(batch.t1, batch.t2, params)
     n_c = int(np.count_nonzero(mask))
-    return n, n_c, 2 * int(np.count_nonzero(agree)) - n_c
+    n_agree = int(np.count_nonzero(mask & (batch.x1 == batch.x2)))
+    return len(batch), n_c, 2 * n_agree - n_c
 
 
 # Absolute slack on the screen's limit: it covers the 2^-52 by which a
@@ -181,8 +165,7 @@ def _outcome_counts(
     index = np.flatnonzero(np.less_equal(low, OVERLAP_EPS, out=workspace.mask[:n]))
     if len(index):
         n_agree -= np.count_nonzero(agree[index])
-        zphi = np.take(u[:2], index, axis=1, out=workspace.kept(len(index))[:2], mode="clip")
-        e1, e2, _ = _exact_overlaps(zphi, a1, a2, workspace)
+        e1, e2 = _exact_overlaps(u[:2, index], a1, a2)
         n_agree += np.count_nonzero((e1 >= 0.0) == (e2 <= 0.0))
     return n, n, 2 * int(n_agree) - n
 
@@ -191,8 +174,8 @@ def block_counts(
     u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams, workspace: Workspace
 ) -> tuple[int, int, int]:
     """(events, coincidences, sum of x1*x2 over coincidences) of the events
-    of the uniforms ``u`` (4, n), whose rows it may overwrite; equal to
-    ``_counts_from_batch`` of the kernel's batch of ``u``.
+    of the uniforms ``u`` (4, n); equal to ``_counts_from_batch`` of the
+    kernel's batch of ``u``.
 
     When the cut keeps every pair (tau = 1 or W = 1; ``_screen_limit`` is
     None), only rows 0 and 1 are read, and ``u`` may hold just those two
@@ -229,11 +212,8 @@ def block_counts(
     index = np.flatnonzero(np.logical_and(keep, near, out=keep))
     if len(index) == 0:
         return n, 0, 0
-    # take(mode="clip") writes straight into the buffer; the default
-    # mode would first copy it
-    u = np.take(u, index, axis=1, out=workspace.kept(len(index)), mode="clip")
-    batch = _events_from_uniforms(u, a1, a2, params, workspace)
-    _, n_c, sum_xy = _counts_from_batch(batch, params, workspace)
+    _, n_c, sum_xy = _counts_from_batch(_events_from_uniforms(u[:, index], a1, a2, params),
+                                        params)
     return n, n_c, sum_xy
 
 

@@ -107,7 +107,6 @@ class EventBatch:
     x2: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
-    s: np.ndarray | None = None  # (n, 3) hidden directions, kept on request
 
     def __len__(self) -> int:
         return int(self.x1.shape[0])
@@ -123,10 +122,10 @@ def event_stream(seed: int, start_index: int, stream: int = 0) -> np.random.Gene
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _delay_from_dot_sq(dot_sq: np.ndarray, d_exponent: float, out: np.ndarray,
-                       tmp: np.ndarray) -> np.ndarray:
+def _delay_from_dot_sq(dot_sq: np.ndarray, d_exponent: float, out: np.ndarray | None = None,
+                       tmp: np.ndarray | None = None) -> np.ndarray:
     """Delay law T = (1 - dot_sq)^(d/2), written into ``out`` (which may be
-    ``dot_sq`` itself) with ``tmp`` as scratch.
+    ``dot_sq`` itself) with ``tmp`` as scratch; both are allocated if None.
 
     Vanishes when the hidden direction is (anti)parallel to the setting and
     reaches 1 when perpendicular; only the squared overlap enters, so it is
@@ -136,12 +135,12 @@ def _delay_from_dot_sq(dot_sq: np.ndarray, d_exponent: float, out: np.ndarray,
     base = np.subtract(1.0, dot_sq, out=out)
     np.maximum(base, 0.0, out=base)
     if d_exponent == 3.0:
-        return np.multiply(base, np.sqrt(base, out=tmp), out=out)
+        return np.multiply(base, np.sqrt(base, out=tmp), out=base)
     if d_exponent == 2.0:
         return base
     if d_exponent == 1.0:
-        return np.sqrt(base, out=out)
-    return np.power(base, 0.5 * d_exponent, out=out)
+        return np.sqrt(base, out=base)
+    return np.power(base, 0.5 * d_exponent, out=base)
 
 
 # Margin on the overlap a.S in tag_bounds.  Its float32 cos and sin differ
@@ -151,39 +150,27 @@ OVERLAP_EPS = 1e-5
 
 
 class Workspace:
-    """Reusable buffers for blocks of up to ``capacity`` events.
+    """The screen's reusable buffers for blocks of up to ``capacity`` events.
 
     ``uniforms(n)`` is the block's four uniform draws, one row each: z, phi,
     station-1 tags and station-2 tags.  When the cut keeps every pair only
-    rows 0 and 1 are drawn, and rows 2 and 3 hold whatever the last block
-    left there; nothing reads them then.  The kernel consumes its rows in
-    place (station tags end up in rows 2 and 3) and uses ``tmp``, ``x1`` and
-    ``x2``; the coincidence cut then reuses ``tmp`` and writes ``mask`` and
-    ``agree``.  The screen uses ``tmp`` and ``f32`` and leaves the pairs that
-    may coincide, or whose outcomes it cannot settle, in ``mask``; their
-    uniforms are gathered into ``kept(m)``.
-    A batch built in a workspace holds views of these buffers, valid until
-    the workspace is used for the next block.
+    rows 0 and 1 are drawn, and rows 2 and 3 hold whatever was there before;
+    nothing reads them then.  The screen uses ``tmp`` and ``f32`` and leaves
+    the pairs that may coincide, or whose outcomes it cannot settle, in
+    ``mask``, with ``agree`` as scratch.  The kept pairs go through the
+    exact kernel in arrays of their own.
     """
 
     def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
         self._uniforms = np.empty(4 * capacity)
-        self._kept = np.empty(4 * capacity)
         self.tmp = [np.empty(capacity) for _ in range(6)]
         self.f32 = np.empty((2, capacity), np.float32)
-        self.x1 = np.empty(capacity, np.int8)
-        self.x2 = np.empty(capacity, np.int8)
         self.mask = np.empty(capacity, np.bool_)
         self.agree = np.empty(capacity, np.bool_)
 
     def uniforms(self, n: int) -> np.ndarray:
         """A C-contiguous (4, n) view for the uniforms of ``n`` events."""
         return self._uniforms[:4 * n].reshape(4, n)
-
-    def kept(self, m: int) -> np.ndarray:
-        """A C-contiguous (4, m) view for the uniforms of ``m`` kept events."""
-        return self._kept[:4 * m].reshape(4, m)
 
 
 def batch_streams(
@@ -208,75 +195,55 @@ def batch_streams(
     return streams
 
 
-def _radius(sz: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """r = sqrt(max(0, 1 - z^2)), written into ``out``."""
+def _radius(sz: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """r = sqrt(max(0, 1 - z^2)), written into ``out`` (allocated if None)."""
     r = np.multiply(sz, sz, out=out)
     np.subtract(1.0, r, out=r)
     return np.sqrt(np.maximum(0.0, r, out=r), out=r)
 
 
-def _overlap(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray, a: UnitVector3, out: np.ndarray,
-             tmp: np.ndarray) -> np.ndarray:
-    """d = (sx a.x + sy a.y) + sz a.z, written into ``out``.  The last term
-    is skipped when a.z == 0: it only adds +-0, which can turn a -0 into +0
-    but changes neither the outcome nor d^2."""
-    np.multiply(sx, a.x, out=out)
+def _overlap(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray, a: UnitVector3,
+             out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """d = (sx a.x + sy a.y) + sz a.z, written into ``out`` with ``tmp`` as
+    scratch (both allocated if None).  The last term is skipped when a.z ==
+    0: it only adds +-0, which can turn a -0 into +0 but changes neither the
+    outcome nor d^2."""
+    out = np.multiply(sx, a.x, out=out)
     np.add(out, np.multiply(sy, a.y, out=tmp), out=out)
     if a.z != 0.0:
         np.add(out, np.multiply(sz, a.z, out=tmp), out=out)
     return out
 
 
-def _exact_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, ws: Workspace,
-                    keep_hidden: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _exact_overlaps(u: np.ndarray, a1: UnitVector3,
+                    a2: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
     """The kernel's float64 overlaps (d1, d2) = (a1.s, a2.s) of the hidden
-    directions drawn from rows 0 and 1 of ``u`` (z and phi), which it
-    overwrites; rows 2 and 3 are not read.  d1 and d2 are written into
-    ``ws.tmp[2]`` and ``ws.tmp[3]``, and ``ws.tmp[0]`` and ``ws.tmp[1]`` are
-    used as scratch.  Also returns the (n, 3) directions on request."""
-    n = u.shape[1]
-    w0, w1, w2, w3 = (b[:n] for b in ws.tmp[:4])
-
+    directions drawn from rows 0 and 1 of ``u`` (z and phi); other rows are
+    not read."""
     # z = 1 - 2u and phi = 2 pi u'
-    sz = np.subtract(1.0, np.multiply(2.0, u[0], out=u[0]), out=u[0])
-    phi = np.multiply(2.0 * np.pi, u[1], out=u[1])
-    r = _radius(sz, out=w0)
-    sx = np.multiply(r, np.cos(phi, out=w1), out=w1)
-    sy = np.multiply(r, np.sin(phi, out=phi), out=phi)
-    s = np.column_stack((sx, sy, sz)) if keep_hidden else None
-
-    # w0 is free once r has been used
-    d1 = _overlap(sx, sy, sz, a1, out=w2, tmp=w0)
-    d2 = _overlap(sx, sy, sz, a2, out=w3, tmp=w0)
-    return d1, d2, s
+    sz = 1.0 - 2.0 * u[0]
+    phi = 2.0 * np.pi * u[1]
+    r = _radius(sz)
+    sx = r * np.cos(phi)
+    sy = r * np.sin(phi)
+    return _overlap(sx, sy, sz, a1), _overlap(sx, sy, sz, a2)
 
 
-def _events_from_uniforms(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
-                          ws: Workspace, keep_hidden: bool = False) -> EventBatch:
-    """The exact float64 kernel: the events of the uniforms ``u`` (4, n),
-    whose rows it overwrites.
+def _events_from_uniforms(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
+                          params: ModelParams) -> EventBatch:
+    """The exact float64 kernel: the events of the uniforms ``u`` (4, n).
 
     Every operation is elementwise, so an event's outcomes and tags depend
     on its own four uniforms only, not on its position or on the other
     events of ``u``.
     """
-    n = u.shape[1]
-    w0, w1 = ws.tmp[0][:n], ws.tmp[1][:n]
-    x1, x2 = ws.x1[:n], ws.x2[:n]
-    d1, d2, s = _exact_overlaps(u, a1, a2, ws, keep_hidden)
-
-    # outcomes as 0/1 bytes, then 2x - 1; station 2 measures -s:
-    # sign(a2 . -s) with the same tie-break to +1
-    np.greater_equal(d1, 0.0, out=x1.view(np.bool_))
-    np.less_equal(d2, 0.0, out=x2.view(np.bool_))
-    for x in (x1, x2):
-        np.subtract(np.multiply(x, 2, out=x), 1, out=x)
-
-    T1 = _delay_from_dot_sq(np.multiply(d1, d1, out=d1), params.d_exponent, out=d1, tmp=w0)
-    T2 = _delay_from_dot_sq(np.multiply(d2, d2, out=d2), params.d_exponent, out=d2, tmp=w1)
-    t1 = np.multiply(u[2], T1, out=u[2])
-    t2 = np.multiply(u[3], T2, out=u[3])
-    return EventBatch(x1=x1, x2=x2, t1=t1, t2=t2, s=s)
+    d1, d2 = _exact_overlaps(u, a1, a2)
+    # station 2 measures -s: sign(a2 . -s) with the same tie-break to +1
+    x1 = np.where(d1 >= 0.0, np.int8(1), np.int8(-1))
+    x2 = np.where(d2 <= 0.0, np.int8(1), np.int8(-1))
+    t1 = u[2] * _delay_from_dot_sq(d1 * d1, params.d_exponent)
+    t2 = u[3] * _delay_from_dot_sq(d2 * d2, params.d_exponent)
+    return EventBatch(x1=x1, x2=x2, t1=t1, t2=t2)
 
 
 def generate_batch(
@@ -285,8 +252,6 @@ def generate_batch(
     a2: UnitVector3,
     params: ModelParams,
     n: int,
-    keep_hidden: bool = False,
-    workspace: Workspace | None = None,
 ) -> EventBatch:
     """Vectorized pair generation; the workhorse for large event counts.
 
@@ -294,21 +259,13 @@ def generate_batch(
     the sign of the local overlap (ties go to +1).  Draw order is batch-wise
     (directions, then all station-1 tags, then all station-2 tags), so every
     station-1 quantity is bit-identical under any change of a2, and vice versa.
-
-    With a ``workspace`` every array is written into its buffers and nothing
-    of size ``n`` is allocated; without one a fresh workspace is used.  The
-    floating-point operations and their order are the same either way, so
-    both give bit-identical batches.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ws = workspace if workspace is not None else Workspace(n)
-    if n > ws.capacity:
-        raise ValueError(f"n = {n} exceeds the workspace capacity {ws.capacity}")
-    u = ws.uniforms(n)
+    u = np.empty((4, n))
     for row in u:
         rng.random(out=row)
-    return _events_from_uniforms(u, a1, a2, params, ws, keep_hidden)
+    return _events_from_uniforms(u, a1, a2, params)
 
 
 def screen_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,

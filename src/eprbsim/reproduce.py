@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .bell import gamma_threshold, modified_bound
+from .bell import VIOLATION_SIGMAS, gamma_threshold, modified_bound
 from .bounds import (
     approx_equal_settings,
     equal_settings_bound,
@@ -170,16 +170,16 @@ def check_bound_compliance(config: ExperimentConfig) -> CheckResult:
     by_alpha: dict[float, list] = {}
     for rep in audit.reports:
         if not rep.satisfied:
-            margin = rep.simulated_gamma - 4.0 * rep.stderr_gamma
+            margin = rep.simulated_gamma - VIOLATION_SIGMAS * rep.stderr_gamma
             failures.append(
                 f"alpha={math.degrees(rep.alpha):g} tau={rep.tau:g}: "
-                f"gamma-4se={margin:.4e} > bound={rep.closed_form:.4e}"
+                f"gamma-{VIOLATION_SIGMAS:g}se={margin:.4e} > bound={rep.closed_form:.4e}"
             )
         by_alpha.setdefault(rep.alpha, []).append(rep)
     for alpha, reps in by_alpha.items():
         reps = sorted(reps, key=lambda r: -r.tau)
         for hi, lo in zip(reps[:-1], reps[1:]):
-            slack = 4.0 * math.sqrt(hi.stderr_gamma**2 + lo.stderr_gamma**2)
+            slack = VIOLATION_SIGMAS * math.sqrt(hi.stderr_gamma**2 + lo.stderr_gamma**2)
             if lo.simulated_gamma > hi.simulated_gamma + slack:
                 failures.append(
                     f"alpha={math.degrees(alpha):g}: gamma not decreasing "

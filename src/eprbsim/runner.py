@@ -5,12 +5,12 @@ counter-based random stream keyed by (seed, stream index, chunk start).
 Each run (a sweep, a CHSH experiment, a bound audit) is one flat plan: the
 chunks of all its setting pairs, each pair with its own model parameters and
 stream index, served by one process pool, or run in-process for one worker.
-Every process generates its chunks block by block into one reusable
-workspace of one block, which lives as long as the plan; each of a chunk's
-four draws comes from its own copy of the chunk's stream, so the blocks draw
-exactly the doubles of the whole chunk.  When the cut can reject a pair, a
-block is screened first and only the pairs that may coincide go through the
-exact kernel (``coincidence.block_counts``).  When it keeps every pair
+Each chunk is generated block by block into one workspace of one block,
+which serves the screen only; each of a chunk's four draws comes from its
+own copy of the chunk's stream, so the blocks draw exactly the doubles of
+the whole chunk.  When the cut can reject a pair, a block is screened first
+and only the pairs that may coincide go through the exact kernel, in arrays
+of their own (``coincidence.block_counts``).  When it keeps every pair
 (tau = 1 or W = 1), only z and phi are drawn, and the outcomes are settled
 from the signs of the screen's overlaps, with the exact overlaps for the
 few pairs whose signs it cannot settle.  Partial counts are integers,
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 19
-# events per block of a chunk: a block's workspace (under 2 MB) fits a
+# events per block of a chunk: a block's workspace (under 1.5 MB) fits a
 # core's L2 cache; unlike CHUNK_SIZE, the block size changes no result
 BLOCK_SIZE = 1 << 14
 
@@ -201,23 +201,16 @@ class ExperimentConfig:
 # One setting pair of a plan: settings, model parameters and stream index.
 PlanPair = tuple[UnitVector3, UnitVector3, ModelParams, int]
 
-# The workspace of a pool worker, made by _init_worker when the worker starts
-# and gone when the plan's pool shuts down; the parent process never sets it.
-_worker_workspace: Workspace | None = None
 
-
-def _init_worker(capacity: int) -> None:
-    global _worker_workspace
-    _worker_workspace = Workspace(capacity)
-
-
-def _chunk_counts(task: tuple, workspace: Workspace) -> tuple[int, int, int]:
+def _chunk_counts(task: tuple) -> tuple[int, int, int]:
     """The counts of one chunk, generated in blocks of up to BLOCK_SIZE
-    events; equal to those of ``generate_batch`` on the whole chunk.  Only
-    the uniforms that the counts need are drawn (``uniform_rows``)."""
+    events into one workspace; equal to those of ``generate_batch`` on the
+    whole chunk.  Only the uniforms that the counts need are drawn
+    (``uniform_rows``)."""
     seed, stream, start, size, a1, a2, params = task
     rows = uniform_rows(params)
     streams = batch_streams(seed, start, size, stream=stream, rows=rows)
+    workspace = Workspace(min(BLOCK_SIZE, size))
     counts = []
     for offset in range(0, size, BLOCK_SIZE):
         u = workspace.uniforms(min(BLOCK_SIZE, size - offset))[:rows]
@@ -225,10 +218,6 @@ def _chunk_counts(task: tuple, workspace: Workspace) -> tuple[int, int, int]:
             rng.random(out=row)
         counts.append(block_counts(u, a1, a2, params, workspace))
     return tuple(sum(column) for column in zip(*counts))
-
-
-def _pooled_chunk_counts(task: tuple) -> tuple[int, int, int]:
-    return _chunk_counts(task, _worker_workspace)
 
 
 def _available_cpus() -> int:
@@ -245,11 +234,11 @@ def simulate_plan(
 
     The chunks of all pairs form one task list, served by one pool of up to
     ``workers`` processes, and no more than there are tasks or CPUs to run
-    them (or run in-process); each worker fills one reusable workspace of
-    one block, which lives as long as the plan.  Each chunk's stream is
-    keyed by (seed, stream, chunk start), and the integer counts are summed
-    per pair in plan order, so the results depend neither on the worker
-    count nor on the completion order.
+    them (or run in-process); each chunk is generated block by block into
+    one workspace of its own.  Each chunk's stream is keyed by (seed,
+    stream, chunk start), and the integer counts are summed per pair in
+    plan order, so the results depend neither on the worker count nor on
+    the completion order.
     """
     starts = range(0, n_events, CHUNK_SIZE)
     tasks = [
@@ -257,18 +246,12 @@ def simulate_plan(
         for a1, a2, params, stream in pairs
         for start in starts
     ]
-    capacity = min(BLOCK_SIZE, n_events)
     pool_size = min(workers, len(tasks), _available_cpus())
     if pool_size > 1:
-        with ProcessPoolExecutor(
-            max_workers=pool_size,
-            initializer=_init_worker,
-            initargs=(capacity,),
-        ) as pool:
-            counts = list(pool.map(_pooled_chunk_counts, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            counts = list(pool.map(_chunk_counts, tasks, chunksize=1))
     else:
-        workspace = Workspace(capacity)
-        counts = [_chunk_counts(t, workspace) for t in tasks]
+        counts = list(map(_chunk_counts, tasks))
     stats = []
     for i, (_, _, params, _) in enumerate(pairs):
         parts = counts[i * len(starts):(i + 1) * len(starts)]
@@ -514,14 +497,14 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     return buf.getvalue()
 
 
-def rows_to_table(rows: list[dict], columns: list[str], precision: int = 6) -> str:
+def rows_to_table(rows: list[dict], columns: list[str]) -> str:
     def cell(value) -> str:
         if value is None:
             return "-"
         if isinstance(value, bool):
             return "yes" if value else "no"
         if isinstance(value, float):
-            return f"{value:.{precision}g}"
+            return f"{value:.6g}"
         return str(value)
 
     grid = [columns] + [[cell(row.get(c)) for c in columns] for row in rows]

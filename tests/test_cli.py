@@ -67,10 +67,14 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert len(rows) == 1  # the flag overrides the file's grid
 
-    def test_invalid_config_exits_1(self):
-        proc = run_cli("sweep", "--tau", "2.0")
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--tau", "2.0", "tau"),
+        ("--settings", "0,90,45", "settings_deg"),
+    ])
+    def test_invalid_config_exits_1(self, flag, value, field):
+        proc = run_cli("sweep", flag, value)
         assert proc.returncode == 1
-        assert "tau" in proc.stderr
+        assert field in proc.stderr
 
     def test_unknown_config_key_exits_1(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -327,7 +327,7 @@ class TestScreen:
         n = 20_000
         u = self.edge_uniforms(41, n, a1, a2, params, cut)
         ws = Workspace(n)
-        want = _counts_from_batch(_events_from_uniforms(u.copy(), a1, a2, params, ws), params)
+        want = _counts_from_batch(_events_from_uniforms(u, a1, a2, params), params)
         screened = ws.uniforms(n)
         screened[:] = u
         assert block_counts(screened, a1, a2, params, ws) == want
@@ -392,7 +392,7 @@ class TestOutcomeScreen:
         u[:2, :zphi.shape[1]] = zphi
 
         # the placements are where they were meant to be
-        d1, d2, _ = _exact_overlaps(u[:2].copy(), a1, a2, Workspace(n))
+        d1, d2 = _exact_overlaps(u, a1, a2)
         m = placed[0].shape[1]
         want = np.tile(np.repeat([self.TARGETS], len(z), axis=0).ravel(), 2)
         assert np.abs(d1[:m] - want).max() < 1e-15

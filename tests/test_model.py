@@ -25,6 +25,7 @@ from eprbsim.model import (
 )
 
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)
+Y_AXIS = UnitVector3(0.0, 1.0, 0.0)
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
 
@@ -40,9 +41,13 @@ class ConstantGenerator:
 
 
 def hidden_directions(seed: int, n: int) -> np.ndarray:
-    """The kernel's hidden directions, an (n, 3) array."""
-    return generate_batch(event_stream(seed, 0), X_AXIS, X_AXIS, ModelParams(), n,
-                          keep_hidden=True).s
+    """The hidden directions of ``generate_batch(event_stream(seed, 0), ...,
+    n)``, an (n, 3) array: the kernel's overlaps with the three axes, which
+    add only +-0 to sx, sy and sz."""
+    u = event_stream(seed, 0).random((4, n))
+    sx, sy = _exact_overlaps(u, X_AXIS, Y_AXIS)
+    sz = _exact_overlaps(u, X_AXIS, Z_AXIS)[1]
+    return np.column_stack((sx, sy, sz))
 
 
 def delay(dot_sq, d_exponent: float = 3.0) -> np.ndarray:
@@ -127,9 +132,9 @@ class TestOutcome:
     def test_tie_breaks_positive(self):
         """u = 1/2 puts S at azimuth pi on the equator, so a = z gives
         a.S = 0 exactly at both stations, and both outcomes are +1."""
-        batch = generate_batch(ConstantGenerator(0.5), Z_AXIS, Z_AXIS, ModelParams(), 1,
-                               keep_hidden=True)
-        assert batch.s[0, 2] == 0.0
+        batch = generate_batch(ConstantGenerator(0.5), Z_AXIS, Z_AXIS, ModelParams(), 1)
+        d1, d2 = _exact_overlaps(np.full((2, 1), 0.5), Z_AXIS, Z_AXIS)
+        assert (d1[0], d2[0]) == (0.0, 0.0)
         assert (batch.x1[0], batch.x2[0]) == (1, 1)
 
     @pytest.mark.parametrize("alpha_deg", [60.0, 90.0, 120.0])
@@ -187,17 +192,15 @@ class TestSampleTimeTag:
 
     def test_uniform_mean(self):
         """Tags are uniform on [0, T): t / T averages to 1/2."""
-        batch = generate_batch(event_stream(110, 0), X_AXIS, X_AXIS, ModelParams(), 100_000,
-                               keep_hidden=True)
-        u = batch.t1 / delay_scales(batch.s, X_AXIS)
+        batch = generate_batch(event_stream(110, 0), X_AXIS, X_AXIS, ModelParams(), 100_000)
+        u = batch.t1 / delay_scales(hidden_directions(110, 100_000), X_AXIS)
         assert abs(u.mean() - 0.5) < 0.005
 
     def test_support(self):
         a2 = UnitVector3.from_angle_deg(40.0)
-        batch = generate_batch(event_stream(111, 0), X_AXIS, a2, ModelParams(), 100_000,
-                               keep_hidden=True)
-        for t, T in ((batch.t1, delay_scales(batch.s, X_AXIS)),
-                     (batch.t2, delay_scales(-batch.s, a2))):
+        batch = generate_batch(event_stream(111, 0), X_AXIS, a2, ModelParams(), 100_000)
+        s = hidden_directions(111, 100_000)
+        for t, T in ((batch.t1, delay_scales(s, X_AXIS)), (batch.t2, delay_scales(-s, a2))):
             assert t.min() >= 0.0
             assert np.all(t <= T)
 
@@ -225,9 +228,9 @@ class TestGeneratePair:
     def test_tags_bounded_by_delay_scale(self):
         a1 = X_AXIS
         a2 = UnitVector3.from_angle_deg(45.0)
-        batch = generate_batch(event_stream(116, 0), a1, a2, ModelParams(), 10_000,
-                               keep_hidden=True)
-        T1, T2 = delay_scales(batch.s, a1), delay_scales(-batch.s, a2)
+        batch = generate_batch(event_stream(116, 0), a1, a2, ModelParams(), 10_000)
+        s = hidden_directions(116, 10_000)
+        T1, T2 = delay_scales(s, a1), delay_scales(-s, a2)
         assert np.all((0.0 <= batch.t1) & (batch.t1 <= T1) & (T1 <= 1.0))
         assert np.all((0.0 <= batch.t2) & (batch.t2 <= T2) & (T2 <= 1.0))
 
@@ -261,14 +264,11 @@ class TestGeneratePair:
         assert np.array_equal(b1.t1, b2.t1)
         assert np.array_equal(b1.t2, b2.t2)
 
-    def test_hidden_directions_kept_on_request(self):
-        params = ModelParams()
-        batch = generate_batch(event_stream(120, 0), X_AXIS, X_AXIS, params, 10)
-        assert batch.s is None
-        kept = generate_batch(event_stream(120, 0), X_AXIS, X_AXIS, params, 10, keep_hidden=True)
-        assert kept.s.shape == (10, 3)
-        assert np.array_equal(kept.x1, np.where(kept.s[:, 0] >= 0.0, 1, -1))
-        assert np.all(kept.x1 * kept.x2 == -1)
+    def test_outcomes_are_signs_of_the_hidden_direction(self):
+        batch = generate_batch(event_stream(120, 0), X_AXIS, X_AXIS, ModelParams(), 10)
+        s = hidden_directions(120, 10)
+        assert np.array_equal(batch.x1, np.where(s[:, 0] >= 0.0, 1, -1))
+        assert np.all(batch.x1 * batch.x2 == -1)
 
 
 def reference_batch(rng, a1, a2, n):
@@ -289,28 +289,20 @@ def reference_batch(rng, a1, a2, n):
     return x1, x2, t1, t2
 
 
-class TestWorkspace:
-    def test_reused_workspace_is_bit_identical(self):
-        """Chunks generated into one reused workspace, the last one shorter,
-        equal fresh batches and the allocating reference bit for bit."""
+class TestReferenceKernel:
+    def test_batches_equal_reference_bit_for_bit(self):
+        """Batches of consecutive chunks, the last one shorter, equal the
+        reference kernel bit for bit."""
         params = ModelParams()
         a1 = UnitVector3.from_angle_deg(20.0)
         a2 = UnitVector3(0.48, 0.6, 0.64)
-        workspace = Workspace(4_096)
         for start, n in ((0, 4_096), (4_096, 4_096), (8_192, 1_000)):
-            reused = generate_batch(event_stream(121, start), a1, a2, params, n,
-                                    workspace=workspace)
-            fresh = generate_batch(event_stream(121, start), a1, a2, params, n)
+            batch = generate_batch(event_stream(121, start), a1, a2, params, n)
             expected = reference_batch(event_stream(121, start), a1, a2, n)
             for name, want in zip(("x1", "x2", "t1", "t2"), expected):
-                for got in (getattr(reused, name), getattr(fresh, name)):
-                    assert got.dtype == want.dtype
-                    assert got.tobytes() == want.tobytes()
-
-    def test_rejects_chunk_larger_than_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            generate_batch(event_stream(122, 0), X_AXIS, X_AXIS, ModelParams(), 11,
-                           workspace=Workspace(10))
+                got = getattr(batch, name)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestModelParams:
@@ -376,7 +368,7 @@ class TestTagBounds:
         u = ws.uniforms(n)
         u[:] = event_stream(33, 0).random((4, n))
         approx = screen_overlaps(u, a, a, ws)[0].copy()
-        exact = _exact_overlaps(u.copy(), a, a, ws)[0]
+        exact = _exact_overlaps(u, a, a)[0]
         assert np.abs(approx - exact).max() <= OVERLAP_EPS / 10
 
     @pytest.mark.parametrize("d_exponent", [3.0, 2.0, 1.0, 0.7, 40.0])

@@ -314,9 +314,8 @@ class TestRunPlan:
     def test_chunk_counts_match_reference_reduction(self, mode):
         params = ModelParams(tau=0.01, window=0.02, coincidence_mode=mode)
         a1, a2 = UnitVector3.from_angle_deg(0.0), UnitVector3.from_angle_deg(40.0)
-        workspace = Workspace(30_000)
         for n in (30_000, 1_234):
-            batch = generate_batch(event_stream(21, n), a1, a2, params, n, workspace=workspace)
+            batch = generate_batch(event_stream(21, n), a1, a2, params, n)
             if mode is CoincidenceMode.CONTINUOUS:
                 mask = np.abs(batch.t1 - batch.t2) <= params.window
             else:
@@ -324,7 +323,6 @@ class TestRunPlan:
             sum_xy = int((batch.x1[mask].astype(np.int64) * batch.x2[mask]).sum())
             expected = (n, int(np.count_nonzero(mask)), sum_xy)
             assert expected[1] > 0
-            assert _counts_from_batch(batch, params, workspace) == expected
             assert _counts_from_batch(batch, params) == expected
 
     def test_pool_capped_at_available_cpus(self, monkeypatch):
@@ -333,9 +331,8 @@ class TestRunPlan:
         pools = []
 
         class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 pools.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -348,7 +345,6 @@ class TestRunPlan:
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(runner, "_available_cpus", lambda: 3)
-        monkeypatch.setattr(runner, "_worker_workspace", None)
         config = small_config(alpha_grid_deg=tuple(float(a) for a in range(0, 181, 20)))
         pooled = run_correlation_sweep(replace(config, workers=1000))
         assert pools == [3]
@@ -372,7 +368,7 @@ class TestRunPlan:
         batch = generate_batch(event_stream(23, 5_000, stream=3), a1, a2, params, n)
         want = _counts_from_batch(batch, params)
         task = (23, 3, 5_000, n, a1, a2, params)
-        assert runner._chunk_counts(task, Workspace(min(block_size, n))) == want
+        assert runner._chunk_counts(task) == want
 
     @pytest.mark.parametrize("mode", list(CoincidenceMode))
     @pytest.mark.parametrize("cut, rows", [(1.0, 2), (0.999, 4), (2.5e-4, 4)])
@@ -401,23 +397,31 @@ class TestRunPlan:
         n = 40_001
         want = _counts_from_batch(generate_batch(event_stream(24, 0, stream=1), a1, a2,
                                                  params, n), params)
-        assert runner._chunk_counts((24, 1, 0, n, a1, a2, params), Workspace(n)) == want
+        assert runner._chunk_counts((24, 1, 0, n, a1, a2, params)) == want
         assert made == [rows]
         assert drawn == set(range(rows))
 
-    def test_no_cut_chunk_ignores_stale_tag_rows(self):
+    def test_no_cut_chunk_ignores_stale_tag_rows(self, monkeypatch):
         """Rows 2 and 3 of the workspace are neither drawn nor read without
         a cut: NaN left there changes no count and raises no warning."""
+        made = []
+
+        class StaleWorkspace(Workspace):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                self.uniforms(capacity)[2:] = np.nan
+                made.append(capacity)
+
+        monkeypatch.setattr(runner, "Workspace", StaleWorkspace)
         params = ModelParams(window=1.0, coincidence_mode=CoincidenceMode.CONTINUOUS)
         a1, a2 = UnitVector3(0.48, 0.6, 0.64), UnitVector3.from_angle_deg(30.0)
         n = 30_001
         want = _counts_from_batch(generate_batch(event_stream(25, 0), a1, a2, params, n),
                                   params)
-        workspace = Workspace(runner.BLOCK_SIZE)
-        workspace.uniforms(runner.BLOCK_SIZE)[2:] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert runner._chunk_counts((25, 0, 0, n, a1, a2, params), workspace) == want
+            assert runner._chunk_counts((25, 0, 0, n, a1, a2, params)) == want
+        assert made == [runner.BLOCK_SIZE]
 
     def test_chsh_names_first_empty_pair(self):
         # ac (equal settings) keeps a few coincidences at this tau; ad and bc keep none
