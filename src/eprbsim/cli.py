@@ -4,6 +4,11 @@ Subcommands: `sweep` (conditional correlation vs angle), `chsh` (the
 four-settings experiment), `bounds` (rate-bound audit) and `reproduce-paper`
 (the full default-parameter reproduction with a pass/fail summary).
 
+Each command offers only the flags whose config fields it reads.  A flag
+stores its value under the field's name, so every command loads its config
+alike: the defaults, the `--config` file, then the flags given.  Flags
+cannot be abbreviated.
+
 Exit codes: 0 success, 1 invalid configuration, 2 empty post-selected
 ensemble, 3 reproduction checks failed.
 """
@@ -13,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .runner import (
@@ -21,7 +26,6 @@ from .runner import (
     ConfigError,
     EmptyEnsembleError,
     ExperimentConfig,
-    RunManifest,
     rows_to_csv,
     rows_to_table,
     run_bound_audit,
@@ -36,32 +40,42 @@ EXIT_CONFIG = 1
 EXIT_EMPTY = 2
 EXIT_CHECKS_FAILED = 3
 
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
 
 def _csv_floats(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got {text!r}"
+        ) from None
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="FILE", help="JSON config file; flags override it")
-    sub.add_argument("--tau", type=float, help="time-tag resolution (units of the maximal delay)")
-    sub.add_argument("--window", type=float, help="coincidence window W")
-    sub.add_argument("--mode", choices=["same-bin", "continuous"], help="coincidence convention")
-    sub.add_argument("--d-exponent", type=float, dest="d_exponent", help="delay-law exponent")
-    sub.add_argument("--events", type=int, help="events per setting pair")
-    sub.add_argument("--seed", type=int, help="base random seed")
-    sub.add_argument("--workers", type=int, help="parallel workers (never affects results)")
-    sub.add_argument("--settings", metavar="A,B,C,D", help="four setting angles in degrees")
-    sub.add_argument("--alpha-grid", metavar="LIST", dest="alpha_grid",
-                     help="comma-separated angles in degrees")
-    sub.add_argument("--out", metavar="DIR", help="write manifest.json and CSV tables here")
-    sub.add_argument("--format", choices=["table", "csv"], default="table",
-                     help="stdout format (default: table)")
+# the flags of sweep, chsh and bounds, each stored under the config field it sets
+_FLAGS = {
+    "--config": dict(metavar="FILE", help="JSON config file; flags override it"),
+    "--tau": dict(type=float, help="time-tag resolution (units of the maximal delay)"),
+    "--window": dict(type=float, help="coincidence window W"),
+    "--mode": dict(dest="coincidence_mode", choices=["same-bin", "continuous"],
+                   help="coincidence convention"),
+    "--d-exponent": dict(dest="d_exponent", type=float, help="delay-law exponent"),
+    "--events": dict(dest="n_events", type=int, help="events per setting pair"),
+    "--seed": dict(type=int, help="base random seed"),
+    "--workers": dict(type=int, help="parallel workers (never affects results)"),
+    "--settings": dict(dest="settings_deg", type=_csv_floats, metavar="A,B,C,D",
+                       help="four setting angles in degrees"),
+    "--alpha-grid": dict(dest="alpha_grid_deg", type=_csv_floats, metavar="LIST",
+                         help="comma-separated angles in degrees"),
+    "--out": dict(metavar="DIR", help="write manifest.json and CSV tables here"),
+    "--format": dict(choices=["table", "csv"], default="table",
+                     help="stdout format (default: table)"),
+}
 
 
-def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The defaults, then the ``--config`` file, then every config field
+    that a flag set."""
     data = ExperimentConfig().to_dict()
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -74,53 +88,32 @@ def _load_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
         if not isinstance(file_data, dict):
             raise ConfigError("config file must hold a JSON object")
         data.update(file_data)
-
-    overrides = {
-        "tau": args.tau,
-        "window": args.window,
-        "d_exponent": args.d_exponent,
-        "n_events": args.events,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
-    if args.mode is not None:
-        overrides["coincidence_mode"] = args.mode
-    if args.settings is not None:
-        overrides["settings_deg"] = _csv_floats(args.settings)
-    if args.alpha_grid is not None:
-        grid = _csv_floats(args.alpha_grid)
-        # the bounds audit has its own angle grid
-        overrides["audit_alpha_deg" if command == "bounds" else "alpha_grid_deg"] = grid
-    if command == "bounds" and getattr(args, "tau_grid", None) is not None:
-        overrides["audit_tau"] = _csv_floats(args.tau_grid)
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    data.update({k: v for k, v in vars(args).items() if k in _FIELDS and v is not None})
     return ExperimentConfig.from_dict(data)
 
 
-def _emit(args: argparse.Namespace, manifest: RunManifest) -> None:
-    rows, columns = table_rows(manifest), COLUMNS[manifest.kind]
-    if args.format == "csv":
-        sys.stdout.write(rows_to_csv(rows, columns))
-    else:
-        sys.stdout.write(rows_to_table(rows, columns))
-    if args.out:
-        out = Path(args.out)
+def _out_dir(args: argparse.Namespace) -> Path | None:
+    """The ``--out`` directory, made before any event is simulated."""
+    if not args.out:
+        return None
+    out = Path(args.out)
+    try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest.json").write_text(manifest.to_json() + "\n")
-        (out / f"{manifest.kind}.csv").write_text(rows_to_csv(rows, columns))
-
-
-_RUNS = {
-    "sweep": run_correlation_sweep,
-    "chsh": run_chsh_experiment,
-    "bounds": run_bound_audit,
-}
+    except OSError as exc:
+        raise ConfigError(f"cannot make the --out directory {out}: {exc.strerror}") from None
+    return out
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args, args.command)
-    manifest = _RUNS[args.command](config).manifest
-    _emit(args, manifest)
+    config = _load_config(args)
+    out = _out_dir(args)
+    manifest = args.run(config).manifest
+    rows, columns = table_rows(manifest), COLUMNS[manifest.kind]
+    render = rows_to_csv if args.format == "csv" else rows_to_table
+    sys.stdout.write(render(rows, columns))
+    if out:
+        (out / "manifest.json").write_text(manifest.to_json() + "\n")
+        (out / f"{manifest.kind}.csv").write_text(rows_to_csv(rows, columns))
     if manifest.kind == "chsh" and args.format == "table":
         r = manifest.results["report"]
         print(
@@ -135,23 +128,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    data = ExperimentConfig().to_dict()
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.workers is not None:
-        data["workers"] = args.workers
-    config = ExperimentConfig.from_dict(data)
-    # the headline check also runs seed + 1 .. seed + HEADLINE_SEEDS - 1;
-    # refuse a seed that takes the last of them out of range before any run
-    last = config.seed + reproduce.HEADLINE_SEEDS - 1
-    try:
-        replace(config, seed=last)
-    except ConfigError as exc:
-        raise ConfigError(f"reproduce-paper also runs seed {last}: {exc}") from None
+    config = _load_config(args)
+    out = _out_dir(args)
     results = reproduce.run_all(config)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         summary = [asdict(r) for r in results]
         (out / "reproduction_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECKS_FAILED
@@ -161,23 +141,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eprbsim",
         description="Event-based EPRB simulation with coincidence post-selection",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, text in (
-        ("sweep", "conditional correlation vs setting angle"),
-        ("chsh", "four-settings CHSH experiment with verdicts"),
-        ("bounds", "audit simulated rates against analytic bounds"),
-    ):
-        p_run = sub.add_parser(command, help=text)
-        _add_common_flags(p_run)
-        p_run.set_defaults(func=_cmd_run)
-        if command == "bounds":
-            p_run.add_argument("--tau-grid", metavar="LIST", dest="tau_grid",
-                               help="comma-separated resolutions for the audit")
+    def command(name: str, text: str, run, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.set_defaults(func=_cmd_run, run=run)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
+
+    model = ("--tau", "--window", "--mode", "--d-exponent")
+    events = ("--events", "--seed", "--workers")
+    output = ("--out", "--format")
+    command("sweep", "conditional correlation vs setting angle", run_correlation_sweep,
+            "--config", *model, *events, "--alpha-grid", *output)
+    command("chsh", "four-settings CHSH experiment with verdicts", run_chsh_experiment,
+            "--config", *model, *events, "--settings", *output)
+    # the audit sets tau = W per row and takes same-bin tagging only
+    p_bounds = command("bounds", "audit simulated rates against analytic bounds",
+                       run_bound_audit, "--config", "--mode", "--d-exponent", *events, *output)
+    p_bounds.add_argument("--alpha-grid", dest="audit_alpha_deg", type=_csv_floats,
+                          metavar="LIST", help="comma-separated audit angles in degrees")
+    p_bounds.add_argument("--tau-grid", dest="audit_tau", type=_csv_floats,
+                          metavar="LIST", help="comma-separated resolutions for the audit")
 
     p_rep = sub.add_parser(
-        "reproduce-paper",
+        "reproduce-paper", allow_abbrev=False,
         help="run the full default-parameter reproduction and print pass/fail lines",
     )
     p_rep.add_argument("--seed", type=int, help="base seed (checks are calibrated at the default)")
@@ -195,12 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, EmptyEnsembleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EmptyEnsembleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
+        return EXIT_EMPTY if isinstance(exc, EmptyEnsembleError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

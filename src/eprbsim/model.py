@@ -159,6 +159,12 @@ class Workspace:
     the pairs that may coincide, or whose outcomes it cannot settle, in
     ``mask``, with ``agree`` as scratch.  The kept pairs go through the
     exact kernel in arrays of their own.
+
+    Keep them: a float64 row of a 2^14-event block is 128 KiB, glibc's mmap
+    threshold, so fresh temporaries fault on every page.  On a 2-vCPU VM an
+    allocating-numpy screen took 54-64 ms per 2^19-event cut-path chunk, not
+    39-43 ms, with ~8,190 minor faults per chunk, not at most 1; with 2^15-event
+    blocks the benchmark's ``chsh_10m`` wall time rose from 1.77-2.00 to 2.41-2.77 s.
     """
 
     def __init__(self, capacity: int) -> None:

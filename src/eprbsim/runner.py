@@ -56,8 +56,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 19
-# events per block of a chunk: a block's workspace (under 1.5 MB) fits a
-# core's L2 cache; unlike CHUNK_SIZE, the block size changes no result
+# events per block: its reused workspace (under 1.5 MB) fits a core's L2 cache and
+# spares the page faults of fresh temporaries; unlike CHUNK_SIZE it changes no result
 BLOCK_SIZE = 1 << 14
 
 DEFAULT_SEED = 20060913
@@ -104,10 +104,10 @@ class ExperimentConfig:
 
     settings_deg: tuple[float, float, float, float] = DEFAULT_SETTINGS
     alpha_grid_deg: tuple[float, ...] = DEFAULT_ALPHA_GRID
-    tau: float = 0.00025
-    window: float = 0.00025
-    d_exponent: float = 3.0
-    coincidence_mode: CoincidenceMode = CoincidenceMode.SAME_BIN
+    tau: float = ModelParams.tau
+    window: float = ModelParams.window
+    d_exponent: float = ModelParams.d_exponent
+    coincidence_mode: CoincidenceMode = ModelParams.coincidence_mode
     n_events: int = 10_000_000
     seed: int = DEFAULT_SEED
     workers: int = 1

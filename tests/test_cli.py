@@ -1,6 +1,7 @@
 """End-to-end CLI tests, through subprocesses and ``cli.main``: flags,
 files, exit codes, and tables rendered from the written manifest."""
 
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from eprbsim.cli import main
+from eprbsim.cli import build_parser, main
 from eprbsim.runner import COLUMNS, RunManifest, rows_to_csv, rows_to_table, table_rows
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -67,12 +68,12 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert len(rows) == 1  # the flag overrides the file's grid
 
-    @pytest.mark.parametrize("flag, value, field", [
-        ("--tau", "2.0", "tau"),
-        ("--settings", "0,90,45", "settings_deg"),
+    @pytest.mark.parametrize("command, flag, value, field", [
+        ("sweep", "--tau", "2.0", "tau"),
+        ("chsh", "--settings", "0,90,45", "settings_deg"),
     ])
-    def test_invalid_config_exits_1(self, flag, value, field):
-        proc = run_cli("sweep", flag, value)
+    def test_invalid_config_exits_1(self, command, flag, value, field):
+        proc = run_cli(command, flag, value)
         assert proc.returncode == 1
         assert field in proc.stderr
 
@@ -210,6 +211,65 @@ class TestReproduceCommand:
         assert "seed" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def option_strings(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """Each subcommand's option strings, ``-h`` and ``--help`` left out."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+
+
+class TestFlags:
+    """Each command offers exactly the flags whose config fields it reads."""
+
+    def test_option_strings_per_command(self):
+        model = {"--tau", "--window", "--mode", "--d-exponent"}
+        run = {"--config", "--events", "--seed", "--workers", "--out", "--format"}
+        assert option_strings(build_parser()) == {
+            "sweep": model | run | {"--alpha-grid"},
+            "chsh": model | run | {"--settings"},
+            "bounds": run | {"--mode", "--d-exponent", "--alpha-grid", "--tau-grid"},
+            "reproduce-paper": {"--seed", "--workers", "--out"},
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--tau", "1e-4"),
+        ("bounds", "--window", "1e-4"),
+        ("bounds", "--settings", "0,90,45,135"),
+        ("sweep", "--settings", "0,90,45,135"),
+        ("chsh", "--alpha-grid", "0,90"),
+        ("sweep", "--event", "100"),
+    ])
+    def test_unread_or_abbreviated_flag_exits_1(self, argv):
+        proc = run_cli(*argv, "--events", "1000")
+        assert proc.returncode == 1
+        assert "unrecognized arguments" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--alpha-grid", "0", "--events", "1000"),
+        ("chsh", "--events", "1000"),
+        ("bounds", "--tau-grid", "0.01", "--events", "1000"),
+        ("reproduce-paper",),
+    ])
+    def test_out_is_an_existing_file_exits_1(self, tmp_path, argv):
+        out = tmp_path / "taken"
+        out.write_text("")
+        proc = run_cli(*argv, "--out", str(out))
+        assert proc.returncode == 1
+        assert str(out) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_bad_list_exits_1(self):
+        proc = run_cli("sweep", "--alpha-grid", "0,x")
+        assert proc.returncode == 1
+        assert "expected a comma-separated list of numbers" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestHelp:
