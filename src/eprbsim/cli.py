@@ -6,8 +6,9 @@ four-settings experiment), `bounds` (rate-bound audit) and `reproduce-paper`
 
 Each command offers only the flags whose config fields it reads.  A flag
 stores its value under the field's name, so every command loads its config
-alike: the defaults, the `--config` file, then the flags given.  Flags
-cannot be abbreviated.
+alike: the defaults, the `--config` file, then the flags given.  A
+`--config` file may set only the fields the command reads.  Flags cannot
+be abbreviated.
 
 Exit codes: 0 success, 1 invalid configuration, 2 empty post-selected
 ensemble, 3 reproduction checks failed.
@@ -75,7 +76,8 @@ _FLAGS = {
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     """The defaults, then the ``--config`` file, then every config field
-    that a flag set."""
+    that a flag set.  The file may set only the fields that the command
+    reads, which are those it has flags for."""
     data = ExperimentConfig().to_dict()
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -87,6 +89,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_data, dict):
             raise ConfigError("config file must hold a JSON object")
+        unread = sorted((set(file_data) & _FIELDS) - set(vars(args)))
+        if unread:
+            raise ConfigError(f"the {args.command} command does not read config keys {unread}")
         data.update(file_data)
     data.update({k: v for k, v in vars(args).items() if k in _FIELDS and v is not None})
     return ExperimentConfig.from_dict(data)

@@ -7,16 +7,17 @@ the convention under which the per-pair coincidence probability equals
 ``tau * min(T1, T2) / (T1 * T2)`` almost everywhere, which is what the
 analytic rate bounds assume.
 
-The runner counts coincidences with ``block_counts``: a cheap, provably
-conservative screen on bounds of the tags, then the exact kernel and the
-cut on the few pairs that pass it.  When the cut keeps every pair, the
-screen settles the outcomes from the signs of the overlaps, and the tags
-are never drawn.
+The runner counts coincidences with ``chunk_counts``: a cheap, provably
+conservative float32 screen on bounds of the tags, block by block, then
+the exact kernel and the cut on the few pairs that pass it, gathered over
+the blocks of a chunk.  When the cut keeps every pair, the screen settles
+the outcomes from the signs of the overlaps, and the tags are never drawn.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "coincidence_mask",
     "accumulate",
     "block_counts",
+    "chunk_counts",
     "uniform_rows",
     "coincidence_probability_exact",
     "same_bin_probability_exact",
@@ -130,16 +132,23 @@ def _counts_from_batch(batch: EventBatch, params: ModelParams) -> tuple[int, int
 
 
 # Absolute slack on the screen's limit: it covers the 2^-52 by which a
-# same-bin pair's tags may differ beyond tau, and np.power errors of up to
-# about a thousand ulps in the tag bounds (model.tag_bounds).
+# same-bin pair's tags may differ beyond tau, and the absolute error, below
+# 2^-126, of float32 tag bounds that fall below float32's smallest normal
+# (model.tag_bounds).
 _SCREEN_SLACK = 2.0 ** -40
 
 
-def _screen_limit(params: ModelParams) -> float | None:
+def _screen_limit(params: ModelParams) -> np.float32 | None:
     """The largest tag difference, plus slack, that a coincident pair can
-    have; None when the cut keeps every pair (tau = 1 or W = 1)."""
+    have, rounded up to a float32; None when the cut keeps every pair (tau =
+    1 or W = 1)."""
     cut = params.window if params.coincidence_mode is CoincidenceMode.CONTINUOUS else params.tau
-    return None if cut >= 1.0 else cut + _SCREEN_SLACK
+    if cut >= 1.0:
+        return None
+    limit = np.float32(cut + _SCREEN_SLACK)
+    if float(limit) < cut + _SCREEN_SLACK:
+        limit = np.nextafter(limit, np.float32(np.inf))
+    return limit
 
 
 def uniform_rows(params: ModelParams) -> int:
@@ -156,8 +165,8 @@ def _outcome_counts(
     n = u.shape[1]
     d1, d2 = screen_overlaps(u, a1, a2, workspace)
     # outcomes agree when d1 >= 0 and d2 <= 0 agree, so d1 d2 < 0 when
-    # neither is 0; |d1 d2| > eps^2 is far from underflow
-    agree = np.less(np.multiply(d1, d2, out=workspace.tmp[5][:n]), 0.0,
+    # neither is 0; |d1 d2| > eps^2 is far from float32 underflow
+    agree = np.less(np.multiply(d1, d2, out=workspace.rows(n)[0]), 0.0,
                     out=workspace.agree[:n])
     n_agree = np.count_nonzero(agree)
     # the pairs the screen cannot settle: |d~| <= eps at either station
@@ -170,12 +179,68 @@ def _outcome_counts(
     return n, n, 2 * int(n_agree) - n
 
 
+def _kernel_counts(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
+                   params: ModelParams) -> tuple[int, int]:
+    """(coincidences, sum of x1*x2 over coincidences) of the kernel's events
+    of the uniforms ``u``."""
+    return _counts_from_batch(_events_from_uniforms(u, a1, a2, params), params)[1:]
+
+
+def _screen(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
+            limit: np.float32, workspace: Workspace) -> np.ndarray:
+    """The indices of the pairs of ``u`` whose tag intervals come within
+    ``limit``: every pair that may coincide (proof in ``block_counts``)."""
+    n = u.shape[1]
+    lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params, workspace)
+    keep = np.less_equal(np.subtract(lo1, hi2, out=lo1), limit, out=workspace.mask[:n])
+    near = np.less_equal(np.subtract(lo2, hi1, out=lo2), limit, out=workspace.agree[:n])
+    return np.flatnonzero(np.logical_and(keep, near, out=keep))
+
+
+def chunk_counts(
+    blocks: Iterable[np.ndarray], a1: UnitVector3, a2: UnitVector3, params: ModelParams,
+    workspace: Workspace,
+) -> tuple[int, int, int]:
+    """(events, coincidences, sum of x1*x2 over coincidences) of the events
+    of the uniform ``blocks``, each (4, n), or (2, n) when the cut keeps
+    every pair (``uniform_rows``), with n at most the workspace's capacity;
+    equal to ``_counts_from_batch`` of the kernel's batch of all of them.
+    A block may be overwritten once the next one is asked for.
+
+    When the cut keeps every pair (``_screen_limit`` is None), each block's
+    outcomes are counted as ``block_counts`` says, from rows 0 and 1 alone.
+    Otherwise each block is screened, and the uniforms of the pairs kept
+    are gathered into ``workspace.kept``.  The exact kernel runs on them
+    when it is full and once more at the end, on what is left: once per
+    chunk at small tau, never when no pair is kept.
+    """
+    limit = _screen_limit(params)
+    if limit is None:
+        counts = [_outcome_counts(u, a1, a2, workspace) for u in blocks]
+        return tuple(sum(column) for column in zip(*counts))
+    kept, parts, n, filled = workspace.kept, [], 0, 0
+    for u in blocks:
+        n += u.shape[1]
+        index = _screen(u, a1, a2, params, limit, workspace)
+        while len(index):
+            room = kept.shape[1] - filled
+            take, index = index[:room], index[room:]
+            kept[:, filled:filled + len(take)] = u[:, take]
+            filled += len(take)
+            if filled == kept.shape[1]:
+                parts.append(_kernel_counts(kept, a1, a2, params))
+                filled = 0
+    if filled:
+        parts.append(_kernel_counts(kept[:, :filled], a1, a2, params))
+    return n, sum(c for c, _ in parts), sum(s for _, s in parts)
+
+
 def block_counts(
     u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams, workspace: Workspace
 ) -> tuple[int, int, int]:
     """(events, coincidences, sum of x1*x2 over coincidences) of the events
     of the uniforms ``u`` (4, n); equal to ``_counts_from_batch`` of the
-    kernel's batch of ``u``.
+    kernel's batch of ``u``.  It is ``chunk_counts`` of the one block.
 
     When the cut keeps every pair (tau = 1 or W = 1; ``_screen_limit`` is
     None), only rows 0 and 1 are read, and ``u`` may hold just those two
@@ -189,32 +254,22 @@ def block_counts(
     never applies.  The other pairs, about 2 eps of them, get the kernel's
     exact overlaps, from their z and phi alone.
 
-    When the cut can reject a pair, a screen keeps only the pairs whose tag
-    intervals (``model.tag_bounds``) come within the limit, and the kernel
-    runs on them alone.  Soundness: a same-bin pair has k <= fl(t/tau) < k+1
-    for both tags, and fl(t/tau) is within a relative 2^-53 of t/tau, so
-    |t1 - t2| < tau + 2^-53 (t1 + t2) < tau + 2^-52 (this matters for tau
-    below 2^-52); a continuous pair has fl(|t1 - t2|) <= W, so |t1 - t2| <=
-    W + 2^-53.  With t1 >= lo1 and t2 <= hi2 up to the few ulps of np.power,
-    lo1 - hi2 then lies below the cut plus ``_SCREEN_SLACK``, and rounding
-    to nearest keeps that order: fl(lo1 - hi2) <= fl(cut + slack).  The same
-    holds for lo2 - hi1, so no coincident pair is screened out.  Every
-    operation of the kernel is elementwise, so the kept events get the
-    outcomes and tags they would get in the whole block.
+    When the cut can reject a pair, a screen keeps only the pairs whose
+    float32 tag intervals (``model.tag_bounds``) come within the limit, and
+    the kernel runs on them alone.  Soundness: a same-bin pair has k <=
+    fl(t/tau) < k+1 for both tags, and fl(t/tau) is within a relative 2^-53
+    of t/tau, so |t1 - t2| < tau + 2^-53 (t1 + t2) < tau + 2^-52 (this
+    matters for tau below 2^-52); a continuous pair has fl(|t1 - t2|) <= W,
+    so |t1 - t2| <= W + 2^-53.  With t1 >= lo1 and t2 <= hi2, up to 2^-126
+    each where a bound underflows, lo1 - hi2 lies below the cut plus
+    ``_SCREEN_SLACK``, and so below that sum rounded up to a float32.
+    Rounding to nearest never reverses the order of two inputs, so
+    fl(lo1 - hi2) <= the float32 limit.  The same holds for lo2 - hi1, so
+    no coincident pair is screened out.  Every operation of the kernel is
+    elementwise, so the kept events get the outcomes and tags they would
+    get in the whole block.
     """
-    n = u.shape[1]
-    limit = _screen_limit(params)
-    if limit is None:
-        return _outcome_counts(u, a1, a2, workspace)
-    lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params, workspace)
-    keep = np.less_equal(np.subtract(lo1, hi2, out=lo1), limit, out=workspace.mask[:n])
-    near = np.less_equal(np.subtract(lo2, hi1, out=lo2), limit, out=workspace.agree[:n])
-    index = np.flatnonzero(np.logical_and(keep, near, out=keep))
-    if len(index) == 0:
-        return n, 0, 0
-    _, n_c, sum_xy = _counts_from_batch(_events_from_uniforms(u[:, index], a1, a2, params),
-                                        params)
-    return n, n_c, sum_xy
+    return chunk_counts([u], a1, a2, params, workspace)
 
 
 def accumulate(batch: EventBatch, params: ModelParams) -> CoincidenceStats:

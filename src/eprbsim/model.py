@@ -122,43 +122,44 @@ def event_stream(seed: int, start_index: int, stream: int = 0) -> np.random.Gene
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _delay_from_dot_sq(dot_sq: np.ndarray, d_exponent: float, out: np.ndarray | None = None,
-                       tmp: np.ndarray | None = None) -> np.ndarray:
-    """Delay law T = (1 - dot_sq)^(d/2), written into ``out`` (which may be
-    ``dot_sq`` itself) with ``tmp`` as scratch; both are allocated if None.
+def _delay_from_dot_sq(dot_sq: np.ndarray, d_exponent: float) -> np.ndarray:
+    """Delay law T = (1 - dot_sq)^(d/2).
 
     Vanishes when the hidden direction is (anti)parallel to the setting and
     reaches 1 when perpendicular; only the squared overlap enters, so it is
     invariant under s -> -s and a -> -a.  An overlap that rounds above 1
     gives T = 0, as an exact one does.
     """
-    base = np.subtract(1.0, dot_sq, out=out)
-    np.maximum(base, 0.0, out=base)
+    base = np.maximum(1.0 - dot_sq, 0.0)
     if d_exponent == 3.0:
-        return np.multiply(base, np.sqrt(base, out=tmp), out=base)
+        return base * np.sqrt(base)
     if d_exponent == 2.0:
         return base
     if d_exponent == 1.0:
-        return np.sqrt(base, out=base)
-    return np.power(base, 0.5 * d_exponent, out=base)
+        return np.sqrt(base)
+    return np.power(base, 0.5 * d_exponent)
 
 
-# Margin on the overlap a.S in tag_bounds.  Its float32 cos and sin differ
-# from the kernel's float64 ones by at most 2.6e-7, so a.S is off by at most
-# 3.7e-7, well inside the margin.
+# Margin on the overlap a.S in tag_bounds.  The screen's float32 overlap is
+# within sqrt(2) delta + 2^-20 < OVERLAP_EPS / 4 of the kernel's float64 one,
+# where delta, the error of float32 cos and sin of float32(phi), is tested
+# below OVERLAP_EPS / 10; measured, the overlap error is at most 3.1e-7.
 OVERLAP_EPS = 1e-5
 
 
 class Workspace:
     """The screen's reusable buffers for blocks of up to ``capacity`` events.
 
-    ``uniforms(n)`` is the block's four uniform draws, one row each: z, phi,
-    station-1 tags and station-2 tags.  When the cut keeps every pair only
-    rows 0 and 1 are drawn, and rows 2 and 3 hold whatever was there before;
-    nothing reads them then.  The screen uses ``tmp`` and ``f32`` and leaves
-    the pairs that may coincide, or whose outcomes it cannot settle, in
-    ``mask``, with ``agree`` as scratch.  The kept pairs go through the
-    exact kernel in arrays of their own.
+    ``uniforms(n)`` is the block's four uniform draws, one float64 row each:
+    z, phi, station-1 tags and station-2 tags.  When the cut keeps every pair
+    only rows 0 and 1 are drawn, and rows 2 and 3 hold whatever was there
+    before; nothing reads them then.  The screen works in the eight float32
+    rows of ``rows(n)``, and leaves the pairs that may coincide, or whose
+    outcomes it cannot settle, in ``mask``, with ``agree`` as scratch.
+    ``kept`` gathers the float64 uniforms of the pairs the screen keeps,
+    over the blocks of a chunk, for the exact kernel
+    (``coincidence.chunk_counts``).  At 2^14 events that is 1.53 MiB:
+    512 KiB each of uniforms, float32 rows and kept pairs, and 32 KiB of masks.
 
     Keep them: a float64 row of a 2^14-event block is 128 KiB, glibc's mmap
     threshold, so fresh temporaries fault on every page.  On a 2-vCPU VM an
@@ -169,14 +170,19 @@ class Workspace:
 
     def __init__(self, capacity: int) -> None:
         self._uniforms = np.empty(4 * capacity)
-        self.tmp = [np.empty(capacity) for _ in range(6)]
-        self.f32 = np.empty((2, capacity), np.float32)
+        self._rows = np.empty(8 * capacity, np.float32)
+        self.kept = np.empty((4, capacity))
         self.mask = np.empty(capacity, np.bool_)
         self.agree = np.empty(capacity, np.bool_)
 
     def uniforms(self, n: int) -> np.ndarray:
         """A C-contiguous (4, n) view for the uniforms of ``n`` events."""
         return self._uniforms[:4 * n].reshape(4, n)
+
+    def rows(self, n: int) -> np.ndarray:
+        """A C-contiguous (8, n) float32 view, the screen's scratch for ``n``
+        events; any run of consecutive rows is contiguous too."""
+        return self._rows[:8 * n].reshape(8, n)
 
 
 def batch_streams(
@@ -201,24 +207,12 @@ def batch_streams(
     return streams
 
 
-def _radius(sz: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """r = sqrt(max(0, 1 - z^2)), written into ``out`` (allocated if None)."""
-    r = np.multiply(sz, sz, out=out)
-    np.subtract(1.0, r, out=r)
-    return np.sqrt(np.maximum(0.0, r, out=r), out=r)
-
-
-def _overlap(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray, a: UnitVector3,
-             out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """d = (sx a.x + sy a.y) + sz a.z, written into ``out`` with ``tmp`` as
-    scratch (both allocated if None).  The last term is skipped when a.z ==
+def _overlap(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray, a: UnitVector3) -> np.ndarray:
+    """d = (sx a.x + sy a.y) + sz a.z.  The last term is skipped when a.z ==
     0: it only adds +-0, which can turn a -0 into +0 but changes neither the
     outcome nor d^2."""
-    out = np.multiply(sx, a.x, out=out)
-    np.add(out, np.multiply(sy, a.y, out=tmp), out=out)
-    if a.z != 0.0:
-        np.add(out, np.multiply(sz, a.z, out=tmp), out=out)
-    return out
+    d = sx * a.x + sy * a.y
+    return d + sz * a.z if a.z != 0.0 else d
 
 
 def _exact_overlaps(u: np.ndarray, a1: UnitVector3,
@@ -229,7 +223,7 @@ def _exact_overlaps(u: np.ndarray, a1: UnitVector3,
     # z = 1 - 2u and phi = 2 pi u'
     sz = 1.0 - 2.0 * u[0]
     phi = 2.0 * np.pi * u[1]
-    r = _radius(sz)
+    r = np.sqrt(np.maximum(0.0, 1.0 - sz * sz))
     sx = r * np.cos(phi)
     sy = r * np.sin(phi)
     return _overlap(sx, sy, sz, a1), _overlap(sx, sy, sz, a2)
@@ -276,66 +270,122 @@ def generate_batch(
 
 def screen_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
                     ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Approximate overlaps (d~1, d~2) of the hidden directions drawn from
-    rows 0 and 1 of ``u`` (z and phi), which are left as they are; rows 2
-    and 3 are not read.  They avoid the kernel's float64 cos and sin, its
-    most expensive steps, and differ from the kernel's overlaps by less than
-    OVERLAP_EPS (proof in ``tag_bounds``).  d~1 and d~2 are written into
-    ``ws.tmp[3]`` and ``ws.tmp[4]``; ``ws.tmp[0]``, ``ws.tmp[1]``,
-    ``ws.tmp[2]``, ``ws.tmp[5]`` and ``ws.f32`` are used as scratch.
+    """Approximate float32 overlaps (d~1, d~2) of the hidden directions drawn
+    from rows 0 and 1 of ``u`` (z and phi), which are left as they are; rows
+    2 and 3 are not read.  They are within OVERLAP_EPS / 4 of the kernel's
+    overlaps (proof in ``tag_bounds``).  d~1 and d~2 are rows 4 and 5 of
+    ``ws.rows(n)``, and rows 0 to 3 are scratch.
+
+    Each uniform row is rounded to float32 once, and the rest runs in
+    float32: r/2 = sqrt(u (1 - u)), since 1 - z^2 = 4 u (1 - u), and the
+    overlap is 2 (r/2 cos(phi) a.x + r/2 sin(phi) a.y + z/2 a.z).
     """
     n = u.shape[1]
-    w0, w1, w2, w3, w4, w5 = (b[:n] for b in ws.tmp)
-    p, q = ws.f32[0][:n], ws.f32[1][:n]
+    rows = ws.rows(n)
+    half_r, d = rows[0], rows[4:6]
+    np.copyto(half_r, u[0])
+    np.subtract(1.0, u[0], out=rows[1], casting="same_kind")
+    np.sqrt(np.multiply(half_r, rows[1], out=half_r), out=half_r)
+    np.multiply(2.0 * np.pi, u[1], out=rows[2], casting="same_kind")
+    np.cos(rows[2], out=rows[3])
+    np.sin(rows[2], out=rows[2])
+    # rows 2 and 3: r/2 sin(phi) and r/2 cos(phi)
+    np.multiply(rows[2:4], half_r, out=rows[2:4])
+    # both stations at once, with (2, 1) columns of the float32 coefficients 2a
+    coef = np.array([[2.0 * a1.x, 2.0 * a1.y, 2.0 * a1.z],
+                     [2.0 * a2.x, 2.0 * a2.y, 2.0 * a2.z]], np.float32)
+    np.multiply(rows[3], coef[:, 0:1], out=d)
+    np.add(d, np.multiply(rows[2], coef[:, 1:2], out=rows[0:2]), out=d)
+    if a1.z != 0.0 or a2.z != 0.0:
+        half_z = np.subtract(0.5, u[0], out=rows[2], casting="same_kind")
+        np.add(d, np.multiply(half_z, coef[:, 2:3], out=rows[0:2]), out=d)
+    return d[0], d[1]
 
-    sz = np.subtract(1.0, np.multiply(2.0, u[0], out=w0), out=w0)
-    r = _radius(sz, out=w1)
-    np.multiply(2.0 * np.pi, u[1], out=p, casting="same_kind")
-    rc = np.multiply(r, np.cos(p, out=q), out=w2)
-    rs = np.multiply(r, np.sin(p, out=p), out=w1)
-    d1 = _overlap(rc, rs, sz, a1, out=w3, tmp=w5)
-    d2 = _overlap(rc, rs, sz, a2, out=w4, tmp=w5)
-    return d1, d2
+
+def _float32_half(d_exponent: float, up: bool) -> np.float32:
+    """d/2 rounded up or down to a float32."""
+    exact = 0.5 * d_exponent
+    half = np.float32(exact)
+    if float(half) < exact if up else float(half) > exact:
+        half = np.nextafter(half, np.float32(np.inf if up else 0.0))
+    return half
 
 
 def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
                ws: Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bounds (lo1, hi1, lo2, hi2) on the tags that the kernel makes of the
-    uniforms ``u`` (4, n), which are left as they are; each station's bounds
-    depend on its own setting and its own copy of s only.  They start from
-    the overlaps of ``screen_overlaps``.
+    """Float32 bounds (lo1, hi1, lo2, hi2) on the tags that the kernel makes
+    of the uniforms ``u`` (4, n), which are left as they are; each station's
+    bounds depend on its own setting and its own copy of s only.  They start
+    from the overlaps of ``screen_overlaps`` and are rows 4 to 7 of
+    ``ws.rows(n)``.  Below, u32 = 2^-24 is float32's unit roundoff.
 
     Soundness, step by step:
 
-    * Overlap.  The screen takes cos and sin of float32(phi) and otherwise
-      the kernel's operations, so its overlap d~ has |d~ - d| <=
-      (|a.x| + |a.y|) delta + 2^-48, where delta is the float32 error,
-      pinned below OVERLAP_EPS / 10 by a test.  The gap OVERLAP_EPS -
-      |d~ - d| > 0.8 OVERLAP_EPS dominates the one rounding of |d~| +-
-      OVERLAP_EPS for any d, so dlo = max(|d~| - eps, 0) <= |d| <= |d~| +
-      eps = dhi.
-    * Delay.  T is computed from fl(d*d) = fl(|d|*|d|) by 1 - x, max(x, 0),
-      square roots and products.  Each is correctly rounded, and rounding to
-      nearest never reverses the order of two inputs, so T(dhi) <= T(|d|) <=
-      T(dlo) when computed the same way.  np.power (exponents other than 1,
-      2 and 3) is accurate to a few ulps but is not monotone by
-      construction, so there T may leave the bounds by a few 2^-53 (T <= 1).
-    * Tags.  The kernel's tag is fl(u*T) with the same u, so fl(u*T(dhi)) <=
-      t <= fl(u*T(dlo)) by the same rounding argument, up to the np.power
-      ulps, for which the cut's limit carries the slack
+    * Overlap.  The kernel's r = sqrt(max(0, 1 - z^2)) is within 2^-27 of
+      the exact radius: z = 1 - 2u is exact and only z^2 is rounded.  The
+      screen's r/2 comes from float32 u and 1 - u (1 - u is exact in
+      float64), one product and one square root, so it is within 2.5 u32
+      relative of the exact r/2; from float32 z, the error near the poles
+      would grow as the error of z over r.  Its cos and sin of float32(phi)
+      differ from the kernel's by at most delta, pinned below OVERLAP_EPS /
+      10 by a test.  The products, the float32 coefficients 2a, the sums
+      and z/2 add at most 8 u32, since the terms r|cos(phi) a.x|, r|sin(phi)
+      a.y| and |z a.z| sum to at most 1.  With |a.x| + |a.y| <= sqrt(2),
+      |d~ - d| <= sqrt(2) delta + 2^-20 < eps / 4, eps = OVERLAP_EPS.
+    * Overlap bounds.  dhi = fl(|d~| + eps) and dlo = fl(|d~| - eps) round
+      by at most u32, so dhi >= |d| + 0.7 eps and dlo <= |d| - 0.7 eps, with
+      |d| <= 1.  Then fl(dhi^2) >= dhi^2 (1 - u32) > d^2 (1 + 2^-53) >=
+      fl(d^2), the kernel's, because (1 + 0.7 eps)^2 exceeds the two
+      roundings by far; likewise fl(dlo^2) <= fl(d^2) where dlo >= 0.  A
+      negative dlo is not clamped at 0: then dlo^2 < eps^2 < 2^-26, so fl(1
+      - fl(dlo^2)) = 1, as for dlo = 0.  Only 1 - fl(dhi^2) can be negative,
+      and only it is clamped at 0.
+    * Delay.  T(x) = max(1 - x, 0)^(d/2) does not increase with x, so
+      T(fl(dhi^2)) <= T(fl(d^2)) <= T(fl(dlo^2)) in exact arithmetic.  The
+      computed T is within a relative (d/2) u32 of the exact T from the
+      rounding of 1 - x, plus u32 for each square root and product (d = 1,
+      2, 3: at most 3.5 u32), or plus the error of float32 ``np.power``
+      (other d: 8 ulps, 16 u32, are allowed; measured, 1.01 ulps), whose
+      exponent d/2 is rounded up for the lower bounds and down for the upper
+      ones.  The kernel's float64 T is within a few 2^-53 of exact.
+    * Tags.  The kernel's tag is fl(u T).  The screen multiplies T by
+      float32(u) (1 -+ M), with M = 8 u32 for d = 1, 2, 3 and (32 + d) u32
+      otherwise.  Three roundings (u, the factor, the
+      product) and the rounding of 1 -+ M to float32 add at most 4 u32, so
+      M exceeds the relative error of all the steps, and lo <= t <= hi.
+      Beyond M = 1/16 (d above about 2^20) the relative errors are no longer
+      small, and the bounds are 0 and 1, which hold for every tag.
+    * Underflow.  For d = 1, 2, 3, 1 - x is 0 or at least 2^-24 and u is 0
+      or at least 2^-53, so every nonzero bound exceeds 2^-90.  For other d,
+      T may fall below float32's smallest normal, 2^-126, where only an
+      absolute error below 2^-126 holds; the cut's slack covers it
       (``coincidence.block_counts``).
     """
     n = u.shape[1]
-    w0, w1, w5 = ws.tmp[0][:n], ws.tmp[1][:n], ws.tmp[5][:n]
-    d1, d2 = screen_overlaps(u, a1, a2, ws)
-
-    bounds = []
-    for d, lo, t in ((d1, w0, u[2]), (d2, w1, u[3])):
-        np.abs(d, out=d)
-        np.add(d, OVERLAP_EPS, out=lo)
-        np.maximum(np.subtract(d, OVERLAP_EPS, out=d), 0.0, out=d)
-        for x in (lo, d):
-            _delay_from_dot_sq(np.multiply(x, x, out=x), params.d_exponent, out=x, tmp=w5)
-            np.multiply(t, x, out=x)
-        bounds += [lo, d]
-    return tuple(bounds)
+    rows = ws.rows(n)
+    d_exponent = params.d_exponent
+    m = 2.0 ** -21 if d_exponent in (1.0, 2.0, 3.0) else (32.0 + d_exponent) * 2.0 ** -24
+    if m > 2.0 ** -4:
+        rows[4:6], rows[6:8] = 1.0, 0.0
+        return rows[6], rows[4], rows[7], rows[5]
+    screen_overlaps(u, a1, a2, ws)
+    # rows 4 to 7: |d~| - eps and |d~| + eps per station, then 1 - their squares
+    d, x = rows[4:6], rows[4:8]
+    np.abs(d, out=d)
+    np.add(d, OVERLAP_EPS, out=rows[6:8])
+    np.subtract(d, OVERLAP_EPS, out=d)
+    np.subtract(1.0, np.multiply(x, x, out=x), out=x)
+    np.maximum(rows[6:8], 0.0, out=rows[6:8])
+    if d_exponent == 3.0:
+        np.multiply(x, np.sqrt(x, out=rows[0:4]), out=x)
+    elif d_exponent == 1.0:
+        np.sqrt(x, out=x)
+    elif d_exponent != 2.0:
+        np.power(rows[4:6], _float32_half(d_exponent, up=False), out=rows[4:6])
+        np.power(rows[6:8], _float32_half(d_exponent, up=True), out=rows[6:8])
+    # rows 0 to 3: float32(u) (1 + M) for the upper bounds, (1 - M) for the lower
+    np.copyto(rows[0:2], u[2:4])
+    np.multiply(rows[0:2], 1.0 - m, out=rows[2:4])
+    np.multiply(rows[0:2], 1.0 + m, out=rows[0:2])
+    np.multiply(x, rows[0:4], out=x)
+    return rows[6], rows[4], rows[7], rows[5]

@@ -5,19 +5,19 @@ counter-based random stream keyed by (seed, stream index, chunk start).
 Each run (a sweep, a CHSH experiment, a bound audit) is one flat plan: the
 chunks of all its setting pairs, each pair with its own model parameters and
 stream index, served by one process pool, or run in-process for one worker.
-Each chunk is generated block by block into one workspace of one block,
-which serves the screen only; each of a chunk's four draws comes from its
-own copy of the chunk's stream, so the blocks draw exactly the doubles of
-the whole chunk.  When the cut can reject a pair, a block is screened first
-and only the pairs that may coincide go through the exact kernel, in arrays
-of their own (``coincidence.block_counts``).  When it keeps every pair
-(tau = 1 or W = 1), only z and phi are drawn, and the outcomes are settled
-from the signs of the screen's overlaps, with the exact overlaps for the
-few pairs whose signs it cannot settle.  Partial counts are integers,
-summed per pair in plan order, so results are bit-identical for any worker
-count, any completion order and any block size.  The chunk size is part of
-the algorithm, not configuration: changing it would change the sampled
-stream.
+Each chunk is generated block by block into one workspace of one block;
+each of a chunk's four draws comes from its own copy of the chunk's stream,
+so the blocks draw exactly the doubles of the whole chunk.  When the cut
+can reject a pair, each block is screened in float32, and the pairs that
+may coincide are gathered over the chunk's blocks for the exact kernel,
+which runs once per block's worth of them (``coincidence.chunk_counts``).
+When it keeps every pair (tau = 1 or W = 1), only z and phi are drawn, and
+the outcomes are settled from the signs of the screen's overlaps, with the
+exact overlaps for the few pairs whose signs it cannot settle.  Partial
+counts are integers, summed per pair in plan order, so results are
+bit-identical for any worker count, any completion order and any block
+size.  The chunk size is part of the algorithm, not configuration:
+changing it would change the sampled stream.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from enum import Enum
 from . import __version__
 from .bell import CorrelationQuartet, InequalityReport, verdict
 from .bounds import BoundReport, check_simulated_gamma
-from .coincidence import CoincidenceStats, block_counts, uniform_rows
+from .coincidence import CoincidenceStats, chunk_counts, uniform_rows
 from .model import CoincidenceMode, ModelParams, UnitVector3, Workspace, batch_streams
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 19
-# events per block: its reused workspace (under 1.5 MB) fits a core's L2 cache and
+# events per block: its reused workspace (1.53 MiB) fits a core's L2 cache and
 # spares the page faults of fresh temporaries; unlike CHUNK_SIZE it changes no result
 BLOCK_SIZE = 1 << 14
 
@@ -131,8 +131,9 @@ class ExperimentConfig:
         for name in ("settings_deg", "alpha_grid_deg", "audit_alpha_deg"):
             if not all(math.isfinite(a) for a in getattr(self, name)):
                 raise ConfigError(f"{name} must contain finite angles")
-        if not self.alpha_grid_deg:
-            raise ConfigError("alpha_grid_deg must not be empty")
+        for name in ("alpha_grid_deg", "audit_alpha_deg"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
         try:
             self.model_params()
         except ValueError as exc:
@@ -211,13 +212,15 @@ def _chunk_counts(task: tuple) -> tuple[int, int, int]:
     rows = uniform_rows(params)
     streams = batch_streams(seed, start, size, stream=stream, rows=rows)
     workspace = Workspace(min(BLOCK_SIZE, size))
-    counts = []
-    for offset in range(0, size, BLOCK_SIZE):
-        u = workspace.uniforms(min(BLOCK_SIZE, size - offset))[:rows]
-        for row, rng in zip(u, streams):
-            rng.random(out=row)
-        counts.append(block_counts(u, a1, a2, params, workspace))
-    return tuple(sum(column) for column in zip(*counts))
+
+    def blocks():
+        for offset in range(0, size, BLOCK_SIZE):
+            u = workspace.uniforms(min(BLOCK_SIZE, size - offset))[:rows]
+            for row, rng in zip(u, streams):
+                rng.random(out=row)
+            yield u
+
+    return chunk_counts(blocks(), a1, a2, params, workspace)
 
 
 def _available_cpus() -> int:

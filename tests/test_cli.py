@@ -170,6 +170,13 @@ class TestBoundsCommand:
         assert proc.returncode == 1
         assert "same-bin" in proc.stderr
 
+    def test_empty_audit_grid_exits_1(self):
+        proc = run_cli("bounds", "--events", "1000", "--alpha-grid", "")
+        assert proc.returncode == 1
+        assert "audit_alpha_deg must not be empty" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 RUN_ARGS = {
     "sweep": ["--alpha-grid", "0,45,90"],
@@ -270,6 +277,28 @@ class TestFlags:
         assert proc.returncode == 1
         assert "expected a comma-separated list of numbers" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, data", [
+        ("bounds", {"tau": 1e-4}),
+        ("chsh", {"alpha_grid_deg": [0, 90]}),
+        ("sweep", {"settings_deg": [0, 90, 45, 135]}),
+    ])
+    def test_config_key_the_command_does_not_read_exits_1(self, tmp_path, capsys, command,
+                                                          data):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n_events": 1000, **data}))
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert f"the {command} command does not read config keys {list(data)}" in captured.err
+        assert captured.out == ""
+
+    def test_config_key_the_command_reads_is_applied(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n_events": 20000, "audit_tau": [0.01],
+                                   "audit_alpha_deg": [90]}))
+        assert main(["bounds", "--config", str(cfg), "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(float(r["alpha_deg"]), float(r["tau"])) for r in rows] == [(90.0, 0.01)]
 
 
 class TestHelp:

@@ -320,7 +320,8 @@ class TestScreen:
 
     @pytest.mark.parametrize("mode", list(CoincidenceMode))
     @pytest.mark.parametrize("alpha_deg", [0.0, 45.0, 90.0, 180.0])
-    @pytest.mark.parametrize("cut", [1.0, 0.1, 2.5e-4, 1e-9, 1e-300, sys.float_info.min])
+    @pytest.mark.parametrize("cut", [1.0, 0.1, 2.5e-4, 1e-9, 1e-300, sys.float_info.min,
+                                     2.0 ** -126, 1.2e-38])
     def test_screened_counts_equal_whole_block(self, mode, alpha_deg, cut):
         params = ModelParams(tau=cut, window=cut, coincidence_mode=mode)
         a1, a2 = UnitVector3.from_angle_deg(30.0), UnitVector3.from_angle_deg(30.0 + alpha_deg)

@@ -29,6 +29,18 @@ Y_AXIS = UnitVector3(0.0, 1.0, 0.0)
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
 
+class RowGenerator:
+    """Stands in for a numpy Generator whose successive draws are the rows
+    of ``u``."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.rows = iter(u)
+
+    def random(self, out):
+        out[:] = next(self.rows)
+        return out
+
+
 class ConstantGenerator:
     """Stands in for a numpy Generator whose every draw is ``u``."""
 
@@ -52,8 +64,7 @@ def hidden_directions(seed: int, n: int) -> np.ndarray:
 
 def delay(dot_sq, d_exponent: float = 3.0) -> np.ndarray:
     dot_sq = np.atleast_1d(np.asarray(dot_sq, dtype=float))
-    return _delay_from_dot_sq(dot_sq, d_exponent, out=np.empty_like(dot_sq),
-                              tmp=np.empty_like(dot_sq))
+    return _delay_from_dot_sq(dot_sq, d_exponent)
 
 
 def delay_scales(s: np.ndarray, a: UnitVector3, d_exponent: float = 3.0) -> np.ndarray:
@@ -388,3 +399,71 @@ class TestTagBounds:
         for lo, t, hi in ((lo1, batch.t1, hi1), (lo2, batch.t2, hi2)):
             assert np.all(lo - slack <= t) and np.all(t <= hi + slack)
             assert np.all(lo >= 0.0) and np.median(hi - lo) < 1e-4
+
+    @pytest.mark.parametrize("a", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
+                                   UnitVector3(0.48, 0.6, 0.64)])
+    def test_screen_overlaps_near_the_poles_within_a_tenth_of_the_margin(self, a):
+        """z = 1 - 2u within 2e-7 of +-1, where the radius is smallest."""
+        n = 1 << 16
+        ws = Workspace(n)
+        u = ws.uniforms(n)
+        u[:] = event_stream(34, 0).random((4, n))
+        near = 1e-7 * np.random.default_rng(34).random(n)
+        u[0] = np.where(np.arange(n) % 2 == 0, near, 1.0 - near)
+        approx = screen_overlaps(u, a, a, ws)[0].copy()
+        exact = _exact_overlaps(u, a, a)[0]
+        assert np.abs(approx - exact).max() <= OVERLAP_EPS / 10
+
+    @staticmethod
+    def aligned_uniforms(a: UnitVector3, targets: np.ndarray) -> np.ndarray:
+        """Uniforms (2, 2m) of z and phi at which a.s hits each target, with
+        s = t a plus a perpendicular part, at both roots in phi."""
+        rho, psi = math.hypot(a.x, a.y), math.atan2(a.y, a.x)
+        z = targets * a.z
+        delta = np.arccos(np.minimum(targets * rho / np.sqrt(1.0 - z * z), 1.0))
+        phi = np.concatenate([psi + delta, psi - delta])
+        u1 = np.mod(phi / (2.0 * np.pi), 1.0)
+        u1[u1 >= 1.0] = 0.0
+        return np.array([np.tile((1.0 - z) / 2.0, 2), u1])
+
+    @pytest.mark.parametrize("d_exponent", [3.0, 0.7, 40.0])
+    @pytest.mark.parametrize("a2", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
+                                    UnitVector3(0.48, 0.6, 0.64)])
+    def test_kernel_tags_within_bounds_near_alignment(self, d_exponent, a2):
+        """|a.s| placed at 1 - 1e-7, 1 - eps and 1 - 2 eps, where T is
+        smallest and steepest, at each station."""
+        params = ModelParams(d_exponent=d_exponent)
+        a1 = UnitVector3.from_angle_deg(100.0)
+        tops = np.array([1.0 - 1e-7, 1.0 - OVERLAP_EPS, 1.0 - 2.0 * OVERLAP_EPS])
+        targets = np.concatenate([tops, -tops])
+        n = 4_096
+        u = event_stream(35, 0).random((4, n))
+        placed = np.concatenate([self.aligned_uniforms(a, targets) for a in (a1, a2)], axis=1)
+        m = placed.shape[1] // 2
+        u[:2, :2 * m] = placed
+        d1, d2 = _exact_overlaps(u, a1, a2)
+        want = np.tile(targets, 2)
+        assert np.abs(d1[:m] - want).max() < 1e-12
+        assert np.abs(d2[m:2 * m] - want).max() < 1e-12
+        ws = Workspace(n)
+        ws.uniforms(n)[:] = u
+        lo1, hi1, lo2, hi2 = (b.copy() for b in tag_bounds(ws.uniforms(n), a1, a2, params, ws))
+        batch = generate_batch(RowGenerator(u), a1, a2, params, n)
+        slack = 0.0 if d_exponent == 3.0 else 2.0 ** -45
+        for lo, t, hi in ((lo1, batch.t1, hi1), (lo2, batch.t2, hi2)):
+            assert np.all(lo - slack <= t) and np.all(t <= hi + slack)
+            assert np.all(lo >= 0.0)
+
+    def test_huge_exponent_gets_bounds_that_hold_for_every_tag(self):
+        """Beyond d ~ 2^20 the float32 errors are not small; the bounds are 0
+        and 1."""
+        params = ModelParams(d_exponent=2.0 ** 21)
+        a1, a2 = UnitVector3.from_angle_deg(100.0), UnitVector3.from_angle_deg(45.0)
+        n = 1_000
+        ws = Workspace(n)
+        u = ws.uniforms(n)
+        u[:] = event_stream(36, 0).random((4, n))
+        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params, ws)
+        assert np.all(lo1 == 0.0) and np.all(lo2 == 0.0)
+        assert np.all(hi1 == 1.0) and np.all(hi2 == 1.0)
+

@@ -20,7 +20,7 @@ from eprbsim import (
     run_chsh_experiment,
     run_correlation_sweep,
 )
-from eprbsim import runner
+from eprbsim import coincidence, runner
 from eprbsim.bounds import EQUAL_QUAD_REL_TOL
 from eprbsim.coincidence import _counts_from_batch
 from eprbsim.model import (
@@ -78,6 +78,7 @@ class TestExperimentConfig:
             {"d_exponent": math.inf},
             {"audit_alpha_deg": (0.0, 200.0)},
             {"audit_alpha_deg": (-15.0,)},
+            {"audit_alpha_deg": ()},
             {"n_events": 1e5},
             {"seed": 1.5},
             {"workers": True},
@@ -369,6 +370,47 @@ class TestRunPlan:
         want = _counts_from_batch(batch, params)
         task = (23, 3, 5_000, n, a1, a2, params)
         assert runner._chunk_counts(task) == want
+
+    @staticmethod
+    def kernel_sizes(monkeypatch) -> list[int]:
+        """The number of pairs of each call of the exact kernel."""
+        sizes = []
+        kernel = coincidence._events_from_uniforms
+
+        def counting_kernel(u, *args):
+            sizes.append(u.shape[1])
+            return kernel(u, *args)
+
+        monkeypatch.setattr(coincidence, "_events_from_uniforms", counting_kernel)
+        return sizes
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    def test_kept_pairs_flush_at_block_size(self, monkeypatch, mode):
+        """The kept pairs of all blocks go through the kernel together: once
+        when they fill a block, and once more with the rest at the end."""
+        monkeypatch.setattr(runner, "BLOCK_SIZE", 1_000)
+        sizes = self.kernel_sizes(monkeypatch)
+        params = ModelParams(tau=0.1, window=0.1, coincidence_mode=mode)
+        a1, a2 = UnitVector3.from_angle_deg(10.0), UnitVector3.from_angle_deg(55.0)
+        n = 4_000
+        want = _counts_from_batch(generate_batch(event_stream(26, 0, stream=2), a1, a2,
+                                                 params, n), params)
+        sizes.clear()
+        assert runner._chunk_counts((26, 2, 0, n, a1, a2, params)) == want
+        assert len(sizes) == 2 and sizes[0] == 1_000 and 0 < sizes[1] < 1_000
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    def test_chunk_without_kept_pairs_skips_the_kernel(self, monkeypatch, mode):
+        sizes = self.kernel_sizes(monkeypatch)
+        params = ModelParams(tau=1e-300, window=1e-300, coincidence_mode=mode)
+        a1, a2 = UnitVector3.from_angle_deg(10.0), UnitVector3.from_angle_deg(100.0)
+        n = 30_001
+        want = _counts_from_batch(generate_batch(event_stream(26, 0, stream=2), a1, a2,
+                                                 params, n), params)
+        assert want == (n, 0, 0)
+        sizes.clear()
+        assert runner._chunk_counts((26, 2, 0, n, a1, a2, params)) == want
+        assert sizes == []
 
     @pytest.mark.parametrize("mode", list(CoincidenceMode))
     @pytest.mark.parametrize("cut, rows", [(1.0, 2), (0.999, 4), (2.5e-4, 4)])
