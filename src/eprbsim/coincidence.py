@@ -28,7 +28,6 @@ from .model import (
     EventBatch,
     ModelParams,
     UnitVector3,
-    Workspace,
     _events_from_uniforms,
     _exact_overlaps,
     screen_overlaps,
@@ -39,7 +38,6 @@ __all__ = [
     "CoincidenceStats",
     "coincidence_mask",
     "accumulate",
-    "block_counts",
     "chunk_counts",
     "uniform_rows",
     "coincidence_probability_exact",
@@ -152,26 +150,24 @@ def _screen_limit(params: ModelParams) -> np.float32 | None:
 
 
 def uniform_rows(params: ModelParams) -> int:
-    """How many of an event's four uniforms ``block_counts`` reads: z and
+    """How many of an event's four uniforms ``chunk_counts`` reads: z and
     phi alone when the cut keeps every pair, else the two tags as well."""
     return 2 if _screen_limit(params) is None else 4
 
 
-def _outcome_counts(
-    u: np.ndarray, a1: UnitVector3, a2: UnitVector3, workspace: Workspace
-) -> tuple[int, int, int]:
-    """``block_counts`` when the cut keeps every pair: only the outcomes
-    count, and they are settled from rows 0 and 1 of ``u`` (z and phi)."""
+def _outcome_counts(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple[int, int, int]:
+    """``chunk_counts`` of one block when the cut keeps every pair: only the
+    outcomes count, and they are settled from rows 0 and 1 of ``u`` (z and
+    phi)."""
     n = u.shape[1]
-    d1, d2 = screen_overlaps(u, a1, a2, workspace)
+    d1, d2 = screen_overlaps(u, a1, a2)
     # outcomes agree when d1 >= 0 and d2 <= 0 agree, so d1 d2 < 0 when
     # neither is 0; |d1 d2| > eps^2 is far from float32 underflow
-    agree = np.less(np.multiply(d1, d2, out=workspace.rows(n)[0]), 0.0,
-                    out=workspace.agree[:n])
+    agree = np.multiply(d1, d2) < 0.0
     n_agree = np.count_nonzero(agree)
     # the pairs the screen cannot settle: |d~| <= eps at either station
     low = np.minimum(np.abs(d1, out=d1), np.abs(d2, out=d2), out=d1)
-    index = np.flatnonzero(np.less_equal(low, OVERLAP_EPS, out=workspace.mask[:n]))
+    index = np.flatnonzero(low <= OVERLAP_EPS)
     if len(index):
         n_agree -= np.count_nonzero(agree[index])
         e1, e2 = _exact_overlaps(u[:2, index], a1, a2)
@@ -187,72 +183,34 @@ def _kernel_counts(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
 
 
 def _screen(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
-            limit: np.float32, workspace: Workspace) -> np.ndarray:
+            limit: np.float32) -> np.ndarray:
     """The indices of the pairs of ``u`` whose tag intervals come within
-    ``limit``: every pair that may coincide (proof in ``block_counts``)."""
-    n = u.shape[1]
-    lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params, workspace)
-    keep = np.less_equal(np.subtract(lo1, hi2, out=lo1), limit, out=workspace.mask[:n])
-    near = np.less_equal(np.subtract(lo2, hi1, out=lo2), limit, out=workspace.agree[:n])
+    ``limit``: every pair that may coincide (proof in ``chunk_counts``)."""
+    lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
+    keep = np.subtract(lo1, hi2, out=lo1) <= limit
+    near = np.subtract(lo2, hi1, out=lo2) <= limit
     return np.flatnonzero(np.logical_and(keep, near, out=keep))
 
 
 def chunk_counts(
-    blocks: Iterable[np.ndarray], a1: UnitVector3, a2: UnitVector3, params: ModelParams,
-    workspace: Workspace,
+    blocks: Iterable[np.ndarray], a1: UnitVector3, a2: UnitVector3, params: ModelParams
 ) -> tuple[int, int, int]:
     """(events, coincidences, sum of x1*x2 over coincidences) of the events
     of the uniform ``blocks``, each (4, n), or (2, n) when the cut keeps
-    every pair (``uniform_rows``), with n at most the workspace's capacity;
-    equal to ``_counts_from_batch`` of the kernel's batch of all of them.
-    A block may be overwritten once the next one is asked for.
-
-    When the cut keeps every pair (``_screen_limit`` is None), each block's
-    outcomes are counted as ``block_counts`` says, from rows 0 and 1 alone.
-    Otherwise each block is screened, and the uniforms of the pairs kept
-    are gathered into ``workspace.kept``.  The exact kernel runs on them
-    when it is full and once more at the end, on what is left: once per
-    chunk at small tau, never when no pair is kept.
-    """
-    limit = _screen_limit(params)
-    if limit is None:
-        counts = [_outcome_counts(u, a1, a2, workspace) for u in blocks]
-        return tuple(sum(column) for column in zip(*counts))
-    kept, parts, n, filled = workspace.kept, [], 0, 0
-    for u in blocks:
-        n += u.shape[1]
-        index = _screen(u, a1, a2, params, limit, workspace)
-        while len(index):
-            room = kept.shape[1] - filled
-            take, index = index[:room], index[room:]
-            kept[:, filled:filled + len(take)] = u[:, take]
-            filled += len(take)
-            if filled == kept.shape[1]:
-                parts.append(_kernel_counts(kept, a1, a2, params))
-                filled = 0
-    if filled:
-        parts.append(_kernel_counts(kept[:, :filled], a1, a2, params))
-    return n, sum(c for c, _ in parts), sum(s for _, s in parts)
-
-
-def block_counts(
-    u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams, workspace: Workspace
-) -> tuple[int, int, int]:
-    """(events, coincidences, sum of x1*x2 over coincidences) of the events
-    of the uniforms ``u`` (4, n); equal to ``_counts_from_batch`` of the
-    kernel's batch of ``u``.  It is ``chunk_counts`` of the one block.
+    every pair (``uniform_rows``); equal to ``_counts_from_batch`` of the
+    kernel's batch of all of them.  A block may be overwritten once the
+    next one is asked for.
 
     When the cut keeps every pair (tau = 1 or W = 1; ``_screen_limit`` is
-    None), only rows 0 and 1 are read, and ``u`` may hold just those two
-    (``uniform_rows``).  Every pair is coincident: tags are fl(u T) with
-    u < 1 and T <= 1, so they lie in [0, 1), fl(|t1 - t2|) <= 1 <= W and
-    floor(t / 1) = 0.  The counts are then (n, n, 2 agree - n), and whether
-    a pair's outcomes agree depends on the signs of its two overlaps alone.
-    The screen's overlaps d~ differ from the kernel's d by less than
-    ``model.OVERLAP_EPS`` (``model.tag_bounds``), so where |d~| > eps at
-    both stations, sign(d) = sign(d~) and d != 0, and the tie-break to +1
-    never applies.  The other pairs, about 2 eps of them, get the kernel's
-    exact overlaps, from their z and phi alone.
+    None), only rows 0 and 1 are read.  Every pair is coincident: tags are
+    fl(u T) with u < 1 and T <= 1, so they lie in [0, 1), fl(|t1 - t2|) <=
+    1 <= W and floor(t / 1) = 0.  A block's counts are then (n, n, 2 agree
+    - n), and whether a pair's outcomes agree depends on the signs of its
+    two overlaps alone.  The screen's overlaps d~ differ from the kernel's
+    d by less than ``model.OVERLAP_EPS`` (``model.tag_bounds``), so where
+    |d~| > eps at both stations, sign(d) = sign(d~) and d != 0, and the
+    tie-break to +1 never applies.  The other pairs, about 2 eps of them,
+    get the kernel's exact overlaps, from their z and phi alone.
 
     When the cut can reject a pair, a screen keeps only the pairs whose
     float32 tag intervals (``model.tag_bounds``) come within the limit, and
@@ -267,9 +225,34 @@ def block_counts(
     fl(lo1 - hi2) <= the float32 limit.  The same holds for lo2 - hi1, so
     no coincident pair is screened out.  Every operation of the kernel is
     elementwise, so the kept events get the outcomes and tags they would
-    get in the whole block.
+    get in the whole chunk.
+
+    The uniforms of the pairs kept are gathered, over the blocks, into one
+    array as wide as the first block.  The exact kernel runs on them when
+    it is full and once more at the end, on what is left: once per chunk at
+    small tau, never when no pair is kept.
     """
-    return chunk_counts([u], a1, a2, params, workspace)
+    limit = _screen_limit(params)
+    if limit is None:
+        counts = [_outcome_counts(u, a1, a2) for u in blocks]
+        return tuple(sum(column) for column in zip(*counts))
+    parts, n, filled = [], 0, 0
+    for u in blocks:
+        if not n:  # the first block
+            kept = np.empty((4, u.shape[1]))
+        n += u.shape[1]
+        index = _screen(u, a1, a2, params, limit)
+        while len(index):
+            room = kept.shape[1] - filled
+            take, index = index[:room], index[room:]
+            kept[:, filled:filled + len(take)] = u[:, take]
+            filled += len(take)
+            if filled == kept.shape[1]:
+                parts.append(_kernel_counts(kept, a1, a2, params))
+                filled = 0
+    if filled:
+        parts.append(_kernel_counts(kept[:, :filled], a1, a2, params))
+    return n, sum(c for c, _ in parts), sum(s for _, s in parts)
 
 
 def accumulate(batch: EventBatch, params: ModelParams) -> CoincidenceStats:

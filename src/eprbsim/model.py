@@ -32,7 +32,6 @@ __all__ = [
     "batch_streams",
     "screen_overlaps",
     "tag_bounds",
-    "Workspace",
 ]
 
 _NORM_TOL = 1e-12
@@ -147,44 +146,6 @@ def _delay_from_dot_sq(dot_sq: np.ndarray, d_exponent: float) -> np.ndarray:
 OVERLAP_EPS = 1e-5
 
 
-class Workspace:
-    """The screen's reusable buffers for blocks of up to ``capacity`` events.
-
-    ``uniforms(n)`` is the block's four uniform draws, one float64 row each:
-    z, phi, station-1 tags and station-2 tags.  When the cut keeps every pair
-    only rows 0 and 1 are drawn, and rows 2 and 3 hold whatever was there
-    before; nothing reads them then.  The screen works in the eight float32
-    rows of ``rows(n)``, and leaves the pairs that may coincide, or whose
-    outcomes it cannot settle, in ``mask``, with ``agree`` as scratch.
-    ``kept`` gathers the float64 uniforms of the pairs the screen keeps,
-    over the blocks of a chunk, for the exact kernel
-    (``coincidence.chunk_counts``).  At 2^14 events that is 1.53 MiB:
-    512 KiB each of uniforms, float32 rows and kept pairs, and 32 KiB of masks.
-
-    Keep them: a float64 row of a 2^14-event block is 128 KiB, glibc's mmap
-    threshold, so fresh temporaries fault on every page.  On a 2-vCPU VM an
-    allocating-numpy screen took 54-64 ms per 2^19-event cut-path chunk, not
-    39-43 ms, with ~8,190 minor faults per chunk, not at most 1; with 2^15-event
-    blocks the benchmark's ``chsh_10m`` wall time rose from 1.77-2.00 to 2.41-2.77 s.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self._uniforms = np.empty(4 * capacity)
-        self._rows = np.empty(8 * capacity, np.float32)
-        self.kept = np.empty((4, capacity))
-        self.mask = np.empty(capacity, np.bool_)
-        self.agree = np.empty(capacity, np.bool_)
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """A C-contiguous (4, n) view for the uniforms of ``n`` events."""
-        return self._uniforms[:4 * n].reshape(4, n)
-
-    def rows(self, n: int) -> np.ndarray:
-        """A C-contiguous (8, n) float32 view, the screen's scratch for ``n``
-        events; any run of consecutive rows is contiguous too."""
-        return self._rows[:8 * n].reshape(8, n)
-
-
 def batch_streams(
     seed: int, start_index: int, n: int, stream: int = 0, rows: int = 4
 ) -> list[np.random.Generator]:
@@ -268,38 +229,43 @@ def generate_batch(
     return _events_from_uniforms(u, a1, a2, params)
 
 
-def screen_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
-                    ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+def _screen_overlap(half_r_cos: np.ndarray, half_r_sin: np.ndarray,
+                    half_z: np.ndarray | None, a: UnitVector3) -> np.ndarray:
+    """One station's float32 overlap 2 (r/2 cos(phi) a.x + r/2 sin(phi) a.y +
+    z/2 a.z), in a fresh array.  As in ``_overlap``, the z term is skipped
+    when a.z == 0."""
+    d = np.multiply(half_r_cos, np.float32(2.0 * a.x))
+    term = np.multiply(half_r_sin, np.float32(2.0 * a.y))
+    np.add(d, term, out=d)
+    if a.z != 0.0:
+        np.add(d, np.multiply(half_z, np.float32(2.0 * a.z), out=term), out=d)
+    return d
+
+
+def screen_overlaps(u: np.ndarray, a1: UnitVector3,
+                    a2: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
     """Approximate float32 overlaps (d~1, d~2) of the hidden directions drawn
     from rows 0 and 1 of ``u`` (z and phi), which are left as they are; rows
     2 and 3 are not read.  They are within OVERLAP_EPS / 4 of the kernel's
-    overlaps (proof in ``tag_bounds``).  d~1 and d~2 are rows 4 and 5 of
-    ``ws.rows(n)``, and rows 0 to 3 are scratch.
+    overlaps (proof in ``tag_bounds``), and each is a fresh array that
+    depends on its own station's setting only.
 
     Each uniform row is rounded to float32 once, and the rest runs in
     float32: r/2 = sqrt(u (1 - u)), since 1 - z^2 = 4 u (1 - u), and the
     overlap is 2 (r/2 cos(phi) a.x + r/2 sin(phi) a.y + z/2 a.z).
     """
-    n = u.shape[1]
-    rows = ws.rows(n)
-    half_r, d = rows[0], rows[4:6]
-    np.copyto(half_r, u[0])
-    np.subtract(1.0, u[0], out=rows[1], casting="same_kind")
-    np.sqrt(np.multiply(half_r, rows[1], out=half_r), out=half_r)
-    np.multiply(2.0 * np.pi, u[1], out=rows[2], casting="same_kind")
-    np.cos(rows[2], out=rows[3])
-    np.sin(rows[2], out=rows[2])
-    # rows 2 and 3: r/2 sin(phi) and r/2 cos(phi)
-    np.multiply(rows[2:4], half_r, out=rows[2:4])
-    # both stations at once, with (2, 1) columns of the float32 coefficients 2a
-    coef = np.array([[2.0 * a1.x, 2.0 * a1.y, 2.0 * a1.z],
-                     [2.0 * a2.x, 2.0 * a2.y, 2.0 * a2.z]], np.float32)
-    np.multiply(rows[3], coef[:, 0:1], out=d)
-    np.add(d, np.multiply(rows[2], coef[:, 1:2], out=rows[0:2]), out=d)
+    half_r = u[0].astype(np.float32)
+    scratch = np.subtract(1.0, u[0], out=np.empty_like(half_r), casting="same_kind")
+    np.sqrt(np.multiply(half_r, scratch, out=half_r), out=half_r)
+    phi = np.multiply(2.0 * np.pi, u[1], out=scratch, casting="same_kind")
+    half_r_cos = np.cos(phi)
+    np.multiply(half_r_cos, half_r, out=half_r_cos)
+    half_r_sin = np.multiply(np.sin(phi, out=phi), half_r, out=phi)
+    half_z = None
     if a1.z != 0.0 or a2.z != 0.0:
-        half_z = np.subtract(0.5, u[0], out=rows[2], casting="same_kind")
-        np.add(d, np.multiply(half_z, coef[:, 2:3], out=rows[0:2]), out=d)
-    return d[0], d[1]
+        half_z = np.subtract(0.5, u[0], out=half_r, casting="same_kind")
+    return (_screen_overlap(half_r_cos, half_r_sin, half_z, a1),
+            _screen_overlap(half_r_cos, half_r_sin, half_z, a2))
 
 
 def _float32_half(d_exponent: float, up: bool) -> np.float32:
@@ -311,13 +277,43 @@ def _float32_half(d_exponent: float, up: bool) -> np.float32:
     return half
 
 
-def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
-               ws: Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _station_tag_bounds(d: np.ndarray, t_row: np.ndarray, d_exponent: float,
+                        m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 bounds (lo, hi) on one station's tags, from its screen
+    overlaps ``d`` (d~, overwritten with hi), its tag uniforms ``t_row`` and
+    the margin ``m`` (M in ``tag_bounds``, which proves them sound)."""
+    # |d~| + eps and |d~| - eps, then 1 - their squares
+    hi = np.abs(d, out=d)
+    lo = np.add(hi, OVERLAP_EPS)
+    np.subtract(hi, OVERLAP_EPS, out=hi)
+    for x in (lo, hi):
+        np.subtract(1.0, np.multiply(x, x, out=x), out=x)
+    np.maximum(lo, 0.0, out=lo)
+    scratch = np.empty_like(lo)
+    if d_exponent == 3.0:
+        for x in (lo, hi):
+            np.multiply(x, np.sqrt(x, out=scratch), out=x)
+    elif d_exponent == 1.0:
+        np.sqrt(lo, out=lo)
+        np.sqrt(hi, out=hi)
+    elif d_exponent != 2.0:
+        np.power(hi, _float32_half(d_exponent, up=False), out=hi)
+        np.power(lo, _float32_half(d_exponent, up=True), out=lo)
+    # times float32(u) (1 - M) for the lower bound, (1 + M) for the upper
+    u32 = t_row.astype(np.float32)
+    for x, factor in ((lo, 1.0 - m), (hi, 1.0 + m)):
+        np.multiply(x, np.multiply(u32, factor, out=scratch), out=x)
+    return lo, hi
+
+
+def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
+               params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Float32 bounds (lo1, hi1, lo2, hi2) on the tags that the kernel makes
-    of the uniforms ``u`` (4, n), which are left as they are; each station's
-    bounds depend on its own setting and its own copy of s only.  They start
-    from the overlaps of ``screen_overlaps`` and are rows 4 to 7 of
-    ``ws.rows(n)``.  Below, u32 = 2^-24 is float32's unit roundoff.
+    of the uniforms ``u`` (4, n), which are left as they are, in fresh
+    arrays.  Each station's bounds come from its own overlaps of
+    ``screen_overlaps`` and its own tag row, so they depend on its own
+    setting and its own copy of s only.  Below, u32 = 2^-24 is float32's
+    unit roundoff.
 
     Soundness, step by step:
 
@@ -359,33 +355,13 @@ def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelPar
       or at least 2^-53, so every nonzero bound exceeds 2^-90.  For other d,
       T may fall below float32's smallest normal, 2^-126, where only an
       absolute error below 2^-126 holds; the cut's slack covers it
-      (``coincidence.block_counts``).
+      (``coincidence.chunk_counts``).
     """
-    n = u.shape[1]
-    rows = ws.rows(n)
     d_exponent = params.d_exponent
     m = 2.0 ** -21 if d_exponent in (1.0, 2.0, 3.0) else (32.0 + d_exponent) * 2.0 ** -24
     if m > 2.0 ** -4:
-        rows[4:6], rows[6:8] = 1.0, 0.0
-        return rows[6], rows[4], rows[7], rows[5]
-    screen_overlaps(u, a1, a2, ws)
-    # rows 4 to 7: |d~| - eps and |d~| + eps per station, then 1 - their squares
-    d, x = rows[4:6], rows[4:8]
-    np.abs(d, out=d)
-    np.add(d, OVERLAP_EPS, out=rows[6:8])
-    np.subtract(d, OVERLAP_EPS, out=d)
-    np.subtract(1.0, np.multiply(x, x, out=x), out=x)
-    np.maximum(rows[6:8], 0.0, out=rows[6:8])
-    if d_exponent == 3.0:
-        np.multiply(x, np.sqrt(x, out=rows[0:4]), out=x)
-    elif d_exponent == 1.0:
-        np.sqrt(x, out=x)
-    elif d_exponent != 2.0:
-        np.power(rows[4:6], _float32_half(d_exponent, up=False), out=rows[4:6])
-        np.power(rows[6:8], _float32_half(d_exponent, up=True), out=rows[6:8])
-    # rows 0 to 3: float32(u) (1 + M) for the upper bounds, (1 - M) for the lower
-    np.copyto(rows[0:2], u[2:4])
-    np.multiply(rows[0:2], 1.0 - m, out=rows[2:4])
-    np.multiply(rows[0:2], 1.0 + m, out=rows[0:2])
-    np.multiply(x, rows[0:4], out=x)
-    return rows[6], rows[4], rows[7], rows[5]
+        n = u.shape[1]
+        return tuple(np.full(n, bound, np.float32) for bound in (0.0, 1.0, 0.0, 1.0))
+    d1, d2 = screen_overlaps(u, a1, a2)
+    return (*_station_tag_bounds(d1, u[2], d_exponent, m),
+            *_station_tag_bounds(d2, u[3], d_exponent, m))

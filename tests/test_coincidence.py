@@ -11,7 +11,7 @@ from eprbsim.coincidence import (
     CoincidenceStats,
     _counts_from_batch,
     accumulate,
-    block_counts,
+    chunk_counts,
     coincidence_mask,
     coincidence_probability_exact,
     same_bin_probability_exact,
@@ -22,7 +22,6 @@ from eprbsim.model import (
     EventBatch,
     ModelParams,
     UnitVector3,
-    Workspace,
     _events_from_uniforms,
     _exact_overlaps,
     event_stream,
@@ -287,9 +286,10 @@ class TestSameBinProbabilityExact:
 
 
 class TestScreen:
-    """``block_counts`` screens with float32 bounds, then runs the exact
-    kernel on the kept pairs; its counts must equal the kernel's on the
-    whole block, also for pairs built to sit at the edge of the cut."""
+    """``chunk_counts`` screens with float32 bounds, then runs the exact
+    kernel on the kept pairs; its counts of one block must equal the
+    kernel's on the whole block, also for pairs built to sit at the edge of
+    the cut."""
 
     @staticmethod
     def edge_uniforms(seed: int, n: int, a1, a2, params, cut: float) -> np.ndarray:
@@ -327,11 +327,8 @@ class TestScreen:
         a1, a2 = UnitVector3.from_angle_deg(30.0), UnitVector3.from_angle_deg(30.0 + alpha_deg)
         n = 20_000
         u = self.edge_uniforms(41, n, a1, a2, params, cut)
-        ws = Workspace(n)
         want = _counts_from_batch(_events_from_uniforms(u, a1, a2, params), params)
-        screened = ws.uniforms(n)
-        screened[:] = u
-        assert block_counts(screened, a1, a2, params, ws) == want
+        assert chunk_counts([u], a1, a2, params) == want
         assert want[1] > (0 if cut < 1e-9 else n // 100)
 
 
@@ -348,7 +345,7 @@ class RowGenerator:
 
 
 class TestOutcomeScreen:
-    """Without a cut (tau = 1 or W = 1), ``block_counts`` settles outcomes
+    """Without a cut (tau = 1 or W = 1), ``chunk_counts`` settles outcomes
     from the float32 screen's overlap signs and falls back to the exact
     overlaps within OVERLAP_EPS of 0; its counts must equal the kernel's
     for hidden directions placed at that edge."""
@@ -405,16 +402,12 @@ class TestOutcomeScreen:
         want = _counts_from_batch(batch, params)
         assert want[:2] == (n, n)
         # each placed event alone, so that no two errors can cancel
-        ws = Workspace(1)
         for j in range(zphi.shape[1]):
-            ws.uniforms(1)[:2] = u[:2, j:j + 1]
-            assert block_counts(ws.uniforms(1)[:2], a1, a2, params, ws) == (1, 1, sign_xy[j])
-        ws = Workspace(n)
-        block = ws.uniforms(n)
-        block[:2] = u[:2]
+            assert chunk_counts([u[:2, j:j + 1]], a1, a2, params) == (1, 1, sign_xy[j])
+        block = u.copy()
         block[2:] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert block_counts(block, a1, a2, params, ws) == want
+            assert chunk_counts([block], a1, a2, params) == want
             # only z and phi are needed
-            assert block_counts(ws.uniforms(n)[:2], a1, a2, params, ws) == want
+            assert chunk_counts([block[:2]], a1, a2, params) == want

@@ -14,7 +14,6 @@ from eprbsim.model import (
     OVERLAP_EPS,
     ModelParams,
     UnitVector3,
-    Workspace,
     _delay_from_dot_sq,
     _exact_overlaps,
     batch_streams,
@@ -375,10 +374,8 @@ class TestTagBounds:
                                    UnitVector3(0.48, 0.6, 0.64)])
     def test_screen_overlaps_within_a_tenth_of_the_margin(self, a):
         n = 1 << 16
-        ws = Workspace(n)
-        u = ws.uniforms(n)
-        u[:] = event_stream(33, 0).random((4, n))
-        approx = screen_overlaps(u, a, a, ws)[0].copy()
+        u = event_stream(33, 0).random((4, n))
+        approx = screen_overlaps(u, a, a)[0]
         exact = _exact_overlaps(u, a, a)[0]
         assert np.abs(approx - exact).max() <= OVERLAP_EPS / 10
 
@@ -389,10 +386,8 @@ class TestTagBounds:
         params = ModelParams(d_exponent=d_exponent)
         a1 = UnitVector3.from_angle_deg(100.0)
         n = 50_000
-        ws = Workspace(n)
-        u = ws.uniforms(n)
-        u[:] = event_stream(32, 0).random((4, n))
-        lo1, hi1, lo2, hi2 = (b.copy() for b in tag_bounds(u, a1, a2, params, ws))
+        u = event_stream(32, 0).random((4, n))
+        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
         batch = generate_batch(event_stream(32, 0), a1, a2, params, n)
         # np.power is not correctly rounded; the cut's limit allows for that
         slack = 0.0 if d_exponent in (1.0, 2.0, 3.0) else 2.0 ** -45
@@ -405,12 +400,10 @@ class TestTagBounds:
     def test_screen_overlaps_near_the_poles_within_a_tenth_of_the_margin(self, a):
         """z = 1 - 2u within 2e-7 of +-1, where the radius is smallest."""
         n = 1 << 16
-        ws = Workspace(n)
-        u = ws.uniforms(n)
-        u[:] = event_stream(34, 0).random((4, n))
+        u = event_stream(34, 0).random((4, n))
         near = 1e-7 * np.random.default_rng(34).random(n)
         u[0] = np.where(np.arange(n) % 2 == 0, near, 1.0 - near)
-        approx = screen_overlaps(u, a, a, ws)[0].copy()
+        approx = screen_overlaps(u, a, a)[0]
         exact = _exact_overlaps(u, a, a)[0]
         assert np.abs(approx - exact).max() <= OVERLAP_EPS / 10
 
@@ -426,7 +419,7 @@ class TestTagBounds:
         u1[u1 >= 1.0] = 0.0
         return np.array([np.tile((1.0 - z) / 2.0, 2), u1])
 
-    @pytest.mark.parametrize("d_exponent", [3.0, 0.7, 40.0])
+    @pytest.mark.parametrize("d_exponent", [3.0, 2.0, 1.0, 0.7, 40.0])
     @pytest.mark.parametrize("a2", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
                                     UnitVector3(0.48, 0.6, 0.64)])
     def test_kernel_tags_within_bounds_near_alignment(self, d_exponent, a2):
@@ -445,11 +438,9 @@ class TestTagBounds:
         want = np.tile(targets, 2)
         assert np.abs(d1[:m] - want).max() < 1e-12
         assert np.abs(d2[m:2 * m] - want).max() < 1e-12
-        ws = Workspace(n)
-        ws.uniforms(n)[:] = u
-        lo1, hi1, lo2, hi2 = (b.copy() for b in tag_bounds(ws.uniforms(n), a1, a2, params, ws))
+        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
         batch = generate_batch(RowGenerator(u), a1, a2, params, n)
-        slack = 0.0 if d_exponent == 3.0 else 2.0 ** -45
+        slack = 0.0 if d_exponent in (1.0, 2.0, 3.0) else 2.0 ** -45
         for lo, t, hi in ((lo1, batch.t1, hi1), (lo2, batch.t2, hi2)):
             assert np.all(lo - slack <= t) and np.all(t <= hi + slack)
             assert np.all(lo >= 0.0)
@@ -460,10 +451,26 @@ class TestTagBounds:
         params = ModelParams(d_exponent=2.0 ** 21)
         a1, a2 = UnitVector3.from_angle_deg(100.0), UnitVector3.from_angle_deg(45.0)
         n = 1_000
-        ws = Workspace(n)
-        u = ws.uniforms(n)
-        u[:] = event_stream(36, 0).random((4, n))
-        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params, ws)
+        u = event_stream(36, 0).random((4, n))
+        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
         assert np.all(lo1 == 0.0) and np.all(lo2 == 0.0)
         assert np.all(hi1 == 1.0) and np.all(hi2 == 1.0)
 
+    @pytest.mark.parametrize("d_exponent", [3.0, 0.7])
+    @pytest.mark.parametrize("a", [X_AXIS, UnitVector3.from_angle_deg(100.0),
+                                   UnitVector3(0.48, 0.6, 0.64)])
+    def test_each_station_reads_its_own_setting_only(self, a, d_exponent):
+        """A station's screen overlaps and tag bounds are byte-identical
+        under any change of the other station's setting, in-plane or not.
+        At u0 = 0, where r = 0, every term of the overlap is a signed zero."""
+        params = ModelParams(d_exponent=d_exponent)
+        n = 4_096
+        u = event_stream(37, 0).random((4, n))
+        u[0, :512] = 0.0
+        others = [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
+                  UnitVector3(0.48, 0.6, 0.64)]
+        station_1 = {(screen_overlaps(u, a, b)[0].tobytes(),
+                      *(x.tobytes() for x in tag_bounds(u, a, b, params)[:2])) for b in others}
+        station_2 = {(screen_overlaps(u, b, a)[1].tobytes(),
+                      *(x.tobytes() for x in tag_bounds(u, b, a, params)[2:])) for b in others}
+        assert len(station_1) == 1 and len(station_2) == 1

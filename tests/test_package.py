@@ -1,10 +1,13 @@
-"""The package root: what it exports, and what README's API example imports."""
+"""What the package and its modules export, and what README's API example imports."""
 
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import eprbsim
+from eprbsim import bell, bounds, coincidence, model, runner
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,9 +22,11 @@ def readme_api_imports() -> set[str]:
     return names
 
 
-def test_every_exported_name_resolves():
-    for name in eprbsim.__all__:
-        assert hasattr(eprbsim, name), name
+@pytest.mark.parametrize("module", [eprbsim, model, coincidence, runner, bounds, bell],
+                         ids=lambda module: module.__name__)
+def test_every_exported_name_resolves(module):
+    for name in module.__all__:
+        assert hasattr(module, name), name
 
 
 def test_readme_api_block_uses_only_exported_names():

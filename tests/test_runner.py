@@ -4,7 +4,6 @@ import csv
 import io
 import math
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +25,6 @@ from eprbsim.coincidence import _counts_from_batch
 from eprbsim.model import (
     ModelParams,
     UnitVector3,
-    Workspace,
     batch_streams,
     event_stream,
     generate_batch,
@@ -416,9 +414,10 @@ class TestRunPlan:
     @pytest.mark.parametrize("cut, rows", [(1.0, 2), (0.999, 4), (2.5e-4, 4)])
     def test_chunk_draws_only_the_rows_it_needs(self, monkeypatch, mode, cut, rows):
         """A chunk without a cut draws z and phi only and never makes the
-        tag streams; with a cut it draws all four rows.  Either way it gives
-        the whole-chunk kernel's counts."""
-        made, drawn = [], set()
+        tag streams; with a cut it draws all four rows.  Its blocks hold
+        just those rows, so a read of a tag row without a cut would raise.
+        Either way it gives the whole-chunk kernel's counts."""
+        made, drawn, shapes = [], set(), []
 
         class CountingStream:
             def __init__(self, rng, k):
@@ -433,7 +432,15 @@ class TestRunPlan:
             made.append(len(streams))
             return [CountingStream(rng, k) for k, rng in enumerate(streams)]
 
+        def recording_chunk_counts(blocks, *args):
+            def recorded():
+                for u in blocks:
+                    shapes.append(u.shape)
+                    yield u
+            return coincidence.chunk_counts(recorded(), *args)
+
         monkeypatch.setattr(runner, "batch_streams", counting_streams)
+        monkeypatch.setattr(runner, "chunk_counts", recording_chunk_counts)
         params = ModelParams(tau=cut, window=cut, coincidence_mode=mode)
         a1, a2 = UnitVector3.from_angle_deg(10.0), UnitVector3.from_angle_deg(55.0)
         n = 40_001
@@ -442,28 +449,8 @@ class TestRunPlan:
         assert runner._chunk_counts((24, 1, 0, n, a1, a2, params)) == want
         assert made == [rows]
         assert drawn == set(range(rows))
-
-    def test_no_cut_chunk_ignores_stale_tag_rows(self, monkeypatch):
-        """Rows 2 and 3 of the workspace are neither drawn nor read without
-        a cut: NaN left there changes no count and raises no warning."""
-        made = []
-
-        class StaleWorkspace(Workspace):
-            def __init__(self, capacity):
-                super().__init__(capacity)
-                self.uniforms(capacity)[2:] = np.nan
-                made.append(capacity)
-
-        monkeypatch.setattr(runner, "Workspace", StaleWorkspace)
-        params = ModelParams(window=1.0, coincidence_mode=CoincidenceMode.CONTINUOUS)
-        a1, a2 = UnitVector3(0.48, 0.6, 0.64), UnitVector3.from_angle_deg(30.0)
-        n = 30_001
-        want = _counts_from_batch(generate_batch(event_stream(25, 0), a1, a2, params, n),
-                                  params)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert runner._chunk_counts((25, 0, 0, n, a1, a2, params)) == want
-        assert made == [runner.BLOCK_SIZE]
+        assert {shape[0] for shape in shapes} == {rows}
+        assert sum(shape[1] for shape in shapes) == n
 
     def test_chsh_names_first_empty_pair(self):
         # ac (equal settings) keeps a few coincidences at this tau; ad and bc keep none
