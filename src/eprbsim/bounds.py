@@ -137,27 +137,22 @@ def _levels(length: float, scale: float) -> int:
     return max(0, math.ceil(math.log2(length / scale))) + _EXTRA_LEVELS
 
 
-def unequal_settings_quadrature(alpha: float, tau: float, start: float = 0.0) -> float:
+def unequal_settings_quadrature(alpha: float, tau: float) -> float:
     """Direct quadrature of the sphere-averaged coincidence-density integral
     ``2*tau * integral_0^{2pi} dphi / max(sin^2 phi, sin^2(phi - alpha))``.
 
     The integrand switches branch at phi = alpha/2 + k*pi/2; each smooth
-    piece gets its own graded Gauss-Legendre rule.  ``start`` shifts the
-    (periodic) integration interval to [start, start + 2pi].  Diverges as
-    alpha -> 0 or alpha -> pi, where the two delay scales coincide and the
-    density picture breaks down; both endpoints are rejected.
+    piece gets its own graded Gauss-Legendre rule.  Diverges as alpha -> 0
+    or alpha -> pi, where the two delay scales coincide and the density
+    picture breaks down; both endpoints are rejected.
     """
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha must be strictly inside (0, pi), got {alpha}")
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
     two_pi = 2.0 * math.pi
-    kinks = sorted(
-        start + (0.5 * alpha + 0.5 * k * math.pi - start) % two_pi for k in range(4)
-    )
-    points = np.array(
-        [start] + [k for k in kinks if start < k < start + two_pi] + [start + two_pi]
-    )
+    kinks = sorted((0.5 * alpha + 0.5 * k * math.pi) % two_pi for k in range(4))
+    points = np.array([0.0] + [k for k in kinks if 0.0 < k < two_pi] + [two_pi])
     lo, hi = points[:-1], points[1:]
     mid = 0.5 * (lo + hi)
     # each branch 1/sin^2 has its poles alpha/2 and (pi - alpha)/2 beyond

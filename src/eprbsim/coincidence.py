@@ -1,4 +1,4 @@
-"""Time-window post-selection and coincidence statistics.
+"""Time-window post-selection, chunk counts and coincidence statistics.
 
 Two conventions for "coincident" are supported.  Continuous mode keeps a
 pair when ``|t1 - t2| <= W``.  Same-bin mode discretizes tags to bins of
@@ -7,11 +7,13 @@ the convention under which the per-pair coincidence probability equals
 ``tau * min(T1, T2) / (T1 * T2)`` almost everywhere, which is what the
 analytic rate bounds assume.
 
-The runner counts coincidences with ``chunk_counts``: a cheap, provably
-conservative float32 screen on bounds of the tags, block by block, then
-the exact kernel and the cut on the few pairs that pass it, gathered over
-the blocks of a chunk.  When the cut keeps every pair, the screen settles
-the outcomes from the signs of the overlaps, and the tags are never drawn.
+``chunk_counts`` counts one chunk of the runner's plan.  It draws the
+chunk's uniforms block by block, screens each block in float32 on provably
+conservative bounds of the tags, and runs the exact kernel of ``model`` and
+the cut on the few pairs that pass, gathered over the blocks of the chunk.
+When the cut keeps every pair, the screen settles the outcomes from the
+signs of the overlaps, and the tags are never drawn.  As in the model, each
+station's screen works from its own setting and its own copy of s only.
 """
 
 from __future__ import annotations
@@ -23,15 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    OVERLAP_EPS,
     CoincidenceMode,
     EventBatch,
     ModelParams,
     UnitVector3,
     _events_from_uniforms,
     _exact_overlaps,
-    screen_overlaps,
-    tag_bounds,
+    batch_streams,
 )
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "coincidence_mask",
     "accumulate",
     "chunk_counts",
-    "uniform_rows",
     "coincidence_probability_exact",
     "same_bin_probability_exact",
 ]
@@ -129,10 +128,155 @@ def _counts_from_batch(batch: EventBatch, params: ModelParams) -> tuple[int, int
     return len(batch), n_c, 2 * n_agree - n_c
 
 
+# Margin on the overlap a.S in tag_bounds.  The screen's float32 overlap is
+# within sqrt(2) delta + 2^-20 < OVERLAP_EPS / 4 of the kernel's float64 one,
+# where delta, the error of float32 cos and sin of float32(phi), is tested
+# below OVERLAP_EPS / 10; measured, the overlap error is at most 3.1e-7.
+OVERLAP_EPS = 1e-5
+
+
+def _screen_overlap(half_r_cos: np.ndarray, half_r_sin: np.ndarray,
+                    half_z: np.ndarray | None, a: UnitVector3) -> np.ndarray:
+    """One station's float32 overlap 2 (r/2 cos(phi) a.x + r/2 sin(phi) a.y +
+    z/2 a.z), in a fresh array.  As in ``model._overlap``, the z term is
+    skipped when a.z == 0."""
+    d = np.multiply(half_r_cos, np.float32(2.0 * a.x))
+    term = np.multiply(half_r_sin, np.float32(2.0 * a.y))
+    np.add(d, term, out=d)
+    if a.z != 0.0:
+        np.add(d, np.multiply(half_z, np.float32(2.0 * a.z), out=term), out=d)
+    return d
+
+
+def screen_overlaps(u: np.ndarray, a1: UnitVector3,
+                    a2: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate float32 overlaps (d~1, d~2) of the hidden directions drawn
+    from rows 0 and 1 of ``u`` (z and phi), which are left as they are; rows
+    2 and 3 are not read.  They are within OVERLAP_EPS / 4 of the kernel's
+    overlaps (proof in ``tag_bounds``), and each is a fresh array that
+    depends on its own station's setting only.
+
+    Each uniform row is rounded to float32 once, and the rest runs in
+    float32: r/2 = sqrt(u (1 - u)), since 1 - z^2 = 4 u (1 - u), and the
+    overlap is 2 (r/2 cos(phi) a.x + r/2 sin(phi) a.y + z/2 a.z).
+    """
+    half_r = u[0].astype(np.float32)
+    scratch = np.subtract(1.0, u[0], out=np.empty_like(half_r), casting="same_kind")
+    np.sqrt(np.multiply(half_r, scratch, out=half_r), out=half_r)
+    phi = np.multiply(2.0 * np.pi, u[1], out=scratch, casting="same_kind")
+    half_r_cos = np.cos(phi)
+    np.multiply(half_r_cos, half_r, out=half_r_cos)
+    half_r_sin = np.multiply(np.sin(phi, out=phi), half_r, out=phi)
+    half_z = None
+    if a1.z != 0.0 or a2.z != 0.0:
+        half_z = np.subtract(0.5, u[0], out=half_r, casting="same_kind")
+    return (_screen_overlap(half_r_cos, half_r_sin, half_z, a1),
+            _screen_overlap(half_r_cos, half_r_sin, half_z, a2))
+
+
+def _float32_half(d_exponent: float, up: bool) -> np.float32:
+    """d/2 rounded up or down to a float32."""
+    exact = 0.5 * d_exponent
+    half = np.float32(exact)
+    if float(half) < exact if up else float(half) > exact:
+        half = np.nextafter(half, np.float32(np.inf if up else 0.0))
+    return half
+
+
+def _station_tag_bounds(d: np.ndarray, t_row: np.ndarray, d_exponent: float,
+                        m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 bounds (lo, hi) on one station's tags, from its screen
+    overlaps ``d`` (d~, overwritten with hi), its tag uniforms ``t_row`` and
+    the margin ``m`` (M in ``tag_bounds``, which proves them sound)."""
+    # |d~| + eps and |d~| - eps, then 1 - their squares
+    hi = np.abs(d, out=d)
+    lo = np.add(hi, OVERLAP_EPS)
+    np.subtract(hi, OVERLAP_EPS, out=hi)
+    for x in (lo, hi):
+        np.subtract(1.0, np.multiply(x, x, out=x), out=x)
+    np.maximum(lo, 0.0, out=lo)
+    scratch = np.empty_like(lo)
+    if d_exponent == 3.0:
+        for x in (lo, hi):
+            np.multiply(x, np.sqrt(x, out=scratch), out=x)
+    elif d_exponent == 1.0:
+        np.sqrt(lo, out=lo)
+        np.sqrt(hi, out=hi)
+    elif d_exponent != 2.0:
+        np.power(hi, _float32_half(d_exponent, up=False), out=hi)
+        np.power(lo, _float32_half(d_exponent, up=True), out=lo)
+    # times float32(u) (1 - M) for the lower bound, (1 + M) for the upper
+    u32 = t_row.astype(np.float32)
+    for x, factor in ((lo, 1.0 - m), (hi, 1.0 + m)):
+        np.multiply(x, np.multiply(u32, factor, out=scratch), out=x)
+    return lo, hi
+
+
+def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
+               params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Float32 bounds (lo1, hi1, lo2, hi2) on the tags that the kernel makes
+    of the uniforms ``u`` (4, n), which are left as they are, in fresh
+    arrays.  Each station's bounds come from its own overlaps of
+    ``screen_overlaps`` and its own tag row, so they depend on its own
+    setting and its own copy of s only.  Below, u32 = 2^-24 is float32's
+    unit roundoff.
+
+    Soundness, step by step:
+
+    * Overlap.  The kernel's r = sqrt(max(0, 1 - z^2)) is within 2^-27 of
+      the exact radius: z = 1 - 2u is exact and only z^2 is rounded.  The
+      screen's r/2 comes from float32 u and 1 - u (1 - u is exact in
+      float64), one product and one square root, so it is within 2.5 u32
+      relative of the exact r/2; from float32 z, the error near the poles
+      would grow as the error of z over r.  Its cos and sin of float32(phi)
+      differ from the kernel's by at most delta, pinned below OVERLAP_EPS /
+      10 by a test.  The products, the float32 coefficients 2a, the sums
+      and z/2 add at most 8 u32, since the terms r|cos(phi) a.x|, r|sin(phi)
+      a.y| and |z a.z| sum to at most 1.  With |a.x| + |a.y| <= sqrt(2),
+      |d~ - d| <= sqrt(2) delta + 2^-20 < eps / 4, eps = OVERLAP_EPS.
+    * Overlap bounds.  dhi = fl(|d~| + eps) and dlo = fl(|d~| - eps) round
+      by at most u32, so dhi >= |d| + 0.7 eps and dlo <= |d| - 0.7 eps, with
+      |d| <= 1.  Then fl(dhi^2) >= dhi^2 (1 - u32) > d^2 (1 + 2^-53) >=
+      fl(d^2), the kernel's, because (1 + 0.7 eps)^2 exceeds the two
+      roundings by far; likewise fl(dlo^2) <= fl(d^2) where dlo >= 0.  A
+      negative dlo is not clamped at 0: then dlo^2 < eps^2 < 2^-26, so fl(1
+      - fl(dlo^2)) = 1, as for dlo = 0.  Only 1 - fl(dhi^2) can be negative,
+      and only it is clamped at 0.
+    * Delay.  T(x) = max(1 - x, 0)^(d/2) does not increase with x, so
+      T(fl(dhi^2)) <= T(fl(d^2)) <= T(fl(dlo^2)) in exact arithmetic.  The
+      computed T is within a relative (d/2) u32 of the exact T from the
+      rounding of 1 - x, plus u32 for each square root and product (d = 1,
+      2, 3: at most 3.5 u32), or plus the error of float32 ``np.power``
+      (other d: 8 ulps, 16 u32, are allowed; measured, 1.01 ulps), whose
+      exponent d/2 is rounded up for the lower bounds and down for the upper
+      ones.  The kernel's float64 T is within a few 2^-53 of exact.
+    * Tags.  The kernel's tag is fl(u T).  The screen multiplies T by
+      float32(u) (1 -+ M), with M = 8 u32 for d = 1, 2, 3 and (32 + d) u32
+      otherwise.  Three roundings (u, the factor, the product) and the
+      rounding of 1 -+ M to float32 add at most 4 u32, so M exceeds the
+      relative error of all the steps, and lo <= t <= hi.  Beyond M = 1/16
+      (d above about 2^20) the relative errors are no longer small, and the
+      bounds are 0 and 1, which hold for every tag.
+    * Underflow.  For d = 1, 2, 3, 1 - x is 0 or at least 2^-24 and u is 0
+      or at least 2^-53, so every nonzero bound exceeds 2^-90.  For other d,
+      T may fall below float32's smallest normal, 2^-126, where only an
+      absolute error below 2^-126 holds; the cut's slack covers it
+      (``_SCREEN_SLACK``).
+    """
+    d_exponent = params.d_exponent
+    m = 2.0 ** -21 if d_exponent in (1.0, 2.0, 3.0) else (32.0 + d_exponent) * 2.0 ** -24
+    if m > 2.0 ** -4:
+        n = u.shape[1]
+        return tuple(np.full(n, bound, np.float32) for bound in (0.0, 1.0, 0.0, 1.0))
+    d1, d2 = screen_overlaps(u, a1, a2)
+    return (*_station_tag_bounds(d1, u[2], d_exponent, m),
+            *_station_tag_bounds(d2, u[3], d_exponent, m))
+
+
 # Absolute slack on the screen's limit: it covers the 2^-52 by which a
 # same-bin pair's tags may differ beyond tau, and the absolute error, below
 # 2^-126, of float32 tag bounds that fall below float32's smallest normal
-# (model.tag_bounds).
+# (tag_bounds).
 _SCREEN_SLACK = 2.0 ** -40
 
 
@@ -149,14 +293,8 @@ def _screen_limit(params: ModelParams) -> np.float32 | None:
     return limit
 
 
-def uniform_rows(params: ModelParams) -> int:
-    """How many of an event's four uniforms ``chunk_counts`` reads: z and
-    phi alone when the cut keeps every pair, else the two tags as well."""
-    return 2 if _screen_limit(params) is None else 4
-
-
 def _outcome_counts(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple[int, int, int]:
-    """``chunk_counts`` of one block when the cut keeps every pair: only the
+    """``_block_counts`` of one block when the cut keeps every pair: only the
     outcomes count, and they are settled from rows 0 and 1 of ``u`` (z and
     phi)."""
     n = u.shape[1]
@@ -185,21 +323,20 @@ def _kernel_counts(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
 def _screen(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
             limit: np.float32) -> np.ndarray:
     """The indices of the pairs of ``u`` whose tag intervals come within
-    ``limit``: every pair that may coincide (proof in ``chunk_counts``)."""
+    ``limit``: every pair that may coincide (proof in ``_block_counts``)."""
     lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
     keep = np.subtract(lo1, hi2, out=lo1) <= limit
     near = np.subtract(lo2, hi1, out=lo2) <= limit
     return np.flatnonzero(np.logical_and(keep, near, out=keep))
 
 
-def chunk_counts(
+def _block_counts(
     blocks: Iterable[np.ndarray], a1: UnitVector3, a2: UnitVector3, params: ModelParams
 ) -> tuple[int, int, int]:
     """(events, coincidences, sum of x1*x2 over coincidences) of the events
     of the uniform ``blocks``, each (4, n), or (2, n) when the cut keeps
-    every pair (``uniform_rows``); equal to ``_counts_from_batch`` of the
-    kernel's batch of all of them.  A block may be overwritten once the
-    next one is asked for.
+    every pair; equal to ``_counts_from_batch`` of the kernel's batch of all
+    of them.  A block may be overwritten once the next one is asked for.
 
     When the cut keeps every pair (tau = 1 or W = 1; ``_screen_limit`` is
     None), only rows 0 and 1 are read.  Every pair is coincident: tags are
@@ -207,13 +344,13 @@ def chunk_counts(
     1 <= W and floor(t / 1) = 0.  A block's counts are then (n, n, 2 agree
     - n), and whether a pair's outcomes agree depends on the signs of its
     two overlaps alone.  The screen's overlaps d~ differ from the kernel's
-    d by less than ``model.OVERLAP_EPS`` (``model.tag_bounds``), so where
-    |d~| > eps at both stations, sign(d) = sign(d~) and d != 0, and the
-    tie-break to +1 never applies.  The other pairs, about 2 eps of them,
+    d by less than ``OVERLAP_EPS`` (``tag_bounds``), so where |d~| > eps at
+    both stations, sign(d) = sign(d~) and d != 0, and the tie-break to +1
+    never applies.  The other pairs, about 2 eps of them,
     get the kernel's exact overlaps, from their z and phi alone.
 
     When the cut can reject a pair, a screen keeps only the pairs whose
-    float32 tag intervals (``model.tag_bounds``) come within the limit, and
+    float32 tag intervals (``tag_bounds``) come within the limit, and
     the kernel runs on them alone.  Soundness: a same-bin pair has k <=
     fl(t/tau) < k+1 for both tags, and fl(t/tau) is within a relative 2^-53
     of t/tau, so |t1 - t2| < tau + 2^-53 (t1 + t2) < tau + 2^-52 (this
@@ -255,6 +392,35 @@ def chunk_counts(
     return n, sum(c for c, _ in parts), sum(s for _, s in parts)
 
 
+# events per block: a float32 row of the screen is 64 KiB, below glibc's 128 KiB
+# mmap threshold, so the screen's fresh arrays come from the heap; unlike
+# runner.CHUNK_SIZE it changes no result
+BLOCK_SIZE = 1 << 14
+
+
+def chunk_counts(task: tuple) -> tuple[int, int, int]:
+    """The counts of one chunk task ``(seed, stream, start, size, a1, a2,
+    params)``, generated in blocks of up to BLOCK_SIZE events; equal to
+    those of ``generate_batch`` on the whole chunk.  Only the uniforms that
+    the counts need are drawn, into one buffer that every block reuses: a
+    float64 row of a block is 128 KiB, glibc's default mmap threshold, above
+    which a fresh array may be a new mapping whose pages fault in again."""
+    seed, stream, start, size, a1, a2, params = task
+    # z and phi alone when the cut keeps every pair, else the two tags as well
+    rows = 2 if _screen_limit(params) is None else 4
+    streams = batch_streams(seed, start, size, stream=stream, rows=rows)
+    buffer = np.empty((rows, min(BLOCK_SIZE, size)))
+
+    def blocks():
+        for offset in range(0, size, BLOCK_SIZE):
+            u = buffer[:, :min(BLOCK_SIZE, size - offset)]
+            for row, rng in zip(u, streams):
+                rng.random(out=row)
+            yield u
+
+    return _block_counts(blocks(), a1, a2, params)
+
+
 def accumulate(batch: EventBatch, params: ModelParams) -> CoincidenceStats:
     """Apply the window cut to a batch of events and accumulate statistics.
 
@@ -292,7 +458,9 @@ def coincidence_probability_exact(T1: float, T2: float, W: float) -> float:
 def same_bin_probability_exact(T1: float, T2: float, tau: float) -> float:
     """Exact probability that both uniform tags land in the same tau-bin.
 
-    Sum over bins of the product of per-station bin masses.  Equals
+    With lo = min(T1, T2), hi = max(T1, T2) and k = floor(lo / tau), the k
+    bins below k tau are full at both stations and bin k holds the rest of
+    lo: P = (k tau^2 + (lo - k tau) min(tau, hi - k tau)) / (lo hi).  Equals
     ``tau * min(T1, T2) / (T1 * T2)`` whenever the endpoint bins differ,
     and never exceeds that density.
     """
@@ -306,8 +474,8 @@ def same_bin_probability_exact(T1: float, T2: float, tau: float) -> float:
         return min(tau, T2) / T2
     if T2 == 0.0:
         return min(tau, T1) / T1
-    n_bins = int(math.ceil(max(T1, T2) / tau))
-    edges = tau * np.arange(n_bins + 1)
-    w1 = np.clip(np.minimum(edges[1:], T1) - edges[:-1], 0.0, tau) / T1
-    w2 = np.clip(np.minimum(edges[1:], T2) - edges[:-1], 0.0, tau) / T2
-    return float(np.dot(w1, w2))
+    lo, hi = min(T1, T2), max(T1, T2)
+    k = math.floor(lo / tau)
+    # lo - k tau lies in [0, tau) but for the rounding of lo / tau
+    rest = min(max(lo - k * tau, 0.0), tau)
+    return (k * tau * tau + rest * min(tau, hi - k * tau)) / (lo * hi)

@@ -5,16 +5,8 @@ counter-based random stream keyed by (seed, stream index, chunk start).
 Each run (a sweep, a CHSH experiment, a bound audit) is one flat plan: the
 chunks of all its setting pairs, each pair with its own model parameters and
 stream index, served by one process pool, or run in-process for one worker.
-Each chunk is generated block by block into one reused buffer of one
-block; each of a chunk's four draws comes from its own copy of the chunk's
-stream, so the blocks draw exactly the doubles of the whole chunk.  When the
-cut can reject a pair, each block is screened in float32, and the pairs that
-may coincide are gathered over the chunk's blocks for the exact kernel,
-which runs once per block's worth of them (``coincidence.chunk_counts``).
-When it keeps every pair (tau = 1 or W = 1), only z and phi are drawn, and
-the outcomes are settled from the signs of the screen's overlaps, with the
-exact overlaps for the few pairs whose signs it cannot settle.  Partial
-counts are integers, summed per pair in plan order, so results are
+Each chunk is counted block by block by ``coincidence.chunk_counts``.
+Partial counts are integers, summed per pair in plan order, so results are
 bit-identical for any worker count, any completion order and any block
 size.  The chunk size is part of the algorithm, not configuration:
 changing it would change the sampled stream.
@@ -34,13 +26,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 
-import numpy as np
-
 from . import __version__
 from .bell import CorrelationQuartet, InequalityReport, verdict
 from .bounds import BoundReport, check_simulated_gamma
-from .coincidence import CoincidenceStats, chunk_counts, uniform_rows
-from .model import CoincidenceMode, ModelParams, UnitVector3, batch_streams
+from .coincidence import CoincidenceStats, chunk_counts
+from .model import CoincidenceMode, ModelParams, UnitVector3
 
 __all__ = [
     "ConfigError",
@@ -58,10 +48,6 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 19
-# events per block: a float32 row of the screen is 64 KiB, below glibc's 128 KiB
-# mmap threshold, so the screen's fresh arrays come from the heap; unlike
-# CHUNK_SIZE it changes no result
-BLOCK_SIZE = 1 << 14
 
 DEFAULT_SEED = 20060913
 DEFAULT_ALPHA_GRID = tuple(float(a) for a in range(0, 181, 15))
@@ -206,28 +192,6 @@ class ExperimentConfig:
 PlanPair = tuple[UnitVector3, UnitVector3, ModelParams, int]
 
 
-def _chunk_counts(task: tuple) -> tuple[int, int, int]:
-    """The counts of one chunk, generated in blocks of up to BLOCK_SIZE
-    events; equal to those of ``generate_batch`` on the whole chunk.  Only
-    the uniforms that the counts need are drawn (``uniform_rows``), into one
-    buffer that every block reuses: a float64 row of a block is 128 KiB,
-    glibc's default mmap threshold, above which a fresh array may be a new
-    mapping whose pages fault in again."""
-    seed, stream, start, size, a1, a2, params = task
-    rows = uniform_rows(params)
-    streams = batch_streams(seed, start, size, stream=stream, rows=rows)
-    buffer = np.empty((rows, min(BLOCK_SIZE, size)))
-
-    def blocks():
-        for offset in range(0, size, BLOCK_SIZE):
-            u = buffer[:, :min(BLOCK_SIZE, size - offset)]
-            for row, rng in zip(u, streams):
-                rng.random(out=row)
-            yield u
-
-    return chunk_counts(blocks(), a1, a2, params)
-
-
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -242,8 +206,7 @@ def simulate_plan(
 
     The chunks of all pairs form one task list, served by one pool of up to
     ``workers`` processes, and no more than there are tasks or CPUs to run
-    them (or run in-process); each chunk is generated block by block into
-    one buffer of its own.  Each chunk's stream is keyed by (seed,
+    them (or run in-process).  Each chunk's stream is keyed by (seed,
     stream, chunk start), and the integer counts are summed per pair in
     plan order, so the results depend neither on the worker count nor on
     the completion order.
@@ -257,9 +220,9 @@ def simulate_plan(
     pool_size = min(workers, len(tasks), _available_cpus())
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            counts = list(pool.map(_chunk_counts, tasks, chunksize=1))
+            counts = list(pool.map(chunk_counts, tasks, chunksize=1))
     else:
-        counts = list(map(_chunk_counts, tasks))
+        counts = list(map(chunk_counts, tasks))
     stats = []
     for i, (_, _, params, _) in enumerate(pairs):
         parts = counts[i * len(starts):(i + 1) * len(starts)]

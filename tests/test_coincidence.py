@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from eprbsim.coincidence import (
+    OVERLAP_EPS,
     CoincidenceStats,
+    _block_counts,
     _counts_from_batch,
     accumulate,
-    chunk_counts,
     coincidence_mask,
     coincidence_probability_exact,
     same_bin_probability_exact,
+    screen_overlaps,
+    tag_bounds,
 )
 from eprbsim.model import (
-    OVERLAP_EPS,
     CoincidenceMode,
     EventBatch,
     ModelParams,
@@ -30,6 +32,7 @@ from eprbsim.model import (
 from eprbsim.runner import simulate_pair_stats
 
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)
+Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
 
 def continuous(window: float, tau: float = 0.25) -> ModelParams:
@@ -265,6 +268,11 @@ class TestSameBinProbabilityExact:
         density = 0.25 * 0.32 / (0.32 * 0.33)
         assert p < density
 
+    def test_tiny_tau_without_a_bin_array(self):
+        """10^15 bins per unit of time: the closed form needs no array of
+        them."""
+        assert same_bin_probability_exact(1.0, 1.0, 1e-15) == pytest.approx(1e-15, rel=1e-12)
+
     def test_degenerate_sides(self):
         assert same_bin_probability_exact(0.0, 0.0, 0.1) == 1.0
         assert same_bin_probability_exact(0.0, 0.4, 0.1) == pytest.approx(0.25)
@@ -286,7 +294,7 @@ class TestSameBinProbabilityExact:
 
 
 class TestScreen:
-    """``chunk_counts`` screens with float32 bounds, then runs the exact
+    """``_block_counts`` screens with float32 bounds, then runs the exact
     kernel on the kept pairs; its counts of one block must equal the
     kernel's on the whole block, also for pairs built to sit at the edge of
     the cut."""
@@ -328,8 +336,125 @@ class TestScreen:
         n = 20_000
         u = self.edge_uniforms(41, n, a1, a2, params, cut)
         want = _counts_from_batch(_events_from_uniforms(u, a1, a2, params), params)
-        assert chunk_counts([u], a1, a2, params) == want
+        assert _block_counts([u], a1, a2, params) == want
         assert want[1] > (0 if cut < 1e-9 else n // 100)
+
+
+class TestTagBounds:
+    """The screen's assumptions: float32 trigonometry within a tenth of the
+    overlap margin, and kernel tags inside the screen's bounds."""
+
+    @pytest.mark.parametrize("trig", [np.cos, np.sin])
+    def test_float32_trig_within_a_tenth_of_the_margin(self, trig):
+        phi = 2.0 * np.pi * np.concatenate(
+            [np.arange(1 << 22) / (1 << 22), np.random.default_rng(5).random(1 << 20)])
+        err = np.abs(trig(phi.astype(np.float32)).astype(np.float64) - trig(phi))
+        assert err.max() <= OVERLAP_EPS / 10
+
+    @pytest.mark.parametrize("a", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
+                                   UnitVector3(0.48, 0.6, 0.64)])
+    def test_screen_overlaps_within_a_tenth_of_the_margin(self, a):
+        n = 1 << 16
+        u = event_stream(33, 0).random((4, n))
+        approx = screen_overlaps(u, a, a)[0]
+        exact = _exact_overlaps(u, a, a)[0]
+        assert np.abs(approx - exact).max() <= OVERLAP_EPS / 10
+
+    @pytest.mark.parametrize("d_exponent", [3.0, 2.0, 1.0, 0.7, 40.0])
+    @pytest.mark.parametrize("a2", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
+                                    UnitVector3(0.48, 0.6, 0.64)])
+    def test_kernel_tags_within_bounds(self, d_exponent, a2):
+        params = ModelParams(d_exponent=d_exponent)
+        a1 = UnitVector3.from_angle_deg(100.0)
+        n = 50_000
+        u = event_stream(32, 0).random((4, n))
+        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
+        batch = generate_batch(event_stream(32, 0), a1, a2, params, n)
+        # np.power is not correctly rounded; the cut's limit allows for that
+        slack = 0.0 if d_exponent in (1.0, 2.0, 3.0) else 2.0 ** -45
+        for lo, t, hi in ((lo1, batch.t1, hi1), (lo2, batch.t2, hi2)):
+            assert np.all(lo - slack <= t) and np.all(t <= hi + slack)
+            assert np.all(lo >= 0.0) and np.median(hi - lo) < 1e-4
+
+    @pytest.mark.parametrize("a", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
+                                   UnitVector3(0.48, 0.6, 0.64)])
+    def test_screen_overlaps_near_the_poles_within_a_tenth_of_the_margin(self, a):
+        """z = 1 - 2u within 2e-7 of +-1, where the radius is smallest."""
+        n = 1 << 16
+        u = event_stream(34, 0).random((4, n))
+        near = 1e-7 * np.random.default_rng(34).random(n)
+        u[0] = np.where(np.arange(n) % 2 == 0, near, 1.0 - near)
+        approx = screen_overlaps(u, a, a)[0]
+        exact = _exact_overlaps(u, a, a)[0]
+        assert np.abs(approx - exact).max() <= OVERLAP_EPS / 10
+
+    @staticmethod
+    def aligned_uniforms(a: UnitVector3, targets: np.ndarray) -> np.ndarray:
+        """Uniforms (2, 2m) of z and phi at which a.s hits each target, with
+        s = t a plus a perpendicular part, at both roots in phi."""
+        rho, psi = math.hypot(a.x, a.y), math.atan2(a.y, a.x)
+        z = targets * a.z
+        delta = np.arccos(np.minimum(targets * rho / np.sqrt(1.0 - z * z), 1.0))
+        phi = np.concatenate([psi + delta, psi - delta])
+        u1 = np.mod(phi / (2.0 * np.pi), 1.0)
+        u1[u1 >= 1.0] = 0.0
+        return np.array([np.tile((1.0 - z) / 2.0, 2), u1])
+
+    @pytest.mark.parametrize("d_exponent", [3.0, 2.0, 1.0, 0.7, 40.0])
+    @pytest.mark.parametrize("a2", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
+                                    UnitVector3(0.48, 0.6, 0.64)])
+    def test_kernel_tags_within_bounds_near_alignment(self, d_exponent, a2):
+        """|a.s| placed at 1 - 1e-7, 1 - eps and 1 - 2 eps, where T is
+        smallest and steepest, at each station."""
+        params = ModelParams(d_exponent=d_exponent)
+        a1 = UnitVector3.from_angle_deg(100.0)
+        tops = np.array([1.0 - 1e-7, 1.0 - OVERLAP_EPS, 1.0 - 2.0 * OVERLAP_EPS])
+        targets = np.concatenate([tops, -tops])
+        n = 4_096
+        u = event_stream(35, 0).random((4, n))
+        placed = np.concatenate([self.aligned_uniforms(a, targets) for a in (a1, a2)], axis=1)
+        m = placed.shape[1] // 2
+        u[:2, :2 * m] = placed
+        d1, d2 = _exact_overlaps(u, a1, a2)
+        want = np.tile(targets, 2)
+        assert np.abs(d1[:m] - want).max() < 1e-12
+        assert np.abs(d2[m:2 * m] - want).max() < 1e-12
+        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
+        batch = generate_batch(RowGenerator(u), a1, a2, params, n)
+        slack = 0.0 if d_exponent in (1.0, 2.0, 3.0) else 2.0 ** -45
+        for lo, t, hi in ((lo1, batch.t1, hi1), (lo2, batch.t2, hi2)):
+            assert np.all(lo - slack <= t) and np.all(t <= hi + slack)
+            assert np.all(lo >= 0.0)
+
+    def test_huge_exponent_gets_bounds_that_hold_for_every_tag(self):
+        """Beyond d ~ 2^20 the float32 errors are not small; the bounds are 0
+        and 1."""
+        params = ModelParams(d_exponent=2.0 ** 21)
+        a1, a2 = UnitVector3.from_angle_deg(100.0), UnitVector3.from_angle_deg(45.0)
+        n = 1_000
+        u = event_stream(36, 0).random((4, n))
+        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
+        assert np.all(lo1 == 0.0) and np.all(lo2 == 0.0)
+        assert np.all(hi1 == 1.0) and np.all(hi2 == 1.0)
+
+    @pytest.mark.parametrize("d_exponent", [3.0, 0.7])
+    @pytest.mark.parametrize("a", [X_AXIS, UnitVector3.from_angle_deg(100.0),
+                                   UnitVector3(0.48, 0.6, 0.64)])
+    def test_each_station_reads_its_own_setting_only(self, a, d_exponent):
+        """A station's screen overlaps and tag bounds are byte-identical
+        under any change of the other station's setting, in-plane or not.
+        At u0 = 0, where r = 0, every term of the overlap is a signed zero."""
+        params = ModelParams(d_exponent=d_exponent)
+        n = 4_096
+        u = event_stream(37, 0).random((4, n))
+        u[0, :512] = 0.0
+        others = [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
+                  UnitVector3(0.48, 0.6, 0.64)]
+        station_1 = {(screen_overlaps(u, a, b)[0].tobytes(),
+                      *(x.tobytes() for x in tag_bounds(u, a, b, params)[:2])) for b in others}
+        station_2 = {(screen_overlaps(u, b, a)[1].tobytes(),
+                      *(x.tobytes() for x in tag_bounds(u, b, a, params)[2:])) for b in others}
+        assert len(station_1) == 1 and len(station_2) == 1
 
 
 class RowGenerator:
@@ -345,7 +470,7 @@ class RowGenerator:
 
 
 class TestOutcomeScreen:
-    """Without a cut (tau = 1 or W = 1), ``chunk_counts`` settles outcomes
+    """Without a cut (tau = 1 or W = 1), ``_block_counts`` settles outcomes
     from the float32 screen's overlap signs and falls back to the exact
     overlaps within OVERLAP_EPS of 0; its counts must equal the kernel's
     for hidden directions placed at that edge."""
@@ -403,11 +528,11 @@ class TestOutcomeScreen:
         assert want[:2] == (n, n)
         # each placed event alone, so that no two errors can cancel
         for j in range(zphi.shape[1]):
-            assert chunk_counts([u[:2, j:j + 1]], a1, a2, params) == (1, 1, sign_xy[j])
+            assert _block_counts([u[:2, j:j + 1]], a1, a2, params) == (1, 1, sign_xy[j])
         block = u.copy()
         block[2:] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert chunk_counts([block], a1, a2, params) == want
+            assert _block_counts([block], a1, a2, params) == want
             # only z and phi are needed
-            assert chunk_counts([block[:2]], a1, a2, params) == want
+            assert _block_counts([block[:2]], a1, a2, params) == want

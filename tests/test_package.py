@@ -1,4 +1,5 @@
-"""What the package and its modules export, and what README's API example imports."""
+"""What the package and its modules export, what README's API example imports,
+and the code that README and the docstrings name."""
 
 import ast
 import re
@@ -7,9 +8,13 @@ from pathlib import Path
 import pytest
 
 import eprbsim
-from eprbsim import bell, bounds, coincidence, model, runner
+from eprbsim import bell, bounds, cli, coincidence, model, reproduce, runner
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = {m.__name__.rpartition(".")[2]: m
+           for m in (model, coincidence, runner, bounds, bell, cli, reproduce)}
+# a backticked module.name; ``model.py`` and the like are file names
+REFERENCE = re.compile(r"`(%s)\.(\w+)" % "|".join(MODULES))
 
 
 def readme_api_imports() -> set[str]:
@@ -33,3 +38,14 @@ def test_readme_api_block_uses_only_exported_names():
     names = readme_api_imports()
     assert names, "README has no Python block importing from eprbsim"
     assert names <= set(eprbsim.__all__), sorted(names - set(eprbsim.__all__))
+
+
+def test_code_references_in_the_docs_resolve():
+    """Every backticked ``module.name`` in README and in the package's
+    docstrings and comments names an attribute of that module."""
+    texts = [README, *sorted(Path(eprbsim.__file__).parent.glob("*.py"))]
+    missing = [f"{path.name}: {module}.{name}"
+               for path in texts
+               for module, name in REFERENCE.findall(path.read_text())
+               if name != "py" and not hasattr(MODULES[module], name)]
+    assert not missing, missing

@@ -352,7 +352,7 @@ class TestRunPlan:
         run_correlation_sweep(replace(config, workers=2, alpha_grid_deg=(0.0,)))
         assert pools == [3]  # one task: run in-process
 
-    @pytest.mark.parametrize("block_size", [1_000, 4_099, runner.BLOCK_SIZE])
+    @pytest.mark.parametrize("block_size", [1_000, 4_099, coincidence.BLOCK_SIZE])
     @pytest.mark.parametrize("mode", list(CoincidenceMode))
     @pytest.mark.parametrize("alpha_deg", [0.0, 45.0, 90.0, 180.0])
     @pytest.mark.parametrize("cut", [1.0, 0.1, 2.5e-4, 1e-300, sys.float_info.min])
@@ -360,14 +360,14 @@ class TestRunPlan:
                                               cut):
         """A chunk generated in blocks and screened gives the counts of the
         whole-chunk kernel and reduction."""
-        monkeypatch.setattr(runner, "BLOCK_SIZE", block_size)
+        monkeypatch.setattr(coincidence, "BLOCK_SIZE", block_size)
         params = ModelParams(tau=cut, window=cut, coincidence_mode=mode)
         a1, a2 = UnitVector3.from_angle_deg(10.0), UnitVector3.from_angle_deg(10.0 + alpha_deg)
         n = 30_001
         batch = generate_batch(event_stream(23, 5_000, stream=3), a1, a2, params, n)
         want = _counts_from_batch(batch, params)
         task = (23, 3, 5_000, n, a1, a2, params)
-        assert runner._chunk_counts(task) == want
+        assert coincidence.chunk_counts(task) == want
 
     @staticmethod
     def kernel_sizes(monkeypatch) -> list[int]:
@@ -386,7 +386,7 @@ class TestRunPlan:
     def test_kept_pairs_flush_at_block_size(self, monkeypatch, mode):
         """The kept pairs of all blocks go through the kernel together: once
         when they fill a block, and once more with the rest at the end."""
-        monkeypatch.setattr(runner, "BLOCK_SIZE", 1_000)
+        monkeypatch.setattr(coincidence, "BLOCK_SIZE", 1_000)
         sizes = self.kernel_sizes(monkeypatch)
         params = ModelParams(tau=0.1, window=0.1, coincidence_mode=mode)
         a1, a2 = UnitVector3.from_angle_deg(10.0), UnitVector3.from_angle_deg(55.0)
@@ -394,7 +394,7 @@ class TestRunPlan:
         want = _counts_from_batch(generate_batch(event_stream(26, 0, stream=2), a1, a2,
                                                  params, n), params)
         sizes.clear()
-        assert runner._chunk_counts((26, 2, 0, n, a1, a2, params)) == want
+        assert coincidence.chunk_counts((26, 2, 0, n, a1, a2, params)) == want
         assert len(sizes) == 2 and sizes[0] == 1_000 and 0 < sizes[1] < 1_000
 
     @pytest.mark.parametrize("mode", list(CoincidenceMode))
@@ -407,7 +407,7 @@ class TestRunPlan:
                                                  params, n), params)
         assert want == (n, 0, 0)
         sizes.clear()
-        assert runner._chunk_counts((26, 2, 0, n, a1, a2, params)) == want
+        assert coincidence.chunk_counts((26, 2, 0, n, a1, a2, params)) == want
         assert sizes == []
 
     @pytest.mark.parametrize("mode", list(CoincidenceMode))
@@ -432,21 +432,23 @@ class TestRunPlan:
             made.append(len(streams))
             return [CountingStream(rng, k) for k, rng in enumerate(streams)]
 
-        def recording_chunk_counts(blocks, *args):
+        block_counts = coincidence._block_counts
+
+        def recording_block_counts(blocks, *args):
             def recorded():
                 for u in blocks:
                     shapes.append(u.shape)
                     yield u
-            return coincidence.chunk_counts(recorded(), *args)
+            return block_counts(recorded(), *args)
 
-        monkeypatch.setattr(runner, "batch_streams", counting_streams)
-        monkeypatch.setattr(runner, "chunk_counts", recording_chunk_counts)
+        monkeypatch.setattr(coincidence, "batch_streams", counting_streams)
+        monkeypatch.setattr(coincidence, "_block_counts", recording_block_counts)
         params = ModelParams(tau=cut, window=cut, coincidence_mode=mode)
         a1, a2 = UnitVector3.from_angle_deg(10.0), UnitVector3.from_angle_deg(55.0)
         n = 40_001
         want = _counts_from_batch(generate_batch(event_stream(24, 0, stream=1), a1, a2,
                                                  params, n), params)
-        assert runner._chunk_counts((24, 1, 0, n, a1, a2, params)) == want
+        assert coincidence.chunk_counts((24, 1, 0, n, a1, a2, params)) == want
         assert made == [rows]
         assert drawn == set(range(rows))
         assert {shape[0] for shape in shapes} == {rows}
