@@ -11,9 +11,11 @@ analytic rate bounds assume.
 chunk's uniforms block by block, screens each block in float32 on provably
 conservative bounds of the tags, and runs the exact kernel of ``model`` and
 the cut on the few pairs that pass, gathered over the blocks of the chunk.
-When the cut keeps every pair, the screen settles the outcomes from the
-signs of the overlaps, and the tags are never drawn.  As in the model, each
-station's screen works from its own setting and its own copy of s only.
+When the cut keeps every pair, only the outcomes count: with in-plane
+settings they are settled by where the phi uniform falls against each
+station's half-turn, without trigonometry, and the tags are never drawn.
+As in the model, each station's screen and half-turn come from its own
+setting and its own copy of s only.
 """
 
 from __future__ import annotations
@@ -293,23 +295,48 @@ def _screen_limit(params: ModelParams) -> np.float32 | None:
     return limit
 
 
-def _outcome_counts(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple[int, int, int]:
-    """``_block_counts`` of one block when the cut keeps every pair: only the
-    outcomes count, and they are settled from rows 0 and 1 of ``u`` (z and
+# Half-width, in turns of phi, of the band about each half-turn boundary
+# within which the outcome-only count leaves a block to the exact overlaps
+# (proof in _block_counts).
+_ARC_MARGIN = 2.0 ** -30
+
+
+def _half_turn(a: UnitVector3) -> float:
+    """The start l, in turns of phi, of the half-turn (l, l + 1/2) mod 1 on
+    which an in-plane setting ``a`` has a.s > 0: its azimuth less a quarter
+    turn, in [-3/4, 1/4]."""
+    return math.atan2(a.y, a.x) / (2.0 * math.pi) - 0.25
+
+
+def _outcome_counts(blocks: Iterable[np.ndarray], a1: UnitVector3,
+                    a2: UnitVector3) -> tuple[int, int, int]:
+    """``_block_counts`` when the cut keeps every pair: only the outcomes
+    count, and they are settled from rows 0 and 1 of each block (z and
     phi)."""
-    n = u.shape[1]
-    d1, d2 = screen_overlaps(u, a1, a2)
-    # outcomes agree when d1 >= 0 and d2 <= 0 agree, so d1 d2 < 0 when
-    # neither is 0; |d1 d2| > eps^2 is far from float32 underflow
-    agree = np.multiply(d1, d2) < 0.0
-    n_agree = np.count_nonzero(agree)
-    # the pairs the screen cannot settle: |d~| <= eps at either station
-    low = np.minimum(np.abs(d1, out=d1), np.abs(d2, out=d2), out=d1)
-    index = np.flatnonzero(low <= OVERLAP_EPS)
-    if len(index):
-        n_agree -= np.count_nonzero(agree[index])
-        e1, e2 = _exact_overlaps(u[:2, index], a1, a2)
-        n_agree += np.count_nonzero((e1 >= 0.0) == (e2 <= 0.0))
+    # (whole turns, fraction) of the edges b -+ margin about each boundary b
+    # of the arc (s, e) between the two starts, taken the short way, and of
+    # its antipode, on which the outcomes agree
+    edges = []
+    if a1.z == 0.0 and a2.z == 0.0:
+        s, e = sorted((_half_turn(a1), _half_turn(a2)))
+        if e - s > 0.5:
+            s, e = e, s + 1.0
+        for b in (s, e, s + 0.5, e + 0.5):
+            for x in (b - _ARC_MARGIN, b + _ARC_MARGIN):
+                k = math.floor(x)
+                edges.append((k, x - k))
+    n = n_agree = 0
+    for u in blocks:
+        m = u.shape[1]
+        n += m
+        if edges and u[0].min() > 0.0:
+            # the pairs whose phi, unwrapped over the turns, lies below each edge
+            below = [k * m + np.count_nonzero(u[1] < x) for k, x in edges]
+            if below[0::2] == below[1::2]:  # no pair within the margin
+                n_agree += below[2] - below[0] + below[6] - below[4]
+                continue
+        d1, d2 = _exact_overlaps(u, a1, a2)
+        n_agree += np.count_nonzero((d1 >= 0.0) == (d2 <= 0.0))
     return n, n, 2 * int(n_agree) - n
 
 
@@ -343,11 +370,43 @@ def _block_counts(
     fl(u T) with u < 1 and T <= 1, so they lie in [0, 1), fl(|t1 - t2|) <=
     1 <= W and floor(t / 1) = 0.  A block's counts are then (n, n, 2 agree
     - n), and whether a pair's outcomes agree depends on the signs of its
-    two overlaps alone.  The screen's overlaps d~ differ from the kernel's
-    d by less than ``OVERLAP_EPS`` (``tag_bounds``), so where |d~| > eps at
-    both stations, sign(d) = sign(d~) and d != 0, and the tie-break to +1
-    never applies.  The other pairs, about 2 eps of them,
-    get the kernel's exact overlaps, from their z and phi alone.
+    two overlaps alone.
+
+    With both settings in-plane (a.z = 0) the signs are read off the phi
+    uniform u1.  Write a = rho (cos psi, sin psi, 0), rho within 1e-12 of 1
+    (``UnitVector3``), and theta = 2 pi u1.  The exact a.s is r rho cos(theta
+    - psi), positive on the half-turn (l, l + 1/2) mod 1 of u1 with l = psi /
+    2 pi - 1/4 (``_half_turn``, a function of one setting).  The kernel's d
+    = fl(fl(fl(r c) a.x) + fl(fl(r s) a.y)) takes c and s as numpy's cos and
+    sin of fl(fl(2 pi) u1), which is within 2^-50 of theta; with delta the
+    error of float64 cos and sin, pinned below 2^-40 by a test, c and s are
+    within delta + 2^-50 of cos theta and sin theta.  |a.x| + |a.y| <=
+    sqrt(2) rho, and the two products per term round by a relative 2^-53
+    each, terms whose magnitudes sum to about r rho, so d has the sign of
+    r (rho cos(theta - psi) + e) with |e| < sqrt(2) rho (delta + 2^-50) +
+    rho 2^-51.9 < rho 2^-39; the last sum's rounding keeps its sign, and
+    underflow adds at most 2^-1074 to a term.  If u0 != 0, z = 1 - 2 u0 is
+    an exact multiple of 2^-52 with |z| <= 1 - 2^-52, so 1 - fl(z^2) >=
+    2^-51 and r > 2^-26.  Then d has the sign of cos(theta - psi), and d !=
+    0, wherever |cos(theta - psi)| > 2^-38; that holds where u1 is at least
+    2^-30 - 2^-50 turns from both ends of the half-turn, since there |cos|
+    >= sin(2 pi (2^-30 - 2^-50)) > 5.8e-9.
+
+    There station 1 gives +1 exactly on its half-turn H1, and station 2,
+    which measures -s, exactly off its own, H2.  So the outcomes agree on the
+    symmetric difference of H1 and H2: the arc (s, e) between the two starts,
+    taken the short way, and its antipode (s + 1/2, e + 1/2).  The edges b
+    -+ 2^-30 about their four ends b are computed once per chunk, within
+    2^-50 of their exact values (atan2, the division and the additions each
+    round by at most 2^-52 in turns), and cost one count_nonzero(u1 < x) per
+    block each.  A block with no u0 = 0 and no u1 between the two edges
+    about any end is counted from the edges alone: each u1 is then at least
+    2^-30 - 2^-50 from every exact end, so it lies on the same side of each
+    edge as of the end, and its outcomes are as above.  Any other block,
+    about 1.2e-4 of the blocks of 2^14 pairs, gets the kernel's exact
+    overlaps (``model._exact_overlaps``) from its z and phi, as does every
+    block when a setting has a.z != 0; at u0 = 0, r = 0 and the tie-break
+    gives both stations +1.
 
     When the cut can reject a pair, a screen keeps only the pairs whose
     float32 tag intervals (``tag_bounds``) come within the limit, and
@@ -371,8 +430,7 @@ def _block_counts(
     """
     limit = _screen_limit(params)
     if limit is None:
-        counts = [_outcome_counts(u, a1, a2) for u in blocks]
-        return tuple(sum(column) for column in zip(*counts))
+        return _outcome_counts(blocks, a1, a2)
     parts, n, filled = [], 0, 0
     for u in blocks:
         if not n:  # the first block
@@ -475,6 +533,9 @@ def same_bin_probability_exact(T1: float, T2: float, tau: float) -> float:
     if T2 == 0.0:
         return min(tau, T1) / T1
     lo, hi = min(T1, T2), max(T1, T2)
+    if not math.isfinite(lo / tau):
+        # the k full bins hold all of lo but a relative tau / lo < 2^-1000
+        return tau / hi
     k = math.floor(lo / tau)
     # lo - k tau lies in [0, tau) but for the rounding of lo / tau
     rest = min(max(lo - k * tau, 0.0), tau)

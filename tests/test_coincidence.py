@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from eprbsim import coincidence
 from eprbsim.coincidence import (
     OVERLAP_EPS,
     CoincidenceStats,
@@ -270,8 +271,11 @@ class TestSameBinProbabilityExact:
 
     def test_tiny_tau_without_a_bin_array(self):
         """10^15 bins per unit of time: the closed form needs no array of
-        them."""
+        them, and beyond float64's range no count of them."""
         assert same_bin_probability_exact(1.0, 1.0, 1e-15) == pytest.approx(1e-15, rel=1e-12)
+        # lo / tau overflows: no bin count is formed
+        assert same_bin_probability_exact(1.0, 1.0, 1e-320) == 1e-320
+        assert same_bin_probability_exact(1e10, 2e10, 1e-300) == 5e-311
 
     def test_degenerate_sides(self):
         assert same_bin_probability_exact(0.0, 0.0, 0.1) == 1.0
@@ -470,10 +474,11 @@ class RowGenerator:
 
 
 class TestOutcomeScreen:
-    """Without a cut (tau = 1 or W = 1), ``_block_counts`` settles outcomes
-    from the float32 screen's overlap signs and falls back to the exact
-    overlaps within OVERLAP_EPS of 0; its counts must equal the kernel's
-    for hidden directions placed at that edge."""
+    """Without a cut (tau = 1 or W = 1), ``_block_counts`` counts agreements
+    from where phi falls against each station's half-turn, and gives a block
+    the exact overlaps when a pair lies within 2^-30 turns of a half-turn's
+    end, when u0 = 0, or when a setting is off the plane; its counts must
+    equal the kernel's for hidden directions placed where a.s is near 0."""
 
     TARGETS = [sign * v for v in (OVERLAP_EPS / 2, OVERLAP_EPS, 2 * OVERLAP_EPS, 1e-12)
                for sign in (1.0, -1.0)]
@@ -536,3 +541,88 @@ class TestOutcomeScreen:
             assert _block_counts([block], a1, a2, params) == want
             # only z and phi are needed
             assert _block_counts([block[:2]], a1, a2, params) == want
+
+    def test_float64_trig_within_2_to_the_minus_40(self):
+        """delta, the error of numpy's float64 cos and sin of the kernel's
+        phi, which the half-turn count's proof takes below 2^-40."""
+        if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+            pytest.skip("no long double wider than float64 to compare against")
+        u1 = np.concatenate([np.arange(1 << 20) / (1 << 20),
+                             np.random.default_rng(7).random(1 << 20)])
+        phi = 2.0 * np.pi * u1
+        wide = phi.astype(np.longdouble)
+        for trig in (np.cos, np.sin):
+            err = np.abs(trig(phi).astype(np.longdouble) - trig(wide))
+            assert err.max() <= 2.0 ** -40
+
+    SETTINGS = [UnitVector3(0.0, 1.0, 0.0), X_AXIS, -X_AXIS,
+                UnitVector3.from_angle_deg(90.0), UnitVector3.from_angle_deg(270.0)]
+    OFF_PLANE = [Z_AXIS, UnitVector3(0.48, 0.6, 0.64), UnitVector3(0.0, 0.6, -0.8)]
+
+    @classmethod
+    def fuzzed_settings(cls, rng) -> tuple[UnitVector3, UnitVector3]:
+        """In-plane pairs: random angles, a2 = a1, a2 = -a1, multiples of 90
+        degrees and exact axes; a tenth of the pairs have an off-plane
+        setting."""
+        def angle():
+            return UnitVector3.from_angle_deg(rng.uniform(-360.0, 360.0))
+
+        def axis(settings):
+            return settings[rng.integers(len(settings))]
+
+        kind = rng.integers(10)
+        a1 = angle() if kind < 5 else axis(cls.SETTINGS)
+        if kind == 9:
+            a2 = axis(cls.OFF_PLANE)
+            return (a1, a2) if rng.random() < 0.5 else (a2, a1)
+        if kind in (2, 6):
+            return a1, a1
+        if kind in (3, 7):
+            return a1, -a1
+        return a1, angle() if kind < 5 else axis(cls.SETTINGS)
+
+    @staticmethod
+    def ends(a: UnitVector3) -> list[float]:
+        """The u1 at the two ends of an in-plane setting's half-turn."""
+        p = math.atan2(a.y, a.x) / (2.0 * math.pi)
+        return [(p - 0.25) % 1.0, (p + 0.25) % 1.0]
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    def test_fuzzed_half_turn_counts_equal_the_kernel(self, monkeypatch, mode):
+        """Seeded fuzz: blocks of random pairs, some with u1 moved to within
+        1e-17 to 1e-6 of a half-turn's end, or u0 at 0, 2^-53 or 1 - 2^-53.
+        Each block alone, and all of them together, must give the kernel's
+        counts; some blocks must be counted from the half-turns alone and
+        some from the exact overlaps."""
+        params = ModelParams(tau=1.0, window=1.0, coincidence_mode=mode)
+        exact_calls = []
+
+        def counting_exact_overlaps(u, *args):
+            exact_calls.append(u.shape[1])
+            return _exact_overlaps(u, *args)
+
+        monkeypatch.setattr(coincidence, "_exact_overlaps", counting_exact_overlaps)
+        rng = np.random.default_rng(20061)
+        n_blocks = 0
+        for _ in range(300):
+            a1, a2 = self.fuzzed_settings(rng)
+            ends = [b for a in (a1, a2) if a.z == 0.0 for b in self.ends(a)]
+            blocks = []
+            for _ in range(4):
+                n = int(rng.integers(1, 600))
+                u = rng.random((4, n))
+                for j in rng.choice(n, size=min(n, int(rng.integers(0, 4))), replace=False):
+                    offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17.0, -6.0)
+                    u[1, j] = (ends[rng.integers(len(ends))] + offset) % 1.0
+                    if u[1, j] >= 1.0:
+                        u[1, j] = 0.0
+                if rng.random() < 0.1:
+                    u[0, rng.integers(n)] = rng.choice([0.0, 2.0 ** -53, 1.0 - 2.0 ** -53])
+                want = _counts_from_batch(_events_from_uniforms(u, a1, a2, params), params)
+                assert _block_counts([u], a1, a2, params) == want, (a1, a2)
+                blocks.append((u, want))
+            total = tuple(sum(w[i] for _, w in blocks) for i in range(3))
+            assert _block_counts((u for u, _ in blocks), a1, a2, params) == total
+            n_blocks += len(blocks)
+        # each block is counted twice: alone and in the run of four
+        assert n_blocks // 4 < len(exact_calls) // 2 < n_blocks * 3 // 4

@@ -463,6 +463,31 @@ class TestRunPlan:
             run_chsh_experiment(config)
 
 
+class TestSignFlipLaws:
+    """Negating a setting negates every overlap exactly, in float64 and in
+    the float32 screen, and leaves every delay as it is: -a2 keeps the
+    coincidences and negates sum_xy, and (-a1, -a2) keeps every count, on
+    every path of the plan.  No setting here meets a tie a.s = 0."""
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    @pytest.mark.parametrize("cut", [1.0, 1e-2, 2.5e-4])
+    @pytest.mark.parametrize("d_exponent", [3.0, 0.7])
+    @pytest.mark.parametrize("alpha1, alpha2", [(0.0, 45.0), (30.0, 100.0), (60.0, 150.0),
+                                                (120.0, 350.0)])
+    def test_negated_settings(self, mode, cut, d_exponent, alpha1, alpha2):
+        params = ModelParams(tau=cut, window=cut, d_exponent=d_exponent, coincidence_mode=mode)
+        a1, a2 = UnitVector3.from_angle_deg(alpha1), UnitVector3.from_angle_deg(alpha2)
+
+        def counts(b1, b2):
+            stats = simulate_pair_stats(b1, b2, params, 100_000, seed=17)
+            return stats.n_coincident, stats.sum_xy
+
+        n_c, sum_xy = counts(a1, a2)
+        assert n_c > 0
+        assert counts(a1, -a2) == (n_c, -sum_xy)
+        assert counts(-a1, -a2) == (n_c, sum_xy)
+
+
 class TestManifest:
     def test_json_roundtrip_identity(self):
         result = run_correlation_sweep(small_config())
