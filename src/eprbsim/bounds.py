@@ -60,6 +60,10 @@ __all__ = [
 # quadrature targets, one order tighter than any tolerance asserted on them
 UNEQUAL_QUAD_REL_TOL = 1e-8
 EQUAL_QUAD_REL_TOL = 1e-6
+# Closest an unequal-settings angle may come to 0 or 180 degrees: the
+# quadrature's relative error against 16 tau / sin(alpha) is at most 7.5e-9
+# from 1e-6 degrees out, but 1.1e-8 at 180 - 1e-7 and 0.63 at 1e-100 degrees
+UNEQUAL_QUAD_MIN_DEG = 1e-5
 
 # Gauss-Legendre nodes per cell of the graded rules, and the refinement
 # levels added past the length scale of the nearest singularity

@@ -14,8 +14,10 @@ the cut on the few pairs that pass, gathered over the blocks of the chunk.
 When the cut keeps every pair, only the outcomes count: with in-plane
 settings they are settled by where the phi uniform falls against each
 station's half-turn, without trigonometry, and the tags are never drawn.
-As in the model, each station's screen and half-turn come from its own
-setting and its own copy of s only.
+As in the model, the hidden direction is formed once per block
+(``_screen_direction``), and each station's tag bounds
+(``_station_tag_bounds``) and half-turn (``_half_turn``) come from it, its
+own setting and its own tag row only.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .model import (
     ModelParams,
     UnitVector3,
     _events_from_uniforms,
-    _exact_overlaps,
+    _hidden_direction,
+    _outcome,
+    _overlap,
     batch_streams,
 )
 
@@ -130,38 +134,20 @@ def _counts_from_batch(batch: EventBatch, params: ModelParams) -> tuple[int, int
     return len(batch), n_c, 2 * n_agree - n_c
 
 
-# Margin on the overlap a.S in tag_bounds.  The screen's float32 overlap is
-# within sqrt(2) delta + 2^-20 < OVERLAP_EPS / 4 of the kernel's float64 one,
-# where delta, the error of float32 cos and sin of float32(phi), is tested
-# below OVERLAP_EPS / 10; measured, the overlap error is at most 3.1e-7.
+# Margin on the overlap a.S in _station_tag_bounds.  The screen's float32
+# overlap is within sqrt(2) delta + 2^-20 < OVERLAP_EPS / 4 of the kernel's
+# float64 one, where delta, the error of float32 cos and sin of
+# float32(phi), is tested below OVERLAP_EPS / 10; measured, the overlap
+# error is at most 3.1e-7.
 OVERLAP_EPS = 1e-5
 
 
-def _screen_overlap(half_r_cos: np.ndarray, half_r_sin: np.ndarray,
-                    half_z: np.ndarray | None, a: UnitVector3) -> np.ndarray:
-    """One station's float32 overlap 2 (r/2 cos(phi) a.x + r/2 sin(phi) a.y +
-    z/2 a.z), in a fresh array.  As in ``model._overlap``, the z term is
-    skipped when a.z == 0."""
-    d = np.multiply(half_r_cos, np.float32(2.0 * a.x))
-    term = np.multiply(half_r_sin, np.float32(2.0 * a.y))
-    np.add(d, term, out=d)
-    if a.z != 0.0:
-        np.add(d, np.multiply(half_z, np.float32(2.0 * a.z), out=term), out=d)
-    return d
-
-
-def screen_overlaps(u: np.ndarray, a1: UnitVector3,
-                    a2: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
-    """Approximate float32 overlaps (d~1, d~2) of the hidden directions drawn
-    from rows 0 and 1 of ``u`` (z and phi), which are left as they are; rows
-    2 and 3 are not read.  They are within OVERLAP_EPS / 4 of the kernel's
-    overlaps (proof in ``tag_bounds``), and each is a fresh array that
-    depends on its own station's setting only.
-
-    Each uniform row is rounded to float32 once, and the rest runs in
-    float32: r/2 = sqrt(u (1 - u)), since 1 - z^2 = 4 u (1 - u), and the
-    overlap is 2 (r/2 cos(phi) a.x + r/2 sin(phi) a.y + z/2 a.z).
-    """
+def _screen_direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The screen's float32 (r/2 cos(phi), r/2 sin(phi)) of the hidden
+    direction drawn from rows 0 and 1 of ``u`` (z and phi), which are left
+    as they are, and row 0 itself, from which a station with a.z != 0 forms
+    z/2.  Each uniform row is rounded to float32 once, and the rest runs in
+    float32: r/2 = sqrt(u (1 - u)), since 1 - z^2 = 4 u (1 - u)."""
     half_r = u[0].astype(np.float32)
     scratch = np.subtract(1.0, u[0], out=np.empty_like(half_r), casting="same_kind")
     np.sqrt(np.multiply(half_r, scratch, out=half_r), out=half_r)
@@ -169,11 +155,22 @@ def screen_overlaps(u: np.ndarray, a1: UnitVector3,
     half_r_cos = np.cos(phi)
     np.multiply(half_r_cos, half_r, out=half_r_cos)
     half_r_sin = np.multiply(np.sin(phi, out=phi), half_r, out=phi)
-    half_z = None
-    if a1.z != 0.0 or a2.z != 0.0:
-        half_z = np.subtract(0.5, u[0], out=half_r, casting="same_kind")
-    return (_screen_overlap(half_r_cos, half_r_sin, half_z, a1),
-            _screen_overlap(half_r_cos, half_r_sin, half_z, a2))
+    return half_r_cos, half_r_sin, u[0]
+
+
+def _screen_overlap(h: tuple[np.ndarray, np.ndarray, np.ndarray], a: UnitVector3) -> np.ndarray:
+    """One station's float32 overlap 2 (r/2 cos(phi) a.x + r/2 sin(phi) a.y +
+    z/2 a.z) from ``h`` of ``_screen_direction``, in a fresh array; within
+    OVERLAP_EPS / 4 of the kernel's (proof in ``_station_tag_bounds``).  As
+    in ``model._overlap``, the z term is skipped when a.z == 0."""
+    half_r_cos, half_r_sin, u0 = h
+    d = np.multiply(half_r_cos, np.float32(2.0 * a.x))
+    term = np.multiply(half_r_sin, np.float32(2.0 * a.y))
+    np.add(d, term, out=d)
+    if a.z != 0.0:
+        half_z = np.subtract(0.5, u0, out=term, casting="same_kind")
+        np.add(d, np.multiply(half_z, np.float32(2.0 * a.z), out=term), out=d)
+    return d
 
 
 def _float32_half(d_exponent: float, up: bool) -> np.float32:
@@ -185,43 +182,13 @@ def _float32_half(d_exponent: float, up: bool) -> np.float32:
     return half
 
 
-def _station_tag_bounds(d: np.ndarray, t_row: np.ndarray, d_exponent: float,
-                        m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 bounds (lo, hi) on one station's tags, from its screen
-    overlaps ``d`` (d~, overwritten with hi), its tag uniforms ``t_row`` and
-    the margin ``m`` (M in ``tag_bounds``, which proves them sound)."""
-    # |d~| + eps and |d~| - eps, then 1 - their squares
-    hi = np.abs(d, out=d)
-    lo = np.add(hi, OVERLAP_EPS)
-    np.subtract(hi, OVERLAP_EPS, out=hi)
-    for x in (lo, hi):
-        np.subtract(1.0, np.multiply(x, x, out=x), out=x)
-    np.maximum(lo, 0.0, out=lo)
-    scratch = np.empty_like(lo)
-    if d_exponent == 3.0:
-        for x in (lo, hi):
-            np.multiply(x, np.sqrt(x, out=scratch), out=x)
-    elif d_exponent == 1.0:
-        np.sqrt(lo, out=lo)
-        np.sqrt(hi, out=hi)
-    elif d_exponent != 2.0:
-        np.power(hi, _float32_half(d_exponent, up=False), out=hi)
-        np.power(lo, _float32_half(d_exponent, up=True), out=lo)
-    # times float32(u) (1 - M) for the lower bound, (1 + M) for the upper
-    u32 = t_row.astype(np.float32)
-    for x, factor in ((lo, 1.0 - m), (hi, 1.0 + m)):
-        np.multiply(x, np.multiply(u32, factor, out=scratch), out=x)
-    return lo, hi
-
-
-def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
-               params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Float32 bounds (lo1, hi1, lo2, hi2) on the tags that the kernel makes
-    of the uniforms ``u`` (4, n), which are left as they are, in fresh
-    arrays.  Each station's bounds come from its own overlaps of
-    ``screen_overlaps`` and its own tag row, so they depend on its own
-    setting and its own copy of s only.  Below, u32 = 2^-24 is float32's
-    unit roundoff.
+def _station_tag_bounds(h: tuple[np.ndarray, np.ndarray, np.ndarray], a: UnitVector3,
+                        t_row: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 bounds (lo, hi) on the tags that the kernel makes for one
+    station, in fresh arrays, from ``h`` of ``_screen_direction``, its own
+    setting ``a`` and its own tag uniforms ``t_row``, which are left as they
+    are; so they depend on its own setting and its own copy of s only.
+    Below, u32 = 2^-24 is float32's unit roundoff.
 
     Soundness, step by step:
 
@@ -268,17 +235,36 @@ def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
     d_exponent = params.d_exponent
     m = 2.0 ** -21 if d_exponent in (1.0, 2.0, 3.0) else (32.0 + d_exponent) * 2.0 ** -24
     if m > 2.0 ** -4:
-        n = u.shape[1]
-        return tuple(np.full(n, bound, np.float32) for bound in (0.0, 1.0, 0.0, 1.0))
-    d1, d2 = screen_overlaps(u, a1, a2)
-    return (*_station_tag_bounds(d1, u[2], d_exponent, m),
-            *_station_tag_bounds(d2, u[3], d_exponent, m))
+        return np.zeros(len(t_row), np.float32), np.ones(len(t_row), np.float32)
+    # |d~| + eps and |d~| - eps, then 1 - their squares
+    d = _screen_overlap(h, a)
+    hi = np.abs(d, out=d)
+    lo = np.add(hi, OVERLAP_EPS)
+    np.subtract(hi, OVERLAP_EPS, out=hi)
+    for x in (lo, hi):
+        np.subtract(1.0, np.multiply(x, x, out=x), out=x)
+    np.maximum(lo, 0.0, out=lo)
+    scratch = np.empty_like(lo)
+    if d_exponent == 3.0:
+        for x in (lo, hi):
+            np.multiply(x, np.sqrt(x, out=scratch), out=x)
+    elif d_exponent == 1.0:
+        np.sqrt(lo, out=lo)
+        np.sqrt(hi, out=hi)
+    elif d_exponent != 2.0:
+        np.power(hi, _float32_half(d_exponent, up=False), out=hi)
+        np.power(lo, _float32_half(d_exponent, up=True), out=lo)
+    # times float32(u) (1 - M) for the lower bound, (1 + M) for the upper
+    u32 = t_row.astype(np.float32)
+    for x, factor in ((lo, 1.0 - m), (hi, 1.0 + m)):
+        np.multiply(x, np.multiply(u32, factor, out=scratch), out=x)
+    return lo, hi
 
 
 # Absolute slack on the screen's limit: it covers the 2^-52 by which a
 # same-bin pair's tags may differ beyond tau, and the absolute error, below
 # 2^-126, of float32 tag bounds that fall below float32's smallest normal
-# (tag_bounds).
+# (_station_tag_bounds).
 _SCREEN_SLACK = 2.0 ** -40
 
 
@@ -335,23 +321,19 @@ def _outcome_counts(blocks: Iterable[np.ndarray], a1: UnitVector3,
             if below[0::2] == below[1::2]:  # no pair within the margin
                 n_agree += below[2] - below[0] + below[6] - below[4]
                 continue
-        d1, d2 = _exact_overlaps(u, a1, a2)
-        n_agree += np.count_nonzero((d1 >= 0.0) == (d2 <= 0.0))
+        s = _hidden_direction(u)
+        x1, x2 = _outcome(_overlap(s, a1), 1), _outcome(_overlap(s, a2), -1)
+        n_agree += np.count_nonzero(x1 == x2)
     return n, n, 2 * int(n_agree) - n
-
-
-def _kernel_counts(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
-                   params: ModelParams) -> tuple[int, int]:
-    """(coincidences, sum of x1*x2 over coincidences) of the kernel's events
-    of the uniforms ``u``."""
-    return _counts_from_batch(_events_from_uniforms(u, a1, a2, params), params)[1:]
 
 
 def _screen(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
             limit: np.float32) -> np.ndarray:
     """The indices of the pairs of ``u`` whose tag intervals come within
     ``limit``: every pair that may coincide (proof in ``_block_counts``)."""
-    lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
+    h = _screen_direction(u)
+    lo1, hi1 = _station_tag_bounds(h, a1, u[2], params)
+    lo2, hi2 = _station_tag_bounds(h, a2, u[3], params)
     keep = np.subtract(lo1, hi2, out=lo1) <= limit
     near = np.subtract(lo2, hi1, out=lo2) <= limit
     return np.flatnonzero(np.logical_and(keep, near, out=keep))
@@ -404,12 +386,12 @@ def _block_counts(
     2^-30 - 2^-50 from every exact end, so it lies on the same side of each
     edge as of the end, and its outcomes are as above.  Any other block,
     about 1.2e-4 of the blocks of 2^14 pairs, gets the kernel's exact
-    overlaps (``model._exact_overlaps``) from its z and phi, as does every
-    block when a setting has a.z != 0; at u0 = 0, r = 0 and the tie-break
-    gives both stations +1.
+    overlaps (``model._overlap`` of ``model._hidden_direction``) from its z
+    and phi, as does every block when a setting has a.z != 0; at u0 = 0, r =
+    0 and the tie-break (``model._outcome``) gives both stations +1.
 
     When the cut can reject a pair, a screen keeps only the pairs whose
-    float32 tag intervals (``tag_bounds``) come within the limit, and
+    float32 tag intervals (``_station_tag_bounds``) come within the limit, and
     the kernel runs on them alone.  Soundness: a same-bin pair has k <=
     fl(t/tau) < k+1 for both tags, and fl(t/tau) is within a relative 2^-53
     of t/tau, so |t1 - t2| < tau + 2^-53 (t1 + t2) < tau + 2^-52 (this
@@ -443,11 +425,13 @@ def _block_counts(
             kept[:, filled:filled + len(take)] = u[:, take]
             filled += len(take)
             if filled == kept.shape[1]:
-                parts.append(_kernel_counts(kept, a1, a2, params))
+                batch = _events_from_uniforms(kept, a1, a2, params)
+                parts.append(_counts_from_batch(batch, params))
                 filled = 0
     if filled:
-        parts.append(_kernel_counts(kept[:, :filled], a1, a2, params))
-    return n, sum(c for c, _ in parts), sum(s for _, s in parts)
+        batch = _events_from_uniforms(kept[:, :filled], a1, a2, params)
+        parts.append(_counts_from_batch(batch, params))
+    return n, sum(p[1] for p in parts), sum(p[2] for p in parts)
 
 
 # events per block: a float32 row of the screen is 64 KiB, below glibc's 128 KiB

@@ -1,11 +1,12 @@
 """Event generation for a local hidden-direction model of the EPRB experiment.
 
 Each simulated pair carries a hidden direction drawn uniformly on the unit
-sphere.  Station 1 receives the direction itself, station 2 its antipode, so
-equal analyzer settings always give strictly opposite outcomes.  Every
-station-local quantity (outcome and detection-time tag) is a function of the
-local setting and the local copy of the hidden variable only; locality is
-structural, not statistical.
+sphere (``_hidden_direction``).  Station 1 receives the direction itself,
+station 2 its antipode, so equal analyzer settings always give strictly
+opposite outcomes.  Every station-local quantity (outcome and detection-time
+tag) comes from ``_station``, whose arguments are the local setting, the
+local tag uniforms and the local copy of the hidden variable only; locality
+is structural, not statistical.
 
 Time tags are drawn uniformly on ``[0, T)`` where the maximal delay
 ``T = (1 - (a.s)^2)^(d/2)`` shrinks as the hidden direction aligns with the
@@ -163,26 +164,40 @@ def batch_streams(
     return streams
 
 
-def _overlap(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray, a: UnitVector3) -> np.ndarray:
-    """d = (sx a.x + sy a.y) + sz a.z.  The last term is skipped when a.z ==
-    0: it only adds +-0, which can turn a -0 into +0 but changes neither the
-    outcome nor d^2."""
-    d = sx * a.x + sy * a.y
-    return d + sz * a.z if a.z != 0.0 else d
-
-
-def _exact_overlaps(u: np.ndarray, a1: UnitVector3,
-                    a2: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's float64 overlaps (d1, d2) = (a1.s, a2.s) of the hidden
-    directions drawn from rows 0 and 1 of ``u`` (z and phi); other rows are
-    not read."""
+def _hidden_direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's float64 hidden direction s = (sx, sy, sz) drawn from rows
+    0 and 1 of ``u`` (z and phi); other rows are not read.  It is shared by
+    both stations: station 1 receives s, station 2 its antipode."""
     # z = 1 - 2u and phi = 2 pi u'
     sz = 1.0 - 2.0 * u[0]
     phi = 2.0 * np.pi * u[1]
     r = np.sqrt(np.maximum(0.0, 1.0 - sz * sz))
-    sx = r * np.cos(phi)
-    sy = r * np.sin(phi)
-    return _overlap(sx, sy, sz, a1), _overlap(sx, sy, sz, a2)
+    return r * np.cos(phi), r * np.sin(phi), sz
+
+
+def _overlap(s: tuple[np.ndarray, np.ndarray, np.ndarray], a: UnitVector3) -> np.ndarray:
+    """d = (sx a.x + sy a.y) + sz a.z.  The last term is skipped when a.z ==
+    0: it only adds +-0, which can turn a -0 into +0 but changes neither the
+    outcome nor d^2."""
+    sx, sy, sz = s
+    d = sx * a.x + sy * a.y
+    return d + sz * a.z if a.z != 0.0 else d
+
+
+def _outcome(d: np.ndarray, sign: int) -> np.ndarray:
+    """The outcome sign(a . (sign s)) of a station whose overlap with s is
+    ``d``, ties to +1: station 1 has sign = +1, and station 2, which measures
+    -s, sign = -1, so it gives +1 where d <= 0."""
+    return np.where(d >= 0.0 if sign > 0 else d <= 0.0, np.int8(1), np.int8(-1))
+
+
+def _station(s: tuple[np.ndarray, np.ndarray, np.ndarray], sign: int, a: UnitVector3,
+             t_row: np.ndarray, d_exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """One station's outcomes and tags (x, t) from the hidden direction ``s``,
+    the sign of its copy of s, its own setting ``a`` and its tag uniforms
+    ``t_row``: nothing of the other station enters."""
+    d = _overlap(s, a)
+    return _outcome(d, sign), t_row * _delay_from_dot_sq(d * d, d_exponent)
 
 
 def _events_from_uniforms(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
@@ -193,12 +208,9 @@ def _events_from_uniforms(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,
     on its own four uniforms only, not on its position or on the other
     events of ``u``.
     """
-    d1, d2 = _exact_overlaps(u, a1, a2)
-    # station 2 measures -s: sign(a2 . -s) with the same tie-break to +1
-    x1 = np.where(d1 >= 0.0, np.int8(1), np.int8(-1))
-    x2 = np.where(d2 <= 0.0, np.int8(1), np.int8(-1))
-    t1 = u[2] * _delay_from_dot_sq(d1 * d1, params.d_exponent)
-    t2 = u[3] * _delay_from_dot_sq(d2 * d2, params.d_exponent)
+    s = _hidden_direction(u)
+    x1, t1 = _station(s, 1, a1, u[2], params.d_exponent)
+    x2, t2 = _station(s, -1, a2, u[3], params.d_exponent)
     return EventBatch(x1=x1, x2=x2, t1=t1, t2=t2)
 
 

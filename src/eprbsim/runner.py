@@ -28,7 +28,7 @@ from enum import Enum
 
 from . import __version__
 from .bell import CorrelationQuartet, InequalityReport, verdict
-from .bounds import BoundReport, check_simulated_gamma
+from .bounds import UNEQUAL_QUAD_MIN_DEG, BoundReport, check_simulated_gamma
 from .coincidence import CoincidenceStats, chunk_counts
 from .model import CoincidenceMode, ModelParams, UnitVector3
 
@@ -136,6 +136,13 @@ class ExperimentConfig:
         if not all(0.0 <= a <= 180.0 for a in self.audit_alpha_deg):
             raise ConfigError(
                 f"audit_alpha_deg values must be in [0, 180], got {list(self.audit_alpha_deg)}"
+            )
+        near = [a for a in self.audit_alpha_deg if 0.0 < min(a, 180.0 - a) < UNEQUAL_QUAD_MIN_DEG]
+        if near:
+            raise ConfigError(
+                f"audit_alpha_deg values other than 0 and 180 must lie at least "
+                f"{UNEQUAL_QUAD_MIN_DEG} degrees from both, where the unequal-settings "
+                f"quadrature holds its tolerance; got {near}"
             )
         if not self.audit_tau:
             raise ConfigError("audit_tau must not be empty")

@@ -20,6 +20,7 @@ import pytest
 from eprbsim import CoincidenceMode, ModelParams, UnitVector3, simulate_pair_stats
 from eprbsim.bounds import (
     EQUAL_QUAD_REL_TOL,
+    UNEQUAL_QUAD_MIN_DEG,
     UNEQUAL_QUAD_REL_TOL,
     approx_equal_settings,
     check_simulated_gamma,
@@ -114,6 +115,16 @@ class TestUnequalSettingsQuadrature:
         a = math.radians(50.0)
         assert unequal_settings_quadrature(a, 3e-3) == pytest.approx(
             3.0 * unequal_settings_quadrature(a, 1e-3), rel=1e-10
+        )
+
+    @pytest.mark.parametrize("alpha_deg", [UNEQUAL_QUAD_MIN_DEG, 180.0 - UNEQUAL_QUAD_MIN_DEG])
+    @pytest.mark.parametrize("tau", [0.1, 1e-4])
+    def test_module_tolerance_at_the_audit_angle_limits(self, alpha_deg, tau):
+        """The audit refuses angles nearer 0 or 180 than these, other than 0
+        and 180 themselves."""
+        alpha = math.radians(alpha_deg)
+        assert unequal_settings_quadrature(alpha, tau) == pytest.approx(
+            16.0 * tau / math.sin(alpha), rel=UNEQUAL_QUAD_REL_TOL
         )
 
 

@@ -158,6 +158,17 @@ class TestBoundsCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_audit_angle_near_0_or_180_exits_1(self):
+        """Where the unequal-settings quadrature misses its tolerance (it
+        gives nan at 1e-300 degrees), the audit is refused before it runs."""
+        for grid in ("1e-300", "30,179.999999"):
+            proc = run_cli("bounds", "--alpha-grid", grid, "--tau-grid", "0.01",
+                           "--events", "1000")
+            assert proc.returncode == 1
+            assert "audit_alpha_deg" in proc.stderr and "1e-05" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""
+
     def test_subnormal_audit_tau_exits_1(self):
         proc = run_cli("bounds", "--events", "20000", "--tau-grid", "1e-320")
         assert proc.returncode == 1

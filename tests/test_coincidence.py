@@ -13,12 +13,13 @@ from eprbsim.coincidence import (
     CoincidenceStats,
     _block_counts,
     _counts_from_batch,
+    _screen_direction,
+    _screen_overlap,
+    _station_tag_bounds,
     accumulate,
     coincidence_mask,
     coincidence_probability_exact,
     same_bin_probability_exact,
-    screen_overlaps,
-    tag_bounds,
 )
 from eprbsim.model import (
     CoincidenceMode,
@@ -26,7 +27,9 @@ from eprbsim.model import (
     ModelParams,
     UnitVector3,
     _events_from_uniforms,
-    _exact_overlaps,
+    _hidden_direction,
+    _overlap,
+    _station,
     event_stream,
     generate_batch,
 )
@@ -42,6 +45,27 @@ def continuous(window: float, tau: float = 0.25) -> ModelParams:
 
 def same_bin(tau: float) -> ModelParams:
     return ModelParams(tau=tau, window=tau, coincidence_mode=CoincidenceMode.SAME_BIN)
+
+
+def exact_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple:
+    """The kernel's float64 overlaps (d1, d2) of the hidden directions of
+    ``u``, one station call each."""
+    s = _hidden_direction(u)
+    return _overlap(s, a1), _overlap(s, a2)
+
+
+def screen_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple:
+    """The screen's float32 overlaps (d~1, d~2), one station call each."""
+    h = _screen_direction(u)
+    return _screen_overlap(h, a1), _screen_overlap(h, a2)
+
+
+def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams) -> tuple:
+    """The screen's float32 tag bounds (lo1, hi1, lo2, hi2), one station
+    call each."""
+    h = _screen_direction(u)
+    return (*_station_tag_bounds(h, a1, u[2], params),
+            *_station_tag_bounds(h, a2, u[3], params))
 
 
 def is_coincident(t1: float, t2: float, params: ModelParams) -> bool:
@@ -343,6 +367,77 @@ class TestScreen:
         assert _block_counts([u], a1, a2, params) == want
         assert want[1] > (0 if cut < 1e-9 else n // 100)
 
+    @staticmethod
+    def fuzzed_setting(rng) -> UnitVector3:
+        """An in-plane setting at a random angle, or in three of ten cases a
+        random direction off the plane."""
+        if rng.random() < 0.3:
+            v = rng.normal(size=3)
+            return UnitVector3(*(float(c) for c in v / np.linalg.norm(v)))
+        return UnitVector3.from_angle_deg(rng.uniform(-360.0, 360.0))
+
+    @staticmethod
+    def pushed_uniforms(rng, n: int, a1, a2, params, cut: float) -> np.ndarray:
+        """Random uniforms (4, n), with up to half the pairs moved so that
+        |t1 - t2| lies within a relative 1e-17 to 1e-6 of the cut, on either
+        side.  A quarter of the moved pairs have s within 1e-6 turns of
+        perpendicular to one setting, where T is flattest and the bounds are
+        widened by M alone, and half have t1 placed at 0, 1 or 2 cut widths,
+        the floor of a bin.  Each move solves for a tag's uniform from the
+        kernel's delay; a pair that would need a uniform outside [0, 1)
+        keeps its random tags."""
+        u = rng.random((4, n))
+        moved = rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)
+        flat = moved[rng.random(len(moved)) < 0.25]
+        for a, j in ((a1, flat[0::2]), (a2, flat[1::2])):
+            if a.z != 0.0:
+                u[0, j] = 0.5  # s in the plane, so a.s = r (a.x cos(phi) + a.y sin(phi))
+            turn = math.atan2(a.y, a.x) / (2.0 * math.pi) + rng.choice([-0.25, 0.25], len(j))
+            u1 = np.mod(turn + rng.uniform(-1e-6, 1e-6, len(j)), 1.0)
+            u[1, j] = np.where(u1 < 1.0, u1, 0.0)
+        s = _hidden_direction(u)
+        T1, T2 = (_station(s, 1, a, np.ones(n), params.d_exponent)[1] for a in (a1, a2))
+        floor = moved[rng.random(len(moved)) < 0.5]
+        t1 = u[2] * T1
+        t1[floor] = cut * rng.integers(0, 3, len(floor))
+        rel = rng.choice([-1.0, 1.0], len(moved)) * 10.0 ** rng.uniform(-17.0, -6.0, len(moved))
+        t2 = t1[moved] + rng.choice([-1.0, 1.0], len(moved)) * cut * (1.0 + rel)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u2, u3 = t1[moved] / T1[moved], t2 / T2[moved]
+        usable = np.ones(len(moved), bool)
+        for v in (u2, u3):
+            usable &= np.isfinite(v) & (v >= 0.0) & (v < 1.0)
+        u[2, moved[usable]] = u2[usable]
+        u[3, moved[usable]] = u3[usable]
+        return u
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    def test_fuzzed_screen_keeps_every_coincident_pair(self, mode):
+        """Seeded fuzz of the screen's soundness proof: random settings, off
+        the plane too and a2 = a1 in a fifth of cases; d in {1, 2, 3} or
+        uniform on (0.05, 50); cuts log-uniform from 1e-300 to 1; pairs pushed
+        to the edge of the cut.  Each block's counts must equal the
+        kernel's.  It catches each of these mutations: OVERLAP_EPS = 1e-8,
+        the limit tightened by a relative 2e-6, M = 2^-26 for d = 1, 2, 3,
+        and no _SCREEN_SLACK."""
+        rng = np.random.default_rng(20062)
+        n, coincident = 4_096, 0
+        for _ in range(1_000):
+            a1 = self.fuzzed_setting(rng)
+            a2 = a1 if rng.random() < 0.2 else self.fuzzed_setting(rng)
+            d_exponent = (float(rng.choice([1.0, 2.0, 3.0])) if rng.random() < 0.5
+                          else rng.uniform(0.05, 50.0))
+            cut = 10.0 ** rng.uniform(-300.0, 0.0)
+            params = ModelParams(tau=cut, window=cut, d_exponent=d_exponent,
+                                 coincidence_mode=mode)
+            u = self.pushed_uniforms(rng, n, a1, a2, params, cut)
+            want = _counts_from_batch(_events_from_uniforms(u, a1, a2, params), params)
+            assert _block_counts([u], a1, a2, params) == want, (a1, a2, d_exponent, cut)
+            coincident += want[1]
+        # not vacuous: about 4.9e5 (same-bin) and 6.1e5 (continuous) pairs
+        # coincide, nearly all of them pushed ones
+        assert coincident > 100_000
+
 
 class TestTagBounds:
     """The screen's assumptions: float32 trigonometry within a tenth of the
@@ -361,7 +456,7 @@ class TestTagBounds:
         n = 1 << 16
         u = event_stream(33, 0).random((4, n))
         approx = screen_overlaps(u, a, a)[0]
-        exact = _exact_overlaps(u, a, a)[0]
+        exact = exact_overlaps(u, a, a)[0]
         assert np.abs(approx - exact).max() <= OVERLAP_EPS / 10
 
     @pytest.mark.parametrize("d_exponent", [3.0, 2.0, 1.0, 0.7, 40.0])
@@ -389,7 +484,7 @@ class TestTagBounds:
         near = 1e-7 * np.random.default_rng(34).random(n)
         u[0] = np.where(np.arange(n) % 2 == 0, near, 1.0 - near)
         approx = screen_overlaps(u, a, a)[0]
-        exact = _exact_overlaps(u, a, a)[0]
+        exact = exact_overlaps(u, a, a)[0]
         assert np.abs(approx - exact).max() <= OVERLAP_EPS / 10
 
     @staticmethod
@@ -419,7 +514,7 @@ class TestTagBounds:
         placed = np.concatenate([self.aligned_uniforms(a, targets) for a in (a1, a2)], axis=1)
         m = placed.shape[1] // 2
         u[:2, :2 * m] = placed
-        d1, d2 = _exact_overlaps(u, a1, a2)
+        d1, d2 = exact_overlaps(u, a1, a2)
         want = np.tile(targets, 2)
         assert np.abs(d1[:m] - want).max() < 1e-12
         assert np.abs(d2[m:2 * m] - want).max() < 1e-12
@@ -520,7 +615,7 @@ class TestOutcomeScreen:
         u[:2, :zphi.shape[1]] = zphi
 
         # the placements are where they were meant to be
-        d1, d2 = _exact_overlaps(u, a1, a2)
+        d1, d2 = exact_overlaps(u, a1, a2)
         m = placed[0].shape[1]
         want = np.tile(np.repeat([self.TARGETS], len(z), axis=0).ravel(), 2)
         assert np.abs(d1[:m] - want).max() < 1e-15
@@ -597,11 +692,11 @@ class TestOutcomeScreen:
         params = ModelParams(tau=1.0, window=1.0, coincidence_mode=mode)
         exact_calls = []
 
-        def counting_exact_overlaps(u, *args):
+        def counting_hidden_direction(u):
             exact_calls.append(u.shape[1])
-            return _exact_overlaps(u, *args)
+            return _hidden_direction(u)
 
-        monkeypatch.setattr(coincidence, "_exact_overlaps", counting_exact_overlaps)
+        monkeypatch.setattr(coincidence, "_hidden_direction", counting_hidden_direction)
         rng = np.random.default_rng(20061)
         n_blocks = 0
         for _ in range(300):

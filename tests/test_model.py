@@ -14,7 +14,10 @@ from eprbsim.model import (
     ModelParams,
     UnitVector3,
     _delay_from_dot_sq,
-    _exact_overlaps,
+    _hidden_direction,
+    _outcome,
+    _overlap,
+    _station,
     batch_streams,
     event_stream,
     generate_batch,
@@ -38,12 +41,9 @@ class ConstantGenerator:
 
 def hidden_directions(seed: int, n: int) -> np.ndarray:
     """The hidden directions of ``generate_batch(event_stream(seed, 0), ...,
-    n)``, an (n, 3) array: the kernel's overlaps with the three axes, which
-    add only +-0 to sx, sy and sz."""
+    n)``, an (n, 3) array of the kernel's (sx, sy, sz)."""
     u = event_stream(seed, 0).random((4, n))
-    sx, sy = _exact_overlaps(u, X_AXIS, Y_AXIS)
-    sz = _exact_overlaps(u, X_AXIS, Z_AXIS)[1]
-    return np.column_stack((sx, sy, sz))
+    return np.column_stack(_hidden_direction(u))
 
 
 def delay(dot_sq, d_exponent: float = 3.0) -> np.ndarray:
@@ -128,8 +128,8 @@ class TestOutcome:
         """u = 1/2 puts S at azimuth pi on the equator, so a = z gives
         a.S = 0 exactly at both stations, and both outcomes are +1."""
         batch = generate_batch(ConstantGenerator(0.5), Z_AXIS, Z_AXIS, ModelParams(), 1)
-        d1, d2 = _exact_overlaps(np.full((2, 1), 0.5), Z_AXIS, Z_AXIS)
-        assert (d1[0], d2[0]) == (0.0, 0.0)
+        d = _overlap(_hidden_direction(np.full((2, 1), 0.5)), Z_AXIS)
+        assert d[0] == 0.0
         assert (batch.x1[0], batch.x2[0]) == (1, 1)
 
     @pytest.mark.parametrize("alpha_deg", [60.0, 90.0, 120.0])
@@ -140,6 +140,48 @@ class TestOutcome:
                                UnitVector3.from_angle_deg(alpha_deg), ModelParams(), 1_000_000)
         expected = -(1.0 - 2.0 * math.radians(alpha_deg) / math.pi)
         assert abs((batch.x1.astype(np.int64) * batch.x2).mean() - expected) < 0.003
+
+
+class TestStation:
+    """Station 2's rule on its own: measuring -s is the station step with
+    sign -1, and a tie gives +1 whatever the sign."""
+
+    @staticmethod
+    def zero_overlaps() -> tuple[np.ndarray, UnitVector3]:
+        """Uniforms (4, 2) and a setting at which a.s is +0 and -0 exactly:
+        u = 1/2 with a = z, and u0 = 0 (r = 0) with phi in the third
+        quadrant, where both in-plane terms are -0."""
+        a = UnitVector3(0.6, 0.8, 0.0)
+        u = np.array([[0.5, 0.0], [0.5, 0.6], [0.3, 0.7], [0.1, 0.2]])
+        d = np.array([_overlap(_hidden_direction(u[:, :1]), Z_AXIS)[0],
+                      _overlap(_hidden_direction(u[:, 1:]), a)[0]])
+        assert np.all(d == 0.0) and list(np.signbit(d)) == [False, True]
+        return u, a
+
+    @pytest.mark.parametrize("d_exponent", [3.0, 2.0, 1.0, 0.7])
+    def test_minus_sign_is_the_antipode(self, d_exponent):
+        """_station(s, -1, a) equals _station(-s, +1, a) byte for byte, for
+        random s and settings and for a.s = +0 and -0."""
+        rng = np.random.default_rng(18)
+        u = rng.random((4, 4_096))
+        settings = [X_AXIS, Z_AXIS, UnitVector3(0.48, 0.6, 0.64),
+                    *(UnitVector3.from_angle_deg(x) for x in rng.uniform(-360.0, 360.0, 4))]
+        zeros, a_zero = self.zero_overlaps()
+        cases = [(u, a) for a in settings] + [(zeros[:, :1], Z_AXIS), (zeros[:, 1:], a_zero)]
+        for w, a in cases:
+            s = _hidden_direction(w)
+            minus_s = tuple(-c for c in s)
+            got = _station(s, -1, a, w[3], d_exponent)
+            want = _station(minus_s, 1, a, w[3], d_exponent)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], a
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_ties_give_plus_one_at_either_sign(self, sign):
+        assert list(_outcome(np.array([0.0, -0.0]), sign)) == [1, 1]
+        assert list(_outcome(np.array([1e-300, -1e-300]), sign)) == [sign, -sign]
+        u, a = self.zero_overlaps()
+        for w, b in ((u[:, :1], Z_AXIS), (u[:, 1:], a)):
+            assert _station(_hidden_direction(w), sign, b, w[2], 3.0)[0][0] == 1
 
 
 class TestDelayScale:

@@ -49,3 +49,20 @@ def test_code_references_in_the_docs_resolve():
                for module, name in REFERENCE.findall(path.read_text())
                if name != "py" and not hasattr(MODULES[module], name)]
     assert not missing, missing
+
+
+def test_only_the_orchestrators_take_both_settings():
+    """Each station's step takes its own setting alone; the functions whose
+    parameters include both a1 and a2 are the five that call a station step
+    once per station."""
+    both = set()
+    for module in (model, coincidence):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+                if {"a1", "a2"} <= names:
+                    both.add(f"{module.__name__.rpartition('.')[2]}.{node.name}")
+    assert both == {"model.generate_batch", "model._events_from_uniforms",
+                    "coincidence._screen", "coincidence._outcome_counts",
+                    "coincidence._block_counts"}

@@ -20,7 +20,7 @@ from eprbsim import (
     run_correlation_sweep,
 )
 from eprbsim import coincidence, runner
-from eprbsim.bounds import EQUAL_QUAD_REL_TOL
+from eprbsim.bounds import EQUAL_QUAD_REL_TOL, UNEQUAL_QUAD_MIN_DEG
 from eprbsim.coincidence import _counts_from_batch
 from eprbsim.model import (
     ModelParams,
@@ -77,6 +77,8 @@ class TestExperimentConfig:
             {"audit_alpha_deg": (0.0, 200.0)},
             {"audit_alpha_deg": (-15.0,)},
             {"audit_alpha_deg": ()},
+            {"audit_alpha_deg": (30.0, 1e-300)},
+            {"audit_alpha_deg": (180.0 - 5e-6,)},
             {"n_events": 1e5},
             {"seed": 1.5},
             {"workers": True},
@@ -117,6 +119,11 @@ class TestExperimentConfig:
             "audit_alpha_deg": [0.0, 30.0, 90.0, 150.0],
             "audit_tau": [1e-2, 1e-3],
         }
+
+    def test_audit_angles_at_the_quadrature_limits_accepted(self):
+        """Exactly 0 and 180, and 1e-5 degrees from either, are audited."""
+        angles = (0.0, UNEQUAL_QUAD_MIN_DEG, 180.0 - UNEQUAL_QUAD_MIN_DEG, 180.0)
+        assert small_config(audit_alpha_deg=angles).audit_alpha_deg == angles
 
     def test_model_params_messages_carry_through(self):
         with pytest.raises(ConfigError, match=r"^window must be in \(0, 1\], got 1.5$"):
