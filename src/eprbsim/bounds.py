@@ -31,7 +31,10 @@ singularity of the integrand: the poles of 1/sin^2 at small alpha or near pi,
 and the square-root edge of the saturated region at small tau.  Against the
 exact values, the unequal rule agrees to about 1e-14 relative for alpha
 from 1 to 179 degrees, and the equal rule to about 1e-13 for tau from 1
-down to 1e-300.
+down to 1e-300.  The equal rule's (phi, psi) grid is evaluated in blocks of
+whole phi-rows, each row's psi-sum kept and the phi-weights applied once at
+the end, so it holds at most one block of temporaries at any tau and its
+value does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -69,8 +72,10 @@ UNEQUAL_QUAD_MIN_DEG = 1e-5
 # levels added past the length scale of the nearest singularity
 _GL_ORDER = 16
 _EXTRA_LEVELS = 8
-# nodes evaluated at once by the equal-settings rule, to bound its memory
-_MAX_GRID_NODES = 1 << 20
+# grid nodes the equal-settings rule evaluates at once, in whole phi-rows, so
+# at most one block of temporaries is alive at any tau; a row has 160 nodes
+# at tau = 1 and 5,904 at the smallest tau, so no block exceeds this
+_MAX_GRID_NODES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -204,7 +209,7 @@ def equal_settings_quadrature(tau: float) -> float:
         _graded_rule(phi_sat, half_pi, levels),
     )
     rows = max(1, _MAX_GRID_NODES // ((levels + 2) * _GL_ORDER))
-    total = 0.0
+    sums = np.empty_like(phi)
     for k in range(0, phi.size, rows):
         p = phi[k : k + rows]
         c = np.cos(p)
@@ -218,8 +223,8 @@ def equal_settings_quadrature(tau: float) -> float:
         base = (np.sin(p) ** 2)[:, None] + (c[:, None] * np.sin(psi)) ** 2
         delay = base * np.sqrt(base)
         weight = tau / np.maximum(delay, tau)
-        total += float(w_phi[k : k + rows] @ (w_psi * weight * np.cos(psi)).sum(axis=-1))
-    return 8.0 * total
+        sums[k : k + rows] = (w_psi * weight * np.cos(psi)).sum(axis=-1)
+    return 8.0 * float(w_phi @ sums)
 
 
 def approx_equal_settings(tau: float) -> float:

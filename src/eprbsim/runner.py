@@ -21,7 +21,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -226,6 +225,10 @@ def simulate_plan(
     ]
     pool_size = min(workers, len(tasks), _available_cpus())
     if pool_size > 1:
+        # imported here, so an in-process run never loads the pool's
+        # multiprocessing machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             counts = list(pool.map(chunk_counts, tasks, chunksize=1))
     else:
@@ -476,16 +479,20 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def rows_to_table(rows: list[dict], columns: list[str]) -> str:
-    def cell(value) -> str:
+    """Aligned text table.  Floats print with 6 significant digits, angles
+    (the ``_deg`` columns) with 12, so 179.99999 and 1e-05 do not read as 180
+    and 0, while 29.999999999999996 still reads 30."""
+
+    def cell(column: str, value) -> str:
         if value is None:
             return "-"
         if isinstance(value, bool):
             return "yes" if value else "no"
         if isinstance(value, float):
-            return f"{value:.6g}"
+            return f"{value:.12g}" if column.endswith("_deg") else f"{value:.6g}"
         return str(value)
 
-    grid = [columns] + [[cell(row.get(c)) for c in columns] for row in rows]
+    grid = [columns] + [[cell(c, row.get(c)) for c in columns] for row in rows]
     widths = [max(len(r[i]) for r in grid) for i in range(len(columns))]
     lines = []
     for k, r in enumerate(grid):

@@ -12,12 +12,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eprbsim import CoincidenceMode, ModelParams, UnitVector3, simulate_pair_stats
+from eprbsim import CoincidenceMode, ModelParams, UnitVector3, bounds, simulate_pair_stats
 from eprbsim.bounds import (
     EQUAL_QUAD_REL_TOL,
     UNEQUAL_QUAD_MIN_DEG,
@@ -35,9 +36,11 @@ from eprbsim.model import event_stream, generate_batch
 FOUR_PI = 4.0 * math.pi
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# six points per decade from 1e-1 to 1e-4, the tau grid of the benchmark's
-# bound audit, plus both ends of the range the audit is run at
-DENSE_TAU_GRID = [round(10.0 ** (-1.0 - k / 6.0), 6) for k in range(19)] + [1.0, 1e-6]
+# six points per decade from 1e-1 to 1e-4, to six significant digits: the
+# tau grid of the benchmark's bound audit
+AUDIT_TAU_GRID = [float(f"{10.0 ** (-1.0 - k / 6.0):.6g}") for k in range(19)]
+# plus both ends of the range the audit is run at
+DENSE_TAU_GRID = AUDIT_TAU_GRID + [1.0, 1e-6]
 
 
 class TestUnequalSettingsBound:
@@ -165,6 +168,34 @@ class TestEqualSettingsQuadrature:
         assert equal_settings_quadrature(tau) == pytest.approx(
             equal_settings_bound(tau), rel=EQUAL_QUAD_REL_TOL
         )
+
+    @pytest.mark.parametrize("tau", AUDIT_TAU_GRID + [1.0])  # 1e-2 and 1e-3 among them
+    def test_blocks_give_the_whole_grid_bits(self, monkeypatch, tau):
+        """Row blocks of the shipped size, and of one row each, give the
+        bits of the whole grid evaluated at once."""
+        blocked = equal_settings_quadrature(tau)
+        for nodes in (1, 1 << 30):
+            monkeypatch.setattr(bounds, "_MAX_GRID_NODES", nodes)
+            assert equal_settings_quadrature(tau) == blocked, nodes
+
+    def test_one_row_blocks_at_tiny_tau(self):
+        # a row of 5,488 nodes is a block of its own; the whole grid would
+        # take gigabytes, so the closed form is the reference
+        assert equal_settings_quadrature(1e-300) == pytest.approx(
+            equal_settings_bound(1e-300), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("tau", [1.0, 1e-1, 1e-4, 1e-30, 1e-300])
+    def test_peak_memory_bounded(self, tau):
+        """One call holds at most one block of temporaries: a 2 MB peak,
+        where the whole grid took 3.8 MB at tau = 1 and 72 MB at 1e-300."""
+        tracemalloc.start()
+        try:
+            equal_settings_quadrature(tau)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
 
     def test_monotone_in_tau(self):
         low = equal_settings_quadrature(0.5)

@@ -169,6 +169,18 @@ class TestBoundsCommand:
             assert "Traceback" not in proc.stderr
             assert proc.stdout == ""
 
+    def test_table_angles_near_0_and_180_stay_distinct(self):
+        """The table prints angles to 12 significant digits: the 179.99999
+        row, which fails its cot form, does not read 180 beside the 180 row
+        that passes, and the audit's 30 degrees still reads 30."""
+        proc = run_cli("bounds", "--alpha-grid", "0,1e-5,179.99999,180,30",
+                       "--tau-grid", "0.01", "--events", "1000")
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+        assert [row[0] for row in rows] == ["0", "1e-05", "179.99999", "180", "30"]
+        assert [row[-1] for row in rows] == ["yes", "yes", "no", "yes", "yes"]
+        assert rows_to_table([{"alpha_deg": 29.999999999999996}], ["alpha_deg"]).split()[-1] == "30"
+
     def test_subnormal_audit_tau_exits_1(self):
         proc = run_cli("bounds", "--events", "20000", "--tau-grid", "1e-320")
         assert proc.returncode == 1

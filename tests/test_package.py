@@ -2,7 +2,10 @@
 and the code that README and the docstrings name."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import eprbsim
 from eprbsim import bell, bounds, cli, coincidence, model, reproduce, runner
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 MODULES = {m.__name__.rpartition(".")[2]: m
            for m in (model, coincidence, runner, bounds, bell, cli, reproduce)}
 # a backticked module.name; ``model.py`` and the like are file names
@@ -66,3 +70,24 @@ def test_only_the_orchestrators_take_both_settings():
     assert both == {"model.generate_batch", "model._events_from_uniforms",
                     "coincidence._screen", "coincidence._outcome_counts",
                     "coincidence._block_counts"}
+
+
+def test_one_worker_run_loads_no_process_pool():
+    """``python -m eprbsim bounds --workers 1`` runs in-process and never
+    imports the process pool or the multiprocessing machinery behind it."""
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['eprbsim', 'bounds', '--events', '1000', '--workers', '1']\n"
+        "try:\n"
+        "    runpy.run_module('eprbsim', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0, exit.code\n"
+        "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+        "          if m in sys.modules]\n"
+        "print('loaded:', *loaded, file=sys.stderr)\n"
+        "sys.exit(1 if loaded else 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("alpha_deg")

@@ -1,5 +1,6 @@
 """Configuration, orchestration, manifests, and tabular output."""
 
+import concurrent.futures
 import csv
 import io
 import math
@@ -305,12 +306,12 @@ class TestRunPlan:
         monkeypatch.setattr(runner, "_available_cpus", lambda: 8)
         pools = []
 
-        class CountingPool(runner.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         run_correlation_sweep(small_config(n_events=50_000, workers=2))
         assert pools == [2]
         run_chsh_experiment(small_config(n_events=CHUNK_SIZE + 1, workers=2))
@@ -349,7 +350,7 @@ class TestRunPlan:
             def map(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(runner, "_available_cpus", lambda: 3)
         config = small_config(alpha_grid_deg=tuple(float(a) for a in range(0, 181, 20)))
         pooled = run_correlation_sweep(replace(config, workers=1000))
