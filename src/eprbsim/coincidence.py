@@ -33,6 +33,7 @@ from .model import (
     EventBatch,
     ModelParams,
     UnitVector3,
+    _delay,
     _events_from_uniforms,
     _hidden_direction,
     _outcome,
@@ -135,42 +136,34 @@ def _counts_from_batch(batch: EventBatch, params: ModelParams) -> tuple[int, int
 
 
 # Margin on the overlap a.S in _station_tag_bounds.  The screen's float32
-# overlap is within sqrt(2) delta + 2^-20 < OVERLAP_EPS / 4 of the kernel's
-# float64 one, where delta, the error of float32 cos and sin of
-# float32(phi), is tested below OVERLAP_EPS / 10; measured, the overlap
-# error is at most 3.1e-7.
+# overlap, model._overlap of _screen_direction, is within sqrt(2) delta +
+# 2^-20 < OVERLAP_EPS / 4 of the kernel's float64 one, where delta, the
+# error of float32 cos and sin of float32(phi), is tested below OVERLAP_EPS
+# / 10; measured, the overlap error is at most 3.1e-7.
 OVERLAP_EPS = 1e-5
 
 
-def _screen_direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The screen's float32 (r/2 cos(phi), r/2 sin(phi)) of the hidden
-    direction drawn from rows 0 and 1 of ``u`` (z and phi), which are left
-    as they are, and row 0 itself, from which a station with a.z != 0 forms
-    z/2.  Each uniform row is rounded to float32 once, and the rest runs in
-    float32: r/2 = sqrt(u (1 - u)), since 1 - z^2 = 4 u (1 - u)."""
-    half_r = u[0].astype(np.float32)
-    scratch = np.subtract(1.0, u[0], out=np.empty_like(half_r), casting="same_kind")
-    np.sqrt(np.multiply(half_r, scratch, out=half_r), out=half_r)
+def _screen_direction(u: np.ndarray,
+                      with_z: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The screen's float32 hidden direction (r cos(phi), r sin(phi), z)
+    drawn from rows 0 and 1 of ``u`` (z and phi), which are left as they
+    are, in fresh arrays; z is formed only ``with_z``, else None, since
+    ``model._overlap`` reads it only for a setting with a.z != 0.  Each
+    uniform row is rounded to float32 once, and the rest runs in float32: r
+    = sqrt(4u (1 - u)), since 1 - z^2 = 4 u (1 - u), and z = 2 (1/2 - u)."""
+    r = u[0].astype(np.float32)
+    np.multiply(r, 4.0, out=r)
+    scratch = np.subtract(1.0, u[0], out=np.empty_like(r), casting="same_kind")
+    np.sqrt(np.multiply(r, scratch, out=r), out=r)
     phi = np.multiply(2.0 * np.pi, u[1], out=scratch, casting="same_kind")
-    half_r_cos = np.cos(phi)
-    np.multiply(half_r_cos, half_r, out=half_r_cos)
-    half_r_sin = np.multiply(np.sin(phi, out=phi), half_r, out=phi)
-    return half_r_cos, half_r_sin, u[0]
-
-
-def _screen_overlap(h: tuple[np.ndarray, np.ndarray, np.ndarray], a: UnitVector3) -> np.ndarray:
-    """One station's float32 overlap 2 (r/2 cos(phi) a.x + r/2 sin(phi) a.y +
-    z/2 a.z) from ``h`` of ``_screen_direction``, in a fresh array; within
-    OVERLAP_EPS / 4 of the kernel's (proof in ``_station_tag_bounds``).  As
-    in ``model._overlap``, the z term is skipped when a.z == 0."""
-    half_r_cos, half_r_sin, u0 = h
-    d = np.multiply(half_r_cos, np.float32(2.0 * a.x))
-    term = np.multiply(half_r_sin, np.float32(2.0 * a.y))
-    np.add(d, term, out=d)
-    if a.z != 0.0:
-        half_z = np.subtract(0.5, u0, out=term, casting="same_kind")
-        np.add(d, np.multiply(half_z, np.float32(2.0 * a.z), out=term), out=d)
-    return d
+    r_cos = np.cos(phi)
+    np.multiply(r_cos, r, out=r_cos)
+    r_sin = np.multiply(np.sin(phi, out=phi), r, out=phi)
+    z = None
+    if with_z:
+        z = np.subtract(0.5, u[0], out=r, casting="same_kind")
+        np.add(z, z, out=z)
+    return r_cos, r_sin, z
 
 
 def _float32_half(d_exponent: float, up: bool) -> np.float32:
@@ -182,7 +175,7 @@ def _float32_half(d_exponent: float, up: bool) -> np.float32:
     return half
 
 
-def _station_tag_bounds(h: tuple[np.ndarray, np.ndarray, np.ndarray], a: UnitVector3,
+def _station_tag_bounds(h: tuple[np.ndarray, np.ndarray, np.ndarray | None], a: UnitVector3,
                         t_row: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Float32 bounds (lo, hi) on the tags that the kernel makes for one
     station, in fresh arrays, from ``h`` of ``_screen_direction``, its own
@@ -194,15 +187,17 @@ def _station_tag_bounds(h: tuple[np.ndarray, np.ndarray, np.ndarray], a: UnitVec
 
     * Overlap.  The kernel's r = sqrt(max(0, 1 - z^2)) is within 2^-27 of
       the exact radius: z = 1 - 2u is exact and only z^2 is rounded.  The
-      screen's r/2 comes from float32 u and 1 - u (1 - u is exact in
+      screen's r comes from float32 4u and 1 - u (1 - u is exact in
       float64), one product and one square root, so it is within 2.5 u32
-      relative of the exact r/2; from float32 z, the error near the poles
+      relative of the exact r; from float32 z, the error near the poles
       would grow as the error of z over r.  Its cos and sin of float32(phi)
       differ from the kernel's by at most delta, pinned below OVERLAP_EPS /
-      10 by a test.  The products, the float32 coefficients 2a, the sums
-      and z/2 add at most 8 u32, since the terms r|cos(phi) a.x|, r|sin(phi)
-      a.y| and |z a.z| sum to at most 1.  With |a.x| + |a.y| <= sqrt(2),
-      |d~ - d| <= sqrt(2) delta + 2^-20 < eps / 4, eps = OVERLAP_EPS.
+      10 by a test.  d~ is ``model._overlap`` of that direction: float32
+      products with the float32 coefficients float32(a), exactly half of
+      float32(2a), and float32 sums.  With z = fl(1 - 2u), these add at
+      most 8 u32, since the terms r|cos(phi) a.x|, r|sin(phi) a.y| and |z
+      a.z| sum to at most 1.  With |a.x| + |a.y| <= sqrt(2), |d~ - d| <=
+      sqrt(2) delta + 2^-20 < eps / 4, eps = OVERLAP_EPS.
     * Overlap bounds.  dhi = fl(|d~| + eps) and dlo = fl(|d~| - eps) round
       by at most u32, so dhi >= |d| + 0.7 eps and dlo <= |d| - 0.7 eps, with
       |d| <= 1.  Then fl(dhi^2) >= dhi^2 (1 - u32) > d^2 (1 + 2^-53) >=
@@ -212,7 +207,8 @@ def _station_tag_bounds(h: tuple[np.ndarray, np.ndarray, np.ndarray], a: UnitVec
       - fl(dlo^2)) = 1, as for dlo = 0.  Only 1 - fl(dhi^2) can be negative,
       and only it is clamped at 0.
     * Delay.  T(x) = max(1 - x, 0)^(d/2) does not increase with x, so
-      T(fl(dhi^2)) <= T(fl(d^2)) <= T(fl(dlo^2)) in exact arithmetic.  The
+      T(fl(dhi^2)) <= T(fl(d^2)) <= T(fl(dlo^2)) in exact arithmetic.  Both
+      bounds run the kernel's delay law, ``model._delay``, in float32.  The
       computed T is within a relative (d/2) u32 of the exact T from the
       rounding of 1 - x, plus u32 for each square root and product (d = 1,
       2, 3: at most 3.5 u32), or plus the error of float32 ``np.power``
@@ -237,25 +233,18 @@ def _station_tag_bounds(h: tuple[np.ndarray, np.ndarray, np.ndarray], a: UnitVec
     if m > 2.0 ** -4:
         return np.zeros(len(t_row), np.float32), np.ones(len(t_row), np.float32)
     # |d~| + eps and |d~| - eps, then 1 - their squares
-    d = _screen_overlap(h, a)
-    hi = np.abs(d, out=d)
+    hi = _overlap(h, a)
+    np.abs(hi, out=hi)
     lo = np.add(hi, OVERLAP_EPS)
     np.subtract(hi, OVERLAP_EPS, out=hi)
     for x in (lo, hi):
         np.subtract(1.0, np.multiply(x, x, out=x), out=x)
     np.maximum(lo, 0.0, out=lo)
-    scratch = np.empty_like(lo)
-    if d_exponent == 3.0:
-        for x in (lo, hi):
-            np.multiply(x, np.sqrt(x, out=scratch), out=x)
-    elif d_exponent == 1.0:
-        np.sqrt(lo, out=lo)
-        np.sqrt(hi, out=hi)
-    elif d_exponent != 2.0:
-        np.power(hi, _float32_half(d_exponent, up=False), out=hi)
-        np.power(lo, _float32_half(d_exponent, up=True), out=lo)
+    _delay(lo, d_exponent, _float32_half(d_exponent, up=True))
+    _delay(hi, d_exponent, _float32_half(d_exponent, up=False))
     # times float32(u) (1 - M) for the lower bound, (1 + M) for the upper
     u32 = t_row.astype(np.float32)
+    scratch = np.empty_like(lo)
     for x, factor in ((lo, 1.0 - m), (hi, 1.0 + m)):
         np.multiply(x, np.multiply(u32, factor, out=scratch), out=x)
     return lo, hi
@@ -283,7 +272,7 @@ def _screen_limit(params: ModelParams) -> np.float32 | None:
 
 # Half-width, in turns of phi, of the band about each half-turn boundary
 # within which the outcome-only count leaves a block to the exact overlaps
-# (proof in _block_counts).
+# (proof in _outcome_counts).
 _ARC_MARGIN = 2.0 ** -30
 
 
@@ -296,63 +285,14 @@ def _half_turn(a: UnitVector3) -> float:
 
 def _outcome_counts(blocks: Iterable[np.ndarray], a1: UnitVector3,
                     a2: UnitVector3) -> tuple[int, int, int]:
-    """``_block_counts`` when the cut keeps every pair: only the outcomes
-    count, and they are settled from rows 0 and 1 of each block (z and
-    phi)."""
-    # (whole turns, fraction) of the edges b -+ margin about each boundary b
-    # of the arc (s, e) between the two starts, taken the short way, and of
-    # its antipode, on which the outcomes agree
-    edges = []
-    if a1.z == 0.0 and a2.z == 0.0:
-        s, e = sorted((_half_turn(a1), _half_turn(a2)))
-        if e - s > 0.5:
-            s, e = e, s + 1.0
-        for b in (s, e, s + 0.5, e + 0.5):
-            for x in (b - _ARC_MARGIN, b + _ARC_MARGIN):
-                k = math.floor(x)
-                edges.append((k, x - k))
-    n = n_agree = 0
-    for u in blocks:
-        m = u.shape[1]
-        n += m
-        if edges and u[0].min() > 0.0:
-            # the pairs whose phi, unwrapped over the turns, lies below each edge
-            below = [k * m + np.count_nonzero(u[1] < x) for k, x in edges]
-            if below[0::2] == below[1::2]:  # no pair within the margin
-                n_agree += below[2] - below[0] + below[6] - below[4]
-                continue
-        s = _hidden_direction(u)
-        x1, x2 = _outcome(_overlap(s, a1), 1), _outcome(_overlap(s, a2), -1)
-        n_agree += np.count_nonzero(x1 == x2)
-    return n, n, 2 * int(n_agree) - n
+    """``_block_counts`` when the cut keeps every pair (tau = 1 or W = 1;
+    ``_screen_limit`` is None): only the outcomes count, and they are
+    settled from rows 0 and 1 of each block (z and phi).
 
-
-def _screen(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
-            limit: np.float32) -> np.ndarray:
-    """The indices of the pairs of ``u`` whose tag intervals come within
-    ``limit``: every pair that may coincide (proof in ``_block_counts``)."""
-    h = _screen_direction(u)
-    lo1, hi1 = _station_tag_bounds(h, a1, u[2], params)
-    lo2, hi2 = _station_tag_bounds(h, a2, u[3], params)
-    keep = np.subtract(lo1, hi2, out=lo1) <= limit
-    near = np.subtract(lo2, hi1, out=lo2) <= limit
-    return np.flatnonzero(np.logical_and(keep, near, out=keep))
-
-
-def _block_counts(
-    blocks: Iterable[np.ndarray], a1: UnitVector3, a2: UnitVector3, params: ModelParams
-) -> tuple[int, int, int]:
-    """(events, coincidences, sum of x1*x2 over coincidences) of the events
-    of the uniform ``blocks``, each (4, n), or (2, n) when the cut keeps
-    every pair; equal to ``_counts_from_batch`` of the kernel's batch of all
-    of them.  A block may be overwritten once the next one is asked for.
-
-    When the cut keeps every pair (tau = 1 or W = 1; ``_screen_limit`` is
-    None), only rows 0 and 1 are read.  Every pair is coincident: tags are
-    fl(u T) with u < 1 and T <= 1, so they lie in [0, 1), fl(|t1 - t2|) <=
-    1 <= W and floor(t / 1) = 0.  A block's counts are then (n, n, 2 agree
-    - n), and whether a pair's outcomes agree depends on the signs of its
-    two overlaps alone.
+    Every pair is coincident: tags are fl(u T) with u < 1 and T <= 1, so
+    they lie in [0, 1), fl(|t1 - t2|) <= 1 <= W and floor(t / 1) = 0.  A
+    block's counts are then (n, n, 2 agree - n), and whether a pair's
+    outcomes agree depends on the signs of its two overlaps alone.
 
     With both settings in-plane (a.z = 0) the signs are read off the phi
     uniform u1.  Write a = rho (cos psi, sin psi, 0), rho within 1e-12 of 1
@@ -389,6 +329,57 @@ def _block_counts(
     overlaps (``model._overlap`` of ``model._hidden_direction``) from its z
     and phi, as does every block when a setting has a.z != 0; at u0 = 0, r =
     0 and the tie-break (``model._outcome``) gives both stations +1.
+    """
+    # (whole turns, fraction) of the edges b -+ margin about each boundary b
+    # of the arc (s, e) between the two starts, taken the short way, and of
+    # its antipode, on which the outcomes agree
+    edges = []
+    if a1.z == 0.0 and a2.z == 0.0:
+        s, e = sorted((_half_turn(a1), _half_turn(a2)))
+        if e - s > 0.5:
+            s, e = e, s + 1.0
+        for b in (s, e, s + 0.5, e + 0.5):
+            for x in (b - _ARC_MARGIN, b + _ARC_MARGIN):
+                k = math.floor(x)
+                edges.append((k, x - k))
+    n = n_agree = 0
+    for u in blocks:
+        m = u.shape[1]
+        n += m
+        if edges and u[0].min() > 0.0:
+            # the pairs whose phi, unwrapped over the turns, lies below each edge
+            below = [k * m + np.count_nonzero(u[1] < x) for k, x in edges]
+            if below[0::2] == below[1::2]:  # no pair within the margin
+                n_agree += below[2] - below[0] + below[6] - below[4]
+                continue
+        s = _hidden_direction(u)
+        x1, x2 = _outcome(_overlap(s, a1), 1), _outcome(_overlap(s, a2), -1)
+        n_agree += np.count_nonzero(x1 == x2)
+    return n, n, 2 * int(n_agree) - n
+
+
+def _screen(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
+            limit: np.float32) -> np.ndarray:
+    """The indices of the pairs of ``u`` whose tag intervals come within
+    ``limit``: every pair that may coincide (proof in ``_block_counts``)."""
+    h = _screen_direction(u, a1.z != 0.0 or a2.z != 0.0)
+    lo1, hi1 = _station_tag_bounds(h, a1, u[2], params)
+    lo2, hi2 = _station_tag_bounds(h, a2, u[3], params)
+    keep = np.subtract(lo1, hi2, out=lo1) <= limit
+    near = np.subtract(lo2, hi1, out=lo2) <= limit
+    return np.flatnonzero(np.logical_and(keep, near, out=keep))
+
+
+def _block_counts(
+    blocks: Iterable[np.ndarray], a1: UnitVector3, a2: UnitVector3, params: ModelParams
+) -> tuple[int, int, int]:
+    """(events, coincidences, sum of x1*x2 over coincidences) of the events
+    of the uniform ``blocks``, each (4, n), or (2, n) when the cut keeps
+    every pair; equal to ``_counts_from_batch`` of the kernel's batch of all
+    of them.  A block may be overwritten once the next one is asked for.
+
+    When the cut keeps every pair (tau = 1 or W = 1; ``_screen_limit`` is
+    None), only rows 0 and 1 are read (proof in ``_outcome_counts``).
 
     When the cut can reject a pair, a screen keeps only the pairs whose
     float32 tag intervals (``_station_tag_bounds``) come within the limit, and

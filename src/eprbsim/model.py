@@ -56,6 +56,10 @@ class UnitVector3:
     z: float
 
     def __post_init__(self) -> None:
+        # Python floats, so that ``_overlap`` of the screen's float32
+        # direction stays float32: a numpy float64 would promote it
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         norm_sq = self.x * self.x + self.y * self.y + self.z * self.z
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"not a unit vector: |v|^2 = {norm_sq!r}")
@@ -124,24 +128,6 @@ def event_stream(seed: int, start_index: int, stream: int = 0) -> np.random.Gene
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _delay_from_dot_sq(dot_sq: np.ndarray, d_exponent: float) -> np.ndarray:
-    """Delay law T = (1 - dot_sq)^(d/2).
-
-    Vanishes when the hidden direction is (anti)parallel to the setting and
-    reaches 1 when perpendicular; only the squared overlap enters, so it is
-    invariant under s -> -s and a -> -a.  An overlap that rounds above 1
-    gives T = 0, as an exact one does.
-    """
-    base = np.maximum(1.0 - dot_sq, 0.0)
-    if d_exponent == 3.0:
-        return base * np.sqrt(base)
-    if d_exponent == 2.0:
-        return base
-    if d_exponent == 1.0:
-        return np.sqrt(base)
-    return np.power(base, 0.5 * d_exponent)
-
-
 def batch_streams(
     seed: int, start_index: int, n: int, stream: int = 0, rows: int = 4
 ) -> list[np.random.Generator]:
@@ -180,8 +166,11 @@ def _overlap(s: tuple[np.ndarray, np.ndarray, np.ndarray], a: UnitVector3) -> np
     0: it only adds +-0, which can turn a -0 into +0 but changes neither the
     outcome nor d^2."""
     sx, sy, sz = s
-    d = sx * a.x + sy * a.y
-    return d + sz * a.z if a.z != 0.0 else d
+    d = sx * a.x
+    d += sy * a.y
+    if a.z != 0.0:
+        d += sz * a.z
+    return d
 
 
 def _outcome(d: np.ndarray, sign: int) -> np.ndarray:
@@ -191,13 +180,32 @@ def _outcome(d: np.ndarray, sign: int) -> np.ndarray:
     return np.where(d >= 0.0 if sign > 0 else d <= 0.0, np.int8(1), np.int8(-1))
 
 
+def _delay(base: np.ndarray, d_exponent: float, half: float) -> np.ndarray:
+    """Delay law T = base^(d/2) for base = 1 - (a.s)^2 >= 0, in place in
+    ``base``, which it returns; ``half`` is d/2 as ``np.power`` takes it for
+    d other than 1, 2 and 3.  The kernel's station step runs it in float64,
+    the screen (``coincidence._station_tag_bounds``) in float32 on widened
+    bases.  T vanishes when s is (anti)parallel to the setting and is 1 when
+    perpendicular; only (a.s)^2 enters, so it is invariant under s -> -s and
+    a -> -a."""
+    if d_exponent == 3.0:
+        return np.multiply(base, np.sqrt(base), out=base)
+    if d_exponent == 1.0:
+        return np.sqrt(base, out=base)
+    if d_exponent != 2.0:
+        np.power(base, half, out=base)
+    return base
+
+
 def _station(s: tuple[np.ndarray, np.ndarray, np.ndarray], sign: int, a: UnitVector3,
              t_row: np.ndarray, d_exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """One station's outcomes and tags (x, t) from the hidden direction ``s``,
     the sign of its copy of s, its own setting ``a`` and its tag uniforms
     ``t_row``: nothing of the other station enters."""
     d = _overlap(s, a)
-    return _outcome(d, sign), t_row * _delay_from_dot_sq(d * d, d_exponent)
+    # an overlap that rounds above 1 gives T = 0, as an exact one does
+    base = np.maximum(1.0 - d * d, 0.0)
+    return _outcome(d, sign), t_row * _delay(base, d_exponent, 0.5 * d_exponent)
 
 
 def _events_from_uniforms(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,

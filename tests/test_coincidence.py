@@ -14,7 +14,6 @@ from eprbsim.coincidence import (
     _block_counts,
     _counts_from_batch,
     _screen_direction,
-    _screen_overlap,
     _station_tag_bounds,
     accumulate,
     coincidence_mask,
@@ -54,16 +53,23 @@ def exact_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple:
     return _overlap(s, a1), _overlap(s, a2)
 
 
+def screen_direction(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple:
+    """The screen's float32 hidden direction of ``u``, with z formed as
+    ``_screen`` forms it for the settings a1 and a2."""
+    return _screen_direction(u, a1.z != 0.0 or a2.z != 0.0)
+
+
 def screen_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple:
-    """The screen's float32 overlaps (d~1, d~2), one station call each."""
-    h = _screen_direction(u)
-    return _screen_overlap(h, a1), _screen_overlap(h, a2)
+    """The screen's float32 overlaps (d~1, d~2), the kernel's ``_overlap``
+    of the float32 direction, one station call each."""
+    h = screen_direction(u, a1, a2)
+    return _overlap(h, a1), _overlap(h, a2)
 
 
 def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams) -> tuple:
     """The screen's float32 tag bounds (lo1, hi1, lo2, hi2), one station
     call each."""
-    h = _screen_direction(u)
+    h = screen_direction(u, a1, a2)
     return (*_station_tag_bounds(h, a1, u[2], params),
             *_station_tag_bounds(h, a2, u[3], params))
 
@@ -474,6 +480,15 @@ class TestTagBounds:
         for lo, t, hi in ((lo1, batch.t1, hi1), (lo2, batch.t2, hi2)):
             assert np.all(lo - slack <= t) and np.all(t <= hi + slack)
             assert np.all(lo >= 0.0) and np.median(hi - lo) < 1e-4
+
+    @pytest.mark.parametrize("components", [(0.6, 0.8, 0.0), (0.48, 0.6, 0.64)])
+    def test_screen_overlap_stays_float32_for_numpy_components(self, components):
+        """A setting built from np.float64 components still gives a float32
+        screen overlap: a numpy scalar would promote the products to
+        float64."""
+        a = UnitVector3(*np.array(components))
+        u = event_stream(38, 0).random((4, 64))
+        assert _overlap(_screen_direction(u, a.z != 0.0), a).dtype == np.float32
 
     @pytest.mark.parametrize("a", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
                                    UnitVector3(0.48, 0.6, 0.64)])

@@ -1,7 +1,7 @@
 """Event-generation tests: sphere sampling, outcomes, delays, locality.
 
 Every test runs the one event kernel, ``generate_batch``; the delay law is
-also checked directly through ``_delay_from_dot_sq``.
+also checked directly through ``_delay``, on the clamped base of ``_station``.
 """
 
 import math
@@ -13,7 +13,7 @@ import pytest
 from eprbsim.model import (
     ModelParams,
     UnitVector3,
-    _delay_from_dot_sq,
+    _delay,
     _hidden_direction,
     _outcome,
     _overlap,
@@ -47,8 +47,9 @@ def hidden_directions(seed: int, n: int) -> np.ndarray:
 
 
 def delay(dot_sq, d_exponent: float = 3.0) -> np.ndarray:
+    """T = (1 - dot_sq)^(d/2), as ``_station`` computes it from d^2."""
     dot_sq = np.atleast_1d(np.asarray(dot_sq, dtype=float))
-    return _delay_from_dot_sq(dot_sq, d_exponent)
+    return _delay(np.maximum(1.0 - dot_sq, 0.0), d_exponent, 0.5 * d_exponent)
 
 
 def delay_scales(s: np.ndarray, a: UnitVector3, d_exponent: float = 3.0) -> np.ndarray:
@@ -102,8 +103,8 @@ class TestSampleDirection:
 
 class TestOutcome:
     # With a = +-S the overlap a.S is 1 only up to rounding, and can round
-    # above 1; the delay law then clamps to 0, so both tags are 0 or within
-    # a few ulps of it, never NaN.
+    # above 1; the station step then clamps 1 - (a.S)^2 to 0, so both tags
+    # are 0 or within a few ulps of it, never NaN.
     ALIGNED_TAG_MAX = 1e-22
 
     def test_aligned(self):

@@ -72,6 +72,27 @@ def test_only_the_orchestrators_take_both_settings():
                     "coincidence._block_counts"}
 
 
+def test_the_screen_runs_the_model_delay_law_and_overlap():
+    """Of ``model`` and ``coincidence``, only the one delay-law function,
+    ``model._delay``, calls ``np.power``, and ``coincidence`` defines no
+    overlap function of its own: the float32 screen runs the kernel's."""
+    power, overlaps = set(), set()
+    for module in (model, coincidence):
+        name = module.__name__.rpartition(".")[2]
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if "overlap" in node.name and module is coincidence:
+                overlaps.add(f"{name}.{node.name}")
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "power"
+                        and isinstance(call.func.value, ast.Name) and call.func.value.id == "np"):
+                    power.add(f"{name}.{node.name}")
+    assert power == {"model._delay"}
+    assert not overlaps, overlaps
+
+
 def test_one_worker_run_loads_no_process_pool():
     """``python -m eprbsim bounds --workers 1`` runs in-process and never
     imports the process pool or the multiprocessing machinery behind it."""
