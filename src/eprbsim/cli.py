@@ -112,7 +112,7 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    manifest = args.run(config).manifest
+    manifest = args.run(config)
     rows, columns = table_rows(manifest), COLUMNS[manifest.kind]
     render = rows_to_csv if args.format == "csv" else rows_to_table
     sys.stdout.write(render(rows, columns))

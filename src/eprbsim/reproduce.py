@@ -4,7 +4,8 @@ Runs the correlation sweep, the four-settings CHSH experiment, and the
 bound audit at their default parameters and checks every headline number:
 cosine recovery, the triangle law without post-selection, inequality
 verdicts across seeds, threshold constants, closed forms against
-quadrature, bound compliance, and worker-count determinism.
+quadrature, bound compliance, and worker-count determinism.  Each check
+reads its numbers from the ``results`` of the manifests its runs return.
 
 Two checks are expected to fail and are reported honestly rather than
 patched over: the cot-form closed expression for the unequal-settings rate
@@ -31,6 +32,7 @@ from .model import CoincidenceMode
 from .runner import (
     ConfigError,
     ExperimentConfig,
+    RunManifest,
     run_bound_audit,
     run_chsh_experiment,
     run_correlation_sweep,
@@ -50,17 +52,17 @@ class CheckResult:
     detail: str
 
 
-def _sweep_max_deviation(result) -> tuple[float, float]:
+def _sweep_max_deviation(manifest: RunManifest) -> tuple[float, float]:
     """Max |E + cos(alpha)| over the grid and the stderr at the arg max."""
     worst = -1.0
     worst_se = 0.0
-    for row in result.rows:
-        if row.stats.e_conditional is None:
-            raise RuntimeError(f"no coincidences at alpha = {row.alpha_deg} deg")
-        dev = abs(row.stats.e_conditional - row.reference)
+    for row in manifest.results["rows"]:
+        if row["e_conditional"] is None:
+            raise RuntimeError(f"no coincidences at alpha = {row['alpha_deg']} deg")
+        dev = abs(row["e_conditional"] - row["reference_minus_cos"])
         if dev > worst:
             worst = dev
-            worst_se = row.stats.stderr_e
+            worst_se = row["stderr_e"]
     return worst, worst_se
 
 
@@ -72,7 +74,7 @@ def check_cosine_recovery(config: ExperimentConfig) -> CheckResult:
     max_base, se_base = _sweep_max_deviation(base)
     max_half, se_half = _sweep_max_deviation(half)
     se_comb = math.sqrt(se_base**2 + se_half**2)
-    elapsed = base.manifest.duration_s
+    elapsed = base.duration_s
     ok = max_base <= 0.02 and max_half <= max_base + se_comb and elapsed < 300.0
     detail = (
         f"max|E+cos a|={max_base:.4f} (tol 0.02); halved-tau max {max_half:.4f} "
@@ -89,13 +91,12 @@ def check_triangle_law(config: ExperimentConfig) -> CheckResult:
         coincidence_mode=CoincidenceMode.CONTINUOUS,
         n_events=1_000_000,
     )
-    result = run_correlation_sweep(cfg)
     worst = 0.0
     full_window = True
-    for row in result.rows:
-        target = -(1.0 - 2.0 * math.radians(row.alpha_deg) / math.pi)
-        worst = max(worst, abs(row.stats.e_conditional - target))
-        full_window = full_window and row.stats.gamma_hat == 1.0
+    for row in run_correlation_sweep(cfg).results["rows"]:
+        target = -(1.0 - 2.0 * math.radians(row["alpha_deg"]) / math.pi)
+        worst = max(worst, abs(row["e_conditional"] - target))
+        full_window = full_window and row["gamma_hat"] == 1.0
     ok = worst <= 0.01 and full_window
     detail = f"max|E+(1-2a/pi)|={worst:.4f} (tol 0.01); gamma=1 everywhere: {full_window}"
     return CheckResult(2, "triangle law without post-selection", ok, detail)
@@ -105,18 +106,17 @@ def check_headline_verdict(config: ExperimentConfig) -> CheckResult:
     ok = True
     details = []
     for k in range(HEADLINE_SEEDS):
-        res = run_chsh_experiment(replace(config, seed=config.seed + k))
-        r = res.report
-        gamma_max = max(r.gammas)
+        r = run_chsh_experiment(replace(config, seed=config.seed + k)).results["report"]
+        gamma_max = max(r["gammas"])
         seed_ok = (
-            r.chsh_lhs >= 2.6
+            r["chsh_lhs"] >= 2.6
             and gamma_max <= 0.1
-            and r.modified_bound >= 56.0
-            and r.violates_chsh
-            and not r.violates_modified
+            and r["modified_bound"] >= 56.0
+            and r["violates_chsh"]
+            and not r["violates_modified"]
         )
         ok = ok and seed_ok
-        details.append(f"seed+{k}: lhs={r.chsh_lhs:.3f} max gamma={gamma_max:.2e}")
+        details.append(f"seed+{k}: lhs={r['chsh_lhs']:.3f} max gamma={gamma_max:.2e}")
     detail = (
         "CHSH > 2.6 with gamma <= 0.1, corrected bound >= 56 never violated; "
         + "; ".join(details)
@@ -166,25 +166,24 @@ def check_closed_forms(_: ExperimentConfig) -> CheckResult:
 
 
 def check_bound_compliance(config: ExperimentConfig) -> CheckResult:
-    audit = run_bound_audit(config)
     failures = []
-    by_alpha: dict[float, list] = {}
-    for rep in audit.reports:
-        if not rep.satisfied:
-            margin = rep.simulated_gamma - VIOLATION_SIGMAS * rep.stderr_gamma
+    by_alpha: dict[float, list[dict]] = {}
+    for row in run_bound_audit(config).results["rows"]:
+        if not row["satisfied"]:
+            margin = row["simulated_gamma"] - VIOLATION_SIGMAS * row["stderr_gamma"]
             failures.append(
-                f"alpha={math.degrees(rep.alpha):g} tau={rep.tau:g}: "
-                f"gamma-{VIOLATION_SIGMAS:g}se={margin:.4e} > bound={rep.closed_form:.4e}"
+                f"alpha={row['alpha_deg']:g} tau={row['tau']:g}: "
+                f"gamma-{VIOLATION_SIGMAS:g}se={margin:.4e} > bound={row['closed_form']:.4e}"
             )
-        by_alpha.setdefault(rep.alpha, []).append(rep)
-    for alpha, reps in by_alpha.items():
-        reps = sorted(reps, key=lambda r: -r.tau)
-        for hi, lo in zip(reps[:-1], reps[1:]):
-            slack = VIOLATION_SIGMAS * math.sqrt(hi.stderr_gamma**2 + lo.stderr_gamma**2)
-            if lo.simulated_gamma > hi.simulated_gamma + slack:
+        by_alpha.setdefault(row["alpha_deg"], []).append(row)
+    for alpha_deg, rows in by_alpha.items():
+        rows = sorted(rows, key=lambda r: -r["tau"])
+        for hi, lo in zip(rows[:-1], rows[1:]):
+            slack = VIOLATION_SIGMAS * math.sqrt(hi["stderr_gamma"]**2 + lo["stderr_gamma"]**2)
+            if lo["simulated_gamma"] > hi["simulated_gamma"] + slack:
                 failures.append(
-                    f"alpha={math.degrees(alpha):g}: gamma not decreasing "
-                    f"({hi.tau:g} -> {lo.tau:g})"
+                    f"alpha={alpha_deg:g}: gamma not decreasing "
+                    f"({hi['tau']:g} -> {lo['tau']:g})"
                 )
     ok = not failures
     detail = (
@@ -199,10 +198,10 @@ def check_worker_determinism(config: ExperimentConfig) -> CheckResult:
     cfg = replace(config, n_events=1_000_000)
     solo = run_chsh_experiment(replace(cfg, workers=1))
     pooled = run_chsh_experiment(replace(cfg, workers=8))
-    same = solo.manifest.reproducible_json() == pooled.manifest.reproducible_json()
+    same = solo.reproducible_json() == pooled.reproducible_json()
     detail = (
-        f"1-worker digest {solo.manifest.digest()[:12]} == "
-        f"8-worker digest {pooled.manifest.digest()[:12]}: {same}"
+        f"1-worker digest {solo.digest()[:12]} == "
+        f"8-worker digest {pooled.digest()[:12]}: {same}"
     )
     return CheckResult(7, "bit-identical results for 1 vs 8 workers", same, detail)
 

@@ -10,6 +10,14 @@ Partial counts are integers, summed per pair in plan order, so results are
 bit-identical for any worker count, any completion order and any block
 size.  The chunk size is part of the algorithm, not configuration:
 changing it would change the sampled stream.
+
+Each run returns its ``RunManifest``, the one record of its numbers: the
+CLI prints and writes it, and the reproduction checks read its
+``results``.  A sweep row holds the pair's ``CoincidenceStats`` fields plus
+``alpha_deg``, ``reference_minus_cos`` and ``flagged``; a CHSH run holds
+each pair's fields under ``pairs`` and the ``InequalityReport`` under
+``report``; an audit row holds a ``BoundReport`` with its angle as
+``alpha_deg``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from datetime import datetime, timezone
 from enum import Enum
 
 from . import __version__
-from .bell import CorrelationQuartet, InequalityReport, verdict
+from .bell import CorrelationQuartet, verdict
 from .bounds import UNEQUAL_QUAD_MIN_DEG, BoundReport, check_simulated_gamma
 from .coincidence import CoincidenceStats, chunk_counts
 from .model import CoincidenceMode, ModelParams, UnitVector3
@@ -36,10 +44,6 @@ __all__ = [
     "EmptyEnsembleError",
     "ExperimentConfig",
     "RunManifest",
-    "SweepRow",
-    "SweepResult",
-    "ChshResult",
-    "BoundAuditResult",
     "simulate_pair_stats",
     "run_correlation_sweep",
     "run_chsh_experiment",
@@ -311,26 +315,7 @@ def _make_manifest(kind: str, config: ExperimentConfig, results: dict, t0: float
 # correlation sweep
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One angle of the correlation sweep, with the -cos(alpha) reference."""
-
-    alpha_deg: float
-    stats: CoincidenceStats
-    reference: float
-
-    @property
-    def flagged(self) -> bool:
-        return not self.stats.has_correlation
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: list[SweepRow]
-    manifest: RunManifest
-
-
-def run_correlation_sweep(config: ExperimentConfig) -> SweepResult:
+def run_correlation_sweep(config: ExperimentConfig) -> RunManifest:
     """Conditional correlation versus setting angle.
 
     Angles with zero surviving coincidences are flagged and the sweep
@@ -344,26 +329,18 @@ def run_correlation_sweep(config: ExperimentConfig) -> SweepResult:
         for i, alpha_deg in enumerate(config.alpha_grid_deg)
     ]
     all_stats = simulate_plan(plan, config.n_events, config.seed, config.workers)
-    rows = [
-        SweepRow(
-            alpha_deg=alpha_deg,
-            stats=stats,
-            reference=-math.cos(math.radians(alpha_deg)),
-        )
-        for alpha_deg, stats in zip(config.alpha_grid_deg, all_stats)
-    ]
     results = {
         "rows": [
             {
-                "alpha_deg": r.alpha_deg,
-                "reference_minus_cos": r.reference,
-                "flagged": r.flagged,
-                **_record(r.stats),
+                "alpha_deg": alpha_deg,
+                "reference_minus_cos": -math.cos(math.radians(alpha_deg)),
+                "flagged": not stats.has_correlation,
+                **_record(stats),
             }
-            for r in rows
+            for alpha_deg, stats in zip(config.alpha_grid_deg, all_stats)
         ]
     }
-    return SweepResult(rows=rows, manifest=_make_manifest("sweep", config, results, t0))
+    return _make_manifest("sweep", config, results, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +349,7 @@ def run_correlation_sweep(config: ExperimentConfig) -> SweepResult:
 PAIR_LABELS = ("ac", "ad", "bc", "bd")
 
 
-@dataclass(frozen=True)
-class ChshResult:
-    pair_stats: dict[str, CoincidenceStats]
-    report: InequalityReport
-    manifest: RunManifest
-
-
-def run_chsh_experiment(config: ExperimentConfig) -> ChshResult:
+def run_chsh_experiment(config: ExperimentConfig) -> RunManifest:
     """Simulate the four CHSH setting pairs and evaluate both inequalities."""
     t0 = time.perf_counter()
     params = config.model_params()
@@ -408,21 +378,11 @@ def run_chsh_experiment(config: ExperimentConfig) -> ChshResult:
         "pair_settings_deg": {label: list(pair_angles[label]) for label in PAIR_LABELS},
         "report": _record(report),
     }
-    return ChshResult(
-        pair_stats=pair_stats,
-        report=report,
-        manifest=_make_manifest("chsh", config, results, t0),
-    )
+    return _make_manifest("chsh", config, results, t0)
 
 
 # ---------------------------------------------------------------------------
 # bound audit
-
-
-@dataclass(frozen=True)
-class BoundAuditResult:
-    reports: list[BoundReport]
-    manifest: RunManifest
 
 
 def _audit_row(report: BoundReport) -> dict:
@@ -432,7 +392,7 @@ def _audit_row(report: BoundReport) -> dict:
     return row
 
 
-def run_bound_audit(config: ExperimentConfig) -> BoundAuditResult:
+def run_bound_audit(config: ExperimentConfig) -> RunManifest:
     """Simulated coincidence rates against the analytic bounds on a
     (tau, alpha) grid; same-bin tagging with W = tau throughout."""
     if config.coincidence_mode is not CoincidenceMode.SAME_BIN:
@@ -445,14 +405,11 @@ def run_bound_audit(config: ExperimentConfig) -> BoundAuditResult:
         for stream, (tau, alpha_deg) in enumerate(grid)
     ]
     all_stats = simulate_plan(plan, config.n_events, config.seed, config.workers)
-    reports: list[BoundReport] = [
-        check_simulated_gamma(stats, math.radians(alpha_deg), tau)
+    results = {"rows": [
+        _audit_row(check_simulated_gamma(stats, math.radians(alpha_deg), tau))
         for (tau, alpha_deg), stats in zip(grid, all_stats)
-    ]
-    results = {"rows": [_audit_row(r) for r in reports]}
-    return BoundAuditResult(
-        reports=reports, manifest=_make_manifest("bounds", config, results, t0)
-    )
+    ]}
+    return _make_manifest("bounds", config, results, t0)
 
 
 # ---------------------------------------------------------------------------

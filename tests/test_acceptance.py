@@ -55,15 +55,15 @@ def announce(number: int, name: str, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number} {name}: {status} ({detail})", flush=True)
 
 
-def max_cosine_deviation(result):
+def max_cosine_deviation(manifest):
     """Largest |E(alpha) + cos(alpha)| over the sweep and the correlation
     standard error at the angle where it occurs."""
     worst, worst_se = -1.0, 0.0
-    for row in result.rows:
-        assert row.stats.e_conditional is not None, f"starved angle {row.alpha_deg}"
-        dev = abs(row.stats.e_conditional - row.reference)
+    for row in manifest.results["rows"]:
+        assert row["e_conditional"] is not None, f"starved angle {row['alpha_deg']}"
+        dev = abs(row["e_conditional"] - row["reference_minus_cos"])
         if dev > worst:
-            worst, worst_se = dev, row.stats.stderr_e
+            worst, worst_se = dev, row["stderr_e"]
     return worst, worst_se
 
 
@@ -76,7 +76,7 @@ def test_criterion_1_cosine_recovery():
     max_base, se_base = max_cosine_deviation(base)
     max_half, se_half = max_cosine_deviation(half)
     se_comb = math.sqrt(se_base**2 + se_half**2)
-    elapsed = base.manifest.duration_s
+    elapsed = base.duration_s
     detail = (
         f"max dev {max_base:.4f} <= 0.02; halved-tau max {max_half:.4f} "
         f"<= {max_base + se_comb:.4f}; grid in {elapsed:.0f}s < 300s"
@@ -96,12 +96,11 @@ def test_criterion_2_triangle_law_without_postselection():
         n_events=1_000_000,
         workers=WORKERS,
     )
-    result = run_correlation_sweep(config)
     worst = 0.0
-    for row in result.rows:
-        assert row.stats.gamma_hat == 1.0, "full window must keep every pair"
-        target = -(1.0 - 2.0 * math.radians(row.alpha_deg) / math.pi)
-        worst = max(worst, abs(row.stats.e_conditional - target))
+    for row in run_correlation_sweep(config).results["rows"]:
+        assert row["gamma_hat"] == 1.0, "full window must keep every pair"
+        target = -(1.0 - 2.0 * math.radians(row["alpha_deg"]) / math.pi)
+        worst = max(worst, abs(row["e_conditional"] - target))
     detail = f"max |E + (1 - 2a/pi)| = {worst:.4f} <= 0.01 at N=1e6"
     announce(2, "triangle law without post-selection", worst <= 0.01, detail)
     assert worst <= 0.01, detail
@@ -112,18 +111,18 @@ def test_criterion_3_strong_correlations_without_violation():
     lines = []
     failures = []
     for k in range(5):
-        report = run_chsh_experiment(replace(config, seed=config.seed + k)).report
-        gamma_max = max(report.gammas)
+        report = run_chsh_experiment(replace(config, seed=config.seed + k)).results["report"]
+        gamma_max = max(report["gammas"])
         lines.append(
-            f"seed+{k}: lhs={report.chsh_lhs:.4f} gamma_max={gamma_max:.2e} "
-            f"bound={report.modified_bound:.0f}"
+            f"seed+{k}: lhs={report['chsh_lhs']:.4f} gamma_max={gamma_max:.2e} "
+            f"bound={report['modified_bound']:.0f}"
         )
         if not (
-            report.chsh_lhs >= 2.6
+            report["chsh_lhs"] >= 2.6
             and gamma_max <= 0.1
-            and report.modified_bound >= 56.0
-            and report.violates_chsh
-            and not report.violates_modified
+            and report["modified_bound"] >= 56.0
+            and report["violates_chsh"]
+            and not report["violates_modified"]
         ):
             failures.append(lines[-1])
     detail = "; ".join(lines)
@@ -179,25 +178,24 @@ def test_criterion_5_closed_forms_vs_quadrature():
 
 def test_criterion_6_simulated_rates_vs_bounds():
     config = ExperimentConfig(workers=WORKERS)  # audit grid: {0,30,90,150} x {1e-2,1e-3}
-    audit = run_bound_audit(config)
     failures = []
     by_alpha = {}
-    for rep in audit.reports:
-        margin = rep.simulated_gamma - 4.0 * rep.stderr_gamma
-        if margin > rep.closed_form:
+    for row in run_bound_audit(config).results["rows"]:
+        margin = row["simulated_gamma"] - 4.0 * row["stderr_gamma"]
+        if margin > row["closed_form"]:
             failures.append(
-                f"alpha={math.degrees(rep.alpha):g} tau={rep.tau:g}: "
-                f"gamma-4se={margin:.4e} > closed form={rep.closed_form:.4e} "
-                f"(exact integral {rep.quadrature:.4e})"
+                f"alpha={row['alpha_deg']:g} tau={row['tau']:g}: "
+                f"gamma-4se={margin:.4e} > closed form={row['closed_form']:.4e} "
+                f"(exact integral {row['quadrature']:.4e})"
             )
-        by_alpha.setdefault(rep.alpha, []).append(rep)
-    for alpha, reps in by_alpha.items():
-        reps = sorted(reps, key=lambda r: -r.tau)
-        for hi, lo in zip(reps[:-1], reps[1:]):
-            slack = 4.0 * math.sqrt(hi.stderr_gamma**2 + lo.stderr_gamma**2)
-            if lo.simulated_gamma > hi.simulated_gamma + slack:
+        by_alpha.setdefault(row["alpha_deg"], []).append(row)
+    for alpha_deg, rows in by_alpha.items():
+        rows = sorted(rows, key=lambda r: -r["tau"])
+        for hi, lo in zip(rows[:-1], rows[1:]):
+            slack = 4.0 * math.sqrt(hi["stderr_gamma"]**2 + lo["stderr_gamma"]**2)
+            if lo["simulated_gamma"] > hi["simulated_gamma"] + slack:
                 failures.append(
-                    f"alpha={math.degrees(alpha):g}: rate not decreasing with tau"
+                    f"alpha={alpha_deg:g}: rate not decreasing with tau"
                 )
     detail = (
         "all rates within bounds, decreasing with tau"
@@ -216,8 +214,8 @@ def test_criterion_7_worker_determinism():
     config = ExperimentConfig(n_events=1_000_000)
     solo = run_chsh_experiment(replace(config, workers=1))
     pooled = run_chsh_experiment(replace(config, workers=8))
-    same = solo.manifest.reproducible_json() == pooled.manifest.reproducible_json()
-    detail = f"digests {solo.manifest.digest()[:12]} / {pooled.manifest.digest()[:12]}"
+    same = solo.reproducible_json() == pooled.reproducible_json()
+    detail = f"digests {solo.digest()[:12]} / {pooled.digest()[:12]}"
     announce(7, "bit-identical manifests for 1 vs 8 workers", same, detail)
     assert same, "results must not depend on the worker count"
 

@@ -11,6 +11,8 @@ changed count or digest.  The event counts are deliberately not multiples
 of the block size, of the chunk size or of 4.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from eprbsim import (
@@ -29,28 +31,28 @@ ALPHAS = (0.0, 45.0, 90.0, 180.0)
 OFF_PLANE = UnitVector3(0.48, 0.6, 0.64)
 
 
-def _counts(stats) -> tuple[int, int, int]:
-    return stats.n_total, stats.n_coincident, stats.sum_xy
+def _counts(row: dict) -> tuple[int, int, int]:
+    return row["n_total"], row["n_coincident"], row["sum_xy"]
 
 
 def _sweep(**overrides):
-    config = ExperimentConfig(alpha_grid_deg=ALPHAS, seed=7, **overrides)
-    result = run_correlation_sweep(config)
-    return result.manifest.digest(), [_counts(r.stats) for r in result.rows]
+    manifest = run_correlation_sweep(ExperimentConfig(alpha_grid_deg=ALPHAS, seed=7, **overrides))
+    return manifest.digest(), [_counts(row) for row in manifest.results["rows"]]
 
 
 def _chsh(**overrides):
-    result = run_chsh_experiment(ExperimentConfig(seed=8, **overrides))
-    return result.manifest.digest(), [_counts(s) for s in result.pair_stats.values()]
+    manifest = run_chsh_experiment(ExperimentConfig(seed=8, **overrides))
+    return manifest.digest(), [_counts(pair) for pair in manifest.results["pairs"].values()]
 
 
 def _audit(**overrides):
     config = ExperimentConfig(seed=9, audit_alpha_deg=(0.0, 30.0, 90.0, 150.0),
                               audit_tau=(1e-2, 1e-3), **overrides)
-    result = run_bound_audit(config)
+    manifest = run_bound_audit(config)
     # an audit row keeps the rate, not the counts; n_coincident is exact
     n = config.n_events
-    return result.manifest.digest(), [(n, round(r.simulated_gamma * n)) for r in result.reports]
+    rows = manifest.results["rows"]
+    return manifest.digest(), [(n, round(row["simulated_gamma"] * n)) for row in rows]
 
 
 def _off_plane():
@@ -62,7 +64,7 @@ def _off_plane():
         (OFF_PLANE, a1, ModelParams(window=1e-3, coincidence_mode=CONTINUOUS), 1),
         (OFF_PLANE, OFF_PLANE, ModelParams(tau=2.5e-4, d_exponent=0.7), 2),
     ]
-    return None, [_counts(s) for s in simulate_plan(plan, CHUNK_SIZE + 4_321, seed=10)]
+    return None, [_counts(asdict(s)) for s in simulate_plan(plan, CHUNK_SIZE + 4_321, seed=10)]
 
 
 def _no_cut_two_chunks():
@@ -75,7 +77,7 @@ def _no_cut_two_chunks():
         (OFF_PLANE, OFF_PLANE, params, 1),
         (OFF_PLANE, -OFF_PLANE, params, 2),
     ]
-    return None, [_counts(s) for s in simulate_plan(plan, CHUNK_SIZE + 4_321, seed=11)]
+    return None, [_counts(asdict(s)) for s in simulate_plan(plan, CHUNK_SIZE + 4_321, seed=11)]
 
 
 RUNS = {

@@ -1,5 +1,5 @@
-"""What the package and its modules export, what README's API example imports,
-and the code that README and the docstrings name."""
+"""What the package and its modules export, what README's API example imports
+and whether it runs, and the code that README and the docstrings name."""
 
 import ast
 import os
@@ -21,10 +21,14 @@ MODULES = {m.__name__.rpartition(".")[2]: m
 REFERENCE = re.compile(r"`(%s)\.(\w+)" % "|".join(MODULES))
 
 
+def readme_python_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+
+
 def readme_api_imports() -> set[str]:
     """Names that README's fenced Python blocks import from ``eprbsim``."""
     names = set()
-    for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S):
+    for block in readme_python_blocks():
         for node in ast.walk(ast.parse(block)):
             if isinstance(node, ast.ImportFrom) and node.module == "eprbsim":
                 names.update(alias.name for alias in node.names)
@@ -42,6 +46,16 @@ def test_readme_api_block_uses_only_exported_names():
     names = readme_api_imports()
     assert names, "README has no Python block importing from eprbsim"
     assert names <= set(eprbsim.__all__), sorted(names - set(eprbsim.__all__))
+
+
+def test_readme_api_block_runs():
+    """Each fenced Python block of README runs to exit 0 against ``src``."""
+    blocks = readme_python_blocks()
+    assert blocks, "README has no Python block"
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                              timeout=300, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_code_references_in_the_docs_resolve():

@@ -21,6 +21,7 @@ from eprbsim import (
     run_correlation_sweep,
 )
 from eprbsim import coincidence, runner
+from eprbsim.bell import CorrelationQuartet, verdict
 from eprbsim.bounds import EQUAL_QUAD_REL_TOL, UNEQUAL_QUAD_MIN_DEG
 from eprbsim.coincidence import _counts_from_batch
 from eprbsim.model import (
@@ -145,35 +146,31 @@ class TestExperimentConfig:
 
 class TestCorrelationSweep:
     def test_equal_settings_row_is_exact(self):
-        result = run_correlation_sweep(small_config())
-        row = result.rows[0]
-        assert row.alpha_deg == 0.0
-        assert row.stats.e_conditional == -1.0
-        assert row.reference == -1.0
-        assert not row.flagged
+        row = run_correlation_sweep(small_config()).results["rows"][0]
+        assert row["alpha_deg"] == 0.0
+        assert row["e_conditional"] == -1.0
+        assert row["reference_minus_cos"] == -1.0
+        assert not row["flagged"]
 
     def test_reference_column_is_minus_cosine(self):
-        result = run_correlation_sweep(small_config())
-        for row in result.rows:
-            assert row.reference == pytest.approx(
-                -math.cos(math.radians(row.alpha_deg)), abs=1e-15
+        for row in run_correlation_sweep(small_config()).results["rows"]:
+            assert row["reference_minus_cos"] == pytest.approx(
+                -math.cos(math.radians(row["alpha_deg"])), abs=1e-15
             )
 
     def test_zero_coincidence_row_flagged_not_fatal(self):
         config = small_config(
             tau=1e-6, window=1e-6, n_events=100_000, alpha_grid_deg=(90.0, 0.0)
         )
-        result = run_correlation_sweep(config)
-        starved = result.rows[0]
-        assert starved.stats.n_coincident == 0
-        assert starved.flagged
-        assert starved.stats.e_conditional is None
+        starved, equal = run_correlation_sweep(config).results["rows"]
+        assert starved["n_coincident"] == 0
+        assert starved["flagged"]
+        assert starved["e_conditional"] is None
         # the run continued past the starved angle
-        assert result.rows[1].stats.e_conditional == -1.0
+        assert equal["e_conditional"] == -1.0
 
     def test_manifest_rows_mirror_stats(self):
-        result = run_correlation_sweep(small_config())
-        rows = result.manifest.results["rows"]
+        rows = run_correlation_sweep(small_config()).results["rows"]
         assert len(rows) == 3
         assert rows[0]["e_conditional"] == -1.0
         assert {"gamma_hat", "stderr_gamma", "stderr_e", "flagged"} <= rows[0].keys()
@@ -184,13 +181,13 @@ class TestChshExperiment:
         config = small_config(n_events=100_000)
         r1 = run_chsh_experiment(config)
         r2 = run_chsh_experiment(config)
-        assert r1.manifest.reproducible_json() == r2.manifest.reproducible_json()
-        assert r1.manifest.digest() == r2.manifest.digest()
+        assert r1.reproducible_json() == r2.reproducible_json()
+        assert r1.digest() == r2.digest()
 
     def test_worker_count_never_changes_results(self):
         solo = run_chsh_experiment(small_config(n_events=1_200_000, workers=1))
         pooled = run_chsh_experiment(small_config(n_events=1_200_000, workers=2))
-        assert solo.manifest.reproducible_json() == pooled.manifest.reproducible_json()
+        assert solo.reproducible_json() == pooled.reproducible_json()
 
     def test_empty_ensemble_names_the_pair(self):
         config = small_config(tau=1e-8, window=1e-8, n_events=300)
@@ -198,17 +195,23 @@ class TestChshExperiment:
             run_chsh_experiment(config)
 
     def test_report_fields_consistent(self):
-        result = run_chsh_experiment(small_config(n_events=400_000))
-        report = result.report
-        assert report.gamma_min == min(report.gammas)
-        assert report.modified_bound == pytest.approx(6.0 / report.gamma_min - 4.0)
-        lower = report.chsh_lhs - 4.0 * report.chsh_stderr
-        assert report.chsh_stderr > 0.0
-        assert report.violates_chsh == (lower > 2.0)
-        assert report.violates_modified == (lower > report.modified_bound)
-        payload = result.manifest.results["report"]
-        assert payload["chsh_lhs"] == report.chsh_lhs
-        assert payload["violates_modified"] == report.violates_modified
+        results = run_chsh_experiment(small_config(n_events=400_000)).results
+        report = results["report"]
+        assert report["gamma_min"] == min(report["gammas"])
+        assert report["modified_bound"] == pytest.approx(6.0 / report["gamma_min"] - 4.0)
+        lower = report["chsh_lhs"] - 4.0 * report["chsh_stderr"]
+        assert report["chsh_stderr"] > 0.0
+        assert report["violates_chsh"] == (lower > 2.0)
+        assert report["violates_modified"] == (lower > report["modified_bound"])
+        # the recorded verdict is the one of the recorded pairs
+        pairs = results["pairs"]
+        quartet = CorrelationQuartet(**{
+            f"{prefix}_{label}": pairs[label][name]
+            for prefix, name in (("e", "e_conditional"), ("gamma", "gamma_hat"),
+                                 ("stderr_e", "stderr_e"))
+            for label in runner.PAIR_LABELS
+        })
+        assert runner._record(verdict(quartet)) == report
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_local_model_without_cut_violates_nothing(self, seed):
@@ -216,11 +219,11 @@ class TestChshExperiment:
         2 in expectation; noise above 2 is not reported as a violation."""
         config = small_config(coincidence_mode=CoincidenceMode.CONTINUOUS, window=1.0,
                               n_events=200_000, seed=seed)
-        report = run_chsh_experiment(config).report
-        assert report.gammas == (1.0, 1.0, 1.0, 1.0)
-        assert abs(report.chsh_lhs - 2.0) < 4.0 * report.chsh_stderr
-        assert not report.violates_chsh
-        assert not report.violates_modified
+        report = run_chsh_experiment(config).results["report"]
+        assert report["gammas"] == [1.0, 1.0, 1.0, 1.0]
+        assert abs(report["chsh_lhs"] - 2.0) < 4.0 * report["chsh_stderr"]
+        assert not report["violates_chsh"]
+        assert not report["violates_modified"]
 
 
 class TestBoundAudit:
@@ -230,9 +233,8 @@ class TestBoundAudit:
 
     def test_reports_cover_grid(self):
         config = small_config(n_events=200_000)
-        result = run_bound_audit(config)
-        assert len(result.reports) == 2  # one tau, two angles
-        rows = result.manifest.results["rows"]
+        rows = run_bound_audit(config).results["rows"]
+        assert len(rows) == 2  # one tau, two angles
         assert {r["alpha_deg"] for r in rows} == {0.0, 90.0}
         for row in rows:
             assert row["satisfied"] is True
@@ -241,8 +243,8 @@ class TestBoundAudit:
             assert row["stderr_gamma"] is not None
 
     def test_antipodal_row_uses_equal_settings(self):
-        result = run_bound_audit(small_config(n_events=200_000, audit_alpha_deg=(0.0, 180.0)))
-        equal, antipodal = result.manifest.results["rows"]
+        manifest = run_bound_audit(small_config(n_events=200_000, audit_alpha_deg=(0.0, 180.0)))
+        equal, antipodal = manifest.results["rows"]
         assert antipodal["alpha_deg"] == 180.0
         assert antipodal["closed_form"] == equal["closed_form"]
         assert antipodal["quadrature"] == equal["quadrature"]
@@ -261,32 +263,31 @@ class TestRunPlan:
     def test_sweep_equals_separate_pairs(self, n_events, workers):
         config = small_config(alpha_grid_deg=(0.0, 60.0), n_events=n_events, workers=workers)
         params = config.model_params()
-        result = run_correlation_sweep(config)
-        for i, row in enumerate(result.rows):
-            alone = simulate_pair_stats(
-                UnitVector3.from_angle_deg(0.0), UnitVector3.from_angle_deg(row.alpha_deg),
+        for i, row in enumerate(run_correlation_sweep(config).results["rows"]):
+            alone = runner._record(simulate_pair_stats(
+                UnitVector3.from_angle_deg(0.0), UnitVector3.from_angle_deg(row["alpha_deg"]),
                 params, n_events, config.seed, stream=i, workers=workers,
-            )
-            assert row.stats == alone
+            ))
+            assert {name: row[name] for name in alone} == alone
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chsh_equals_separate_pairs(self, workers):
         config = small_config(n_events=CHUNK_SIZE + 17, workers=workers)
-        result = run_chsh_experiment(config)
+        results = run_chsh_experiment(config).results
         for i, label in enumerate(runner.PAIR_LABELS):
-            th1, th2 = result.manifest.results["pair_settings_deg"][label]
+            th1, th2 = results["pair_settings_deg"][label]
             alone = simulate_pair_stats(
                 UnitVector3.from_angle_deg(th1), UnitVector3.from_angle_deg(th2),
                 config.model_params(), config.n_events, config.seed, stream=i, workers=1,
             )
-            assert result.pair_stats[label] == alone
+            assert results["pairs"][label] == runner._record(alone)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_audit_rows_carry_their_own_tau(self, workers):
         config = small_config(
             n_events=100_000, workers=workers, audit_tau=(0.05, 0.01), audit_alpha_deg=(0.0, 90.0)
         )
-        reports = run_bound_audit(config).reports
+        rows = run_bound_audit(config).results["rows"]
         plan = []
         for tau in config.audit_tau:
             for alpha_deg in config.audit_alpha_deg:
@@ -296,11 +297,11 @@ class TestRunPlan:
                 ))
         planned = simulate_plan(plan, config.n_events, config.seed, workers)
         assert [s.tau for s in planned] == [0.05, 0.05, 0.01, 0.01]
-        for (a1, a2, params, stream), stats, report in zip(plan, planned, reports):
+        for (a1, a2, params, stream), stats, row in zip(plan, planned, rows):
             alone = simulate_pair_stats(a1, a2, params, config.n_events, config.seed, stream=stream)
             assert stats == alone
-            assert report.tau == params.tau
-            assert report.simulated_gamma == alone.gamma_hat
+            assert row["tau"] == params.tau
+            assert row["simulated_gamma"] == alone.gamma_hat
 
     def test_one_pool_per_run(self, monkeypatch):
         monkeypatch.setattr(runner, "_available_cpus", lambda: 8)
@@ -356,7 +357,7 @@ class TestRunPlan:
         pooled = run_correlation_sweep(replace(config, workers=1000))
         assert pools == [3]
         serial = run_correlation_sweep(config)
-        assert pooled.manifest.digest() == serial.manifest.digest()
+        assert pooled.digest() == serial.digest()
         run_correlation_sweep(replace(config, workers=2, alpha_grid_deg=(0.0,)))
         assert pools == [3]  # one task: run in-process
 
@@ -497,21 +498,25 @@ class TestSignFlipLaws:
 
 
 class TestManifest:
-    def test_json_roundtrip_identity(self):
-        result = run_correlation_sweep(small_config())
-        manifest = result.manifest
-        assert RunManifest.from_json(manifest.to_json()) == manifest
+    @pytest.mark.parametrize("run", [run_correlation_sweep, run_chsh_experiment, run_bound_audit])
+    def test_json_roundtrip_identity(self, run):
+        """Every kind of manifest, the CHSH report and the audit rows
+        included, reads back from its JSON equal and with its digest."""
+        manifest = run(small_config())
+        loaded = RunManifest.from_json(manifest.to_json())
+        assert loaded == manifest
+        assert loaded.digest() == manifest.digest()
 
     def test_reproducible_json_excludes_workers(self):
         config1 = small_config(workers=1)
         config2 = small_config(workers=2)
-        m1 = run_correlation_sweep(config1).manifest
-        m2 = run_correlation_sweep(config2).manifest
+        m1 = run_correlation_sweep(config1)
+        m2 = run_correlation_sweep(config2)
         assert m1.reproducible_json() == m2.reproducible_json()
         assert m1.config["workers"] != m2.config["workers"]
 
     def test_digest_is_stable_hex(self):
-        manifest = run_correlation_sweep(small_config()).manifest
+        manifest = run_correlation_sweep(small_config())
         digest = manifest.digest()
         assert len(digest) == 64
         assert digest == manifest.digest()
@@ -519,8 +524,8 @@ class TestManifest:
 
 class TestTabularOutput:
     def test_sweep_csv_parses_back(self):
-        result = run_correlation_sweep(small_config())
-        text = rows_to_csv(table_rows(result.manifest), COLUMNS["sweep"])
+        manifest = run_correlation_sweep(small_config())
+        text = rows_to_csv(table_rows(manifest), COLUMNS["sweep"])
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 3
         assert rows[0]["alpha_deg"] == "0.0"
@@ -529,23 +534,22 @@ class TestTabularOutput:
 
     def test_csv_empty_cell_for_undefined_correlation(self):
         config = small_config(tau=1e-7, window=1e-7, n_events=200, alpha_grid_deg=(45.0,))
-        result = run_correlation_sweep(config)
-        text = rows_to_csv(table_rows(result.manifest), COLUMNS["sweep"])
+        manifest = run_correlation_sweep(config)
+        text = rows_to_csv(table_rows(manifest), COLUMNS["sweep"])
         row = next(csv.DictReader(io.StringIO(text)))
         assert row["e_conditional"] == ""
         assert row["flagged"] == "true"
 
     def test_chsh_rows_include_settings(self):
-        result = run_chsh_experiment(small_config(n_events=100_000))
-        rows = table_rows(result.manifest)
+        rows = table_rows(run_chsh_experiment(small_config(n_events=100_000)))
         assert [r["pair"] for r in rows] == ["ac", "ad", "bc", "bd"]
         text = rows_to_csv(rows, COLUMNS["chsh"])
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert parsed[0]["setting_2_deg"] == "45.0"
 
     def test_bounds_table_renders(self):
-        result = run_bound_audit(small_config(n_events=100_000))
-        table = rows_to_table(table_rows(result.manifest), COLUMNS["bounds"])
+        manifest = run_bound_audit(small_config(n_events=100_000))
+        table = rows_to_table(table_rows(manifest), COLUMNS["bounds"])
         lines = table.strip().splitlines()
         assert lines[0].split()[:2] == ["alpha_deg", "tau"]
-        assert len(lines) == 2 + len(result.reports)
+        assert len(lines) == 2 + len(manifest.results["rows"])
