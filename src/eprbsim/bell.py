@@ -6,63 +6,41 @@ bound is ``6 / gamma - 4`` where gamma is the coincidence probability; it
 falls back to 2 at gamma = 1 and grows without limit as gamma shrinks.  A
 CHSH value of 2*sqrt(2) therefore violates the corrected inequality only
 when gamma exceeds ``3 - 3/sqrt(2) ~ 0.8787``.
+
+This module owns the two rules every verdict rests on: the CHSH pair order
+``PAIR_LABELS``, in which ``chsh_lhs`` and ``verdict`` take their sequences,
+and the 4-sigma test ``exceeds``, which the CHSH verdicts, the bound audit's
+``satisfied`` and the reproduction checks all apply.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 __all__ = [
-    "CorrelationQuartet",
+    "PAIR_LABELS",
     "InequalityReport",
     "chsh_lhs",
+    "exceeds",
     "modified_bound",
     "gamma_threshold",
     "verdict",
 ]
 
+# the CHSH setting pairs: settings (a, b) on one side, (c, d) on the other
+PAIR_LABELS = ("ac", "ad", "bc", "bd")
 CHSH_CLASSICAL_BOUND = 2.0
 # a bound counts as violated only when the estimate exceeds it by more than
 # this many standard errors, so a violation is never a fluctuation
 VIOLATION_SIGMAS = 4.0
 
 
-@dataclass(frozen=True)
-class CorrelationQuartet:
-    """Conditional correlations and coincidence rates for the four CHSH pairs.
-
-    Pair labels follow the settings (a, b) on one side and (c, d) on the
-    other.  Standard errors on the correlations are optional and only feed
-    the uncertainty attached to the CHSH combination.
-    """
-
-    e_ac: float
-    e_ad: float
-    e_bc: float
-    e_bd: float
-    gamma_ac: float
-    gamma_ad: float
-    gamma_bc: float
-    gamma_bd: float
-    stderr_e_ac: float = 0.0
-    stderr_e_ad: float = 0.0
-    stderr_e_bc: float = 0.0
-    stderr_e_bd: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("e_ac", "e_ad", "e_bc", "e_bd"):
-            v = getattr(self, name)
-            if not -1.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [-1, 1], got {v}")
-        for name in ("gamma_ac", "gamma_ad", "gamma_bc", "gamma_bd"):
-            g = getattr(self, name)
-            if not 0.0 <= g <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {g}")
-
-    @property
-    def gammas(self) -> tuple[float, float, float, float]:
-        return (self.gamma_ac, self.gamma_ad, self.gamma_bc, self.gamma_bd)
+def exceeds(estimate: float, stderr: float, bound: float) -> bool:
+    """Whether an estimate violates a bound: it exceeds it by more than
+    VIOLATION_SIGMAS standard errors; with no standard error, at all."""
+    return estimate - VIOLATION_SIGMAS * stderr > bound
 
 
 @dataclass(frozen=True)
@@ -79,9 +57,11 @@ class InequalityReport:
     gamma_threshold_for_lhs: float
 
 
-def chsh_lhs(q: CorrelationQuartet) -> float:
-    """|E(a,c) - E(a,d) + E(b,c) + E(b,d)| for the quartet."""
-    return abs(q.e_ac - q.e_ad + q.e_bc + q.e_bd)
+def chsh_lhs(e: Sequence[float]) -> float:
+    """|E(a,c) - E(a,d) + E(b,c) + E(b,d)| of four correlations in
+    PAIR_LABELS order."""
+    e_ac, e_ad, e_bc, e_bd = e
+    return abs(e_ac - e_ad + e_bc + e_bd)
 
 
 def modified_bound(gamma: float) -> float:
@@ -101,33 +81,42 @@ def gamma_threshold(target_lhs: float) -> float:
     return 6.0 / (target_lhs + 4.0)
 
 
-def verdict(q: CorrelationQuartet) -> InequalityReport:
-    """Evaluate both inequalities on a quartet of measured correlations.
+def verdict(
+    e: Sequence[float],
+    gammas: Sequence[float],
+    stderr_e: Sequence[float] = (0.0,) * 4,
+) -> InequalityReport:
+    """Evaluate both inequalities on the measured correlations ``e``, their
+    coincidence rates ``gammas`` and the correlations' standard errors
+    ``stderr_e``, each in PAIR_LABELS order.
 
     The four pairs generally have different coincidence rates while the
     corrected bound assumes a single gamma; using the smallest rate gives the
     largest (most conservative) bound, so a modified-inequality violation is
     never an artifact of rate heterogeneity.  All four rates are reported.
-    A bound is violated only when the CHSH value exceeds it by more than
-    VIOLATION_SIGMAS standard errors; without standard errors, when it
-    exceeds it at all.
+    A bound is violated when the CHSH value ``exceeds`` it.
     """
-    if min(q.gammas) <= 0.0:
+    gammas = tuple(gammas)
+    for label, v in zip(PAIR_LABELS, e, strict=True):
+        if not -1.0 <= v <= 1.0:
+            raise ValueError(f"e_{label} must be in [-1, 1], got {v}")
+    for label, g in zip(PAIR_LABELS, gammas, strict=True):
+        if not 0.0 <= g <= 1.0:
+            raise ValueError(f"gamma_{label} must be in [0, 1], got {g}")
+    gamma_min = min(gammas)
+    if gamma_min <= 0.0:
         raise ValueError("empty post-selected ensemble: some gamma is 0")
-    lhs = chsh_lhs(q)
-    stderr = math.sqrt(
-        q.stderr_e_ac**2 + q.stderr_e_ad**2 + q.stderr_e_bc**2 + q.stderr_e_bd**2
-    )
-    gamma_min = min(q.gammas)
+    lhs = chsh_lhs(e)
+    s_ac, s_ad, s_bc, s_bd = stderr_e
+    stderr = math.sqrt(s_ac**2 + s_ad**2 + s_bc**2 + s_bd**2)
     bound = modified_bound(gamma_min)
-    lower = lhs - VIOLATION_SIGMAS * stderr
     return InequalityReport(
         chsh_lhs=lhs,
         chsh_stderr=stderr,
         gamma_min=gamma_min,
-        gammas=q.gammas,
+        gammas=gammas,
         modified_bound=bound,
-        violates_chsh=lower > CHSH_CLASSICAL_BOUND,
-        violates_modified=lower > bound,
+        violates_chsh=exceeds(lhs, stderr, CHSH_CLASSICAL_BOUND),
+        violates_modified=exceeds(lhs, stderr, bound),
         gamma_threshold_for_lhs=gamma_threshold(lhs),
     )

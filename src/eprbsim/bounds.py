@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import VIOLATION_SIGMAS
+from .bell import exceeds
 from .coincidence import CoincidenceStats
 from .model import CoincidenceMode
 
@@ -247,8 +247,9 @@ def check_simulated_gamma(stats: CoincidenceStats, alpha: float, tau: float) -> 
     describe the continuous-window convention.  At alpha = 0 and alpha = pi
     the equal-settings bound applies, elsewhere the unequal-settings one;
     ``quad_rel_tol`` is the accuracy of the quadrature that goes with it.
-    ``satisfied`` is false only when the estimate exceeds the closed form by
-    more than four standard errors, so a violation is never a fluctuation.
+    ``satisfied`` is false only when the estimate ``bell.exceeds`` the closed
+    form, by more than four standard errors, so a violation is never a
+    fluctuation.
     The bounds are one-sided: any compliant rate passes, equality is not
     expected.
     """
@@ -280,5 +281,5 @@ def check_simulated_gamma(stats: CoincidenceStats, alpha: float, tau: float) -> 
         quad_rel_tol=rel_tol,
         simulated_gamma=stats.gamma_hat,
         stderr_gamma=stats.stderr_gamma,
-        satisfied=stats.gamma_hat - VIOLATION_SIGMAS * stats.stderr_gamma <= closed,
+        satisfied=not exceeds(stats.gamma_hat, stats.stderr_gamma, closed),
     )

@@ -70,9 +70,6 @@ class UnitVector3:
         a = math.radians(angle_deg)
         return cls(math.cos(a), math.sin(a), 0.0)
 
-    def dot(self, other: "UnitVector3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
     def __neg__(self) -> "UnitVector3":
         return UnitVector3(-self.x, -self.y, -self.z)
 

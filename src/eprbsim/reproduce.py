@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .bell import VIOLATION_SIGMAS, gamma_threshold, modified_bound
+from .bell import VIOLATION_SIGMAS, exceeds, gamma_threshold, modified_bound
 from .bounds import (
     approx_equal_settings,
     equal_settings_bound,
@@ -179,8 +179,8 @@ def check_bound_compliance(config: ExperimentConfig) -> CheckResult:
     for alpha_deg, rows in by_alpha.items():
         rows = sorted(rows, key=lambda r: -r["tau"])
         for hi, lo in zip(rows[:-1], rows[1:]):
-            slack = VIOLATION_SIGMAS * math.sqrt(hi["stderr_gamma"]**2 + lo["stderr_gamma"]**2)
-            if lo["simulated_gamma"] > hi["simulated_gamma"] + slack:
+            stderr = math.sqrt(hi["stderr_gamma"]**2 + lo["stderr_gamma"]**2)
+            if exceeds(lo["simulated_gamma"], stderr, hi["simulated_gamma"]):
                 failures.append(
                     f"alpha={alpha_deg:g}: gamma not decreasing "
                     f"({hi['tau']:g} -> {lo['tau']:g})"

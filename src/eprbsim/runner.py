@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 from enum import Enum
 
 from . import __version__
-from .bell import CorrelationQuartet, verdict
+from .bell import PAIR_LABELS, verdict
 from .bounds import UNEQUAL_QUAD_MIN_DEG, BoundReport, check_simulated_gamma
 from .coincidence import CoincidenceStats, chunk_counts
 from .model import CoincidenceMode, ModelParams, UnitVector3
@@ -346,18 +346,16 @@ def run_correlation_sweep(config: ExperimentConfig) -> RunManifest:
 # ---------------------------------------------------------------------------
 # four-settings CHSH experiment
 
-PAIR_LABELS = ("ac", "ad", "bc", "bd")
-
 
 def run_chsh_experiment(config: ExperimentConfig) -> RunManifest:
     """Simulate the four CHSH setting pairs and evaluate both inequalities."""
     t0 = time.perf_counter()
     params = config.model_params()
-    a, b, c, d = config.settings_deg
-    pair_angles = {"ac": (a, c), "ad": (a, d), "bc": (b, c), "bd": (b, d)}
+    angle = dict(zip("abcd", config.settings_deg))
+    pair_angles = {label: (angle[label[0]], angle[label[1]]) for label in PAIR_LABELS}
     plan = [
         (UnitVector3.from_angle_deg(th1), UnitVector3.from_angle_deg(th2), params, i)
-        for i, (th1, th2) in enumerate(pair_angles[label] for label in PAIR_LABELS)
+        for i, (th1, th2) in enumerate(pair_angles.values())
     ]
     all_stats = simulate_plan(plan, config.n_events, config.seed, config.workers)
     pair_stats = dict(zip(PAIR_LABELS, all_stats))
@@ -368,11 +366,8 @@ def run_chsh_experiment(config: ExperimentConfig) -> RunManifest:
                 f"empty coincidence ensemble for pair {label} "
                 f"(settings {th1} deg, {th2} deg)"
             )
-    report = verdict(CorrelationQuartet(**{
-        f"{prefix}_{label}": getattr(pair_stats[label], name)
-        for prefix, name in (("e", "e_conditional"), ("gamma", "gamma_hat"), ("stderr_e", "stderr_e"))
-        for label in PAIR_LABELS
-    }))
+    report = verdict([s.e_conditional for s in all_stats], [s.gamma_hat for s in all_stats],
+                     [s.stderr_e for s in all_stats])
     results = {
         "pairs": {label: _record(pair_stats[label]) for label in PAIR_LABELS},
         "pair_settings_deg": {label: list(pair_angles[label]) for label in PAIR_LABELS},

@@ -5,41 +5,43 @@ import math
 import numpy as np
 import pytest
 
-from eprbsim.bell import CorrelationQuartet, chsh_lhs, gamma_threshold, modified_bound, verdict
+from eprbsim.bell import (
+    VIOLATION_SIGMAS,
+    chsh_lhs,
+    exceeds,
+    gamma_threshold,
+    modified_bound,
+    verdict,
+)
 
 TWO_SQRT_TWO = 2.8284271247461903
 GAMMA_0 = 0.8786796564403576
 
 
-def cosine_quartet(gamma: float) -> CorrelationQuartet:
+def cosine_quartet(gamma: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Conditional correlations -cos(angle) at the standard settings
-    a=0, b=90, c=45, d=135 degrees."""
+    a=0, b=90, c=45, d=135 degrees, and one coincidence rate for all four
+    pairs, both in PAIR_LABELS order."""
     e = math.cos(math.pi / 4)
-    return CorrelationQuartet(
-        e_ac=-e, e_ad=e, e_bc=-e, e_bd=-e,
-        gamma_ac=gamma, gamma_ad=gamma, gamma_bc=gamma, gamma_bd=gamma,
-    )
+    return (-e, e, -e, -e), (gamma,) * 4
 
 
 class TestChshLhs:
     def test_standard_angles_reach_quantum_maximum(self):
-        assert chsh_lhs(cosine_quartet(0.5)) == pytest.approx(TWO_SQRT_TWO, abs=1e-12)
+        e, _ = cosine_quartet(0.5)
+        assert chsh_lhs(e) == pytest.approx(TWO_SQRT_TWO, abs=1e-12)
 
     def test_zero_correlations(self):
-        q = CorrelationQuartet(0, 0, 0, 0, 1, 1, 1, 1)
-        assert chsh_lhs(q) == 0.0
+        assert chsh_lhs((0, 0, 0, 0)) == 0.0
 
     def test_algebraic_maximum(self):
-        q = CorrelationQuartet(-1, 1, -1, -1, 1, 1, 1, 1)
-        assert chsh_lhs(q) == 4.0
+        assert chsh_lhs((-1, 1, -1, -1)) == 4.0
 
     def test_invariant_under_global_negation(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             e = rng.uniform(-1, 1, size=4)
-            q = CorrelationQuartet(*e, 1, 1, 1, 1)
-            neg = CorrelationQuartet(*(-e), 1, 1, 1, 1)
-            assert chsh_lhs(q) == pytest.approx(chsh_lhs(neg), abs=1e-15)
+            assert chsh_lhs(e) == pytest.approx(chsh_lhs(-e), abs=1e-15)
 
 
 class TestModifiedBound:
@@ -90,42 +92,33 @@ class TestGammaThreshold:
 
 class TestVerdict:
     def test_small_gamma_never_violates_corrected_bound(self):
-        report = verdict(cosine_quartet(0.02))
+        report = verdict(*cosine_quartet(0.02))
         assert report.violates_chsh
         assert report.modified_bound == pytest.approx(296.0, abs=1e-9)
         assert not report.violates_modified
 
     def test_large_gamma_violates_corrected_bound(self):
-        report = verdict(cosine_quartet(0.9))
+        report = verdict(*cosine_quartet(0.9))
         assert report.violates_modified
 
     def test_zero_correlations_violate_nothing(self):
-        q = CorrelationQuartet(0, 0, 0, 0, 0.4, 0.4, 0.4, 0.4)
-        report = verdict(q)
+        report = verdict((0, 0, 0, 0), (0.4, 0.4, 0.4, 0.4))
         assert not report.violates_chsh
         assert not report.violates_modified
 
     def test_empty_ensemble_rejected(self):
-        q = CorrelationQuartet(0, 0, 0, 0, 0.4, 0.0, 0.4, 0.4)
         with pytest.raises(ValueError, match="empty post-selected ensemble"):
-            verdict(q)
+            verdict((0, 0, 0, 0), (0.4, 0.0, 0.4, 0.4))
 
     def test_uses_minimum_gamma(self):
-        q = CorrelationQuartet(
-            -0.7, 0.7, -0.7, -0.7,
-            gamma_ac=0.9, gamma_ad=0.5, gamma_bc=0.8, gamma_bd=0.7,
-        )
-        report = verdict(q)
+        report = verdict((-0.7, 0.7, -0.7, -0.7), (0.9, 0.5, 0.8, 0.7))
         assert report.gamma_min == 0.5
         assert report.modified_bound == pytest.approx(8.0, abs=1e-12)
         assert report.gammas == (0.9, 0.5, 0.8, 0.7)
 
     def test_stderr_combines_in_quadrature(self):
-        q = CorrelationQuartet(
-            -0.7, 0.7, -0.7, -0.7, 0.5, 0.5, 0.5, 0.5,
-            stderr_e_ac=0.01, stderr_e_ad=0.02, stderr_e_bc=0.02, stderr_e_bd=0.04,
-        )
-        report = verdict(q)
+        report = verdict((-0.7, 0.7, -0.7, -0.7), (0.5, 0.5, 0.5, 0.5),
+                         (0.01, 0.02, 0.02, 0.04))
         assert report.chsh_stderr == pytest.approx(math.sqrt(0.0025), abs=1e-15)
 
     @pytest.mark.parametrize("sigmas, violated", [(3.0, False), (5.0, True)])
@@ -134,25 +127,72 @@ class TestVerdict:
         above them is no violation, one 5 standard errors above is."""
         stderr = 0.02  # four pairs at 0.01 each, in quadrature
         e = (2.0 + sigmas * stderr) / 4.0
-        q = CorrelationQuartet(e, -e, e, e, 1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 0.01, 0.01)
-        report = verdict(q)
+        report = verdict((e, -e, e, e), (1.0, 1.0, 1.0, 1.0), (0.01, 0.01, 0.01, 0.01))
         assert report.chsh_stderr == pytest.approx(stderr, abs=1e-15)
         assert report.modified_bound == 2.0
         assert report.violates_chsh is violated
         assert report.violates_modified is violated
 
     def test_threshold_field_matches_lhs(self):
-        report = verdict(cosine_quartet(0.3))
+        report = verdict(*cosine_quartet(0.3))
         assert report.gamma_threshold_for_lhs == pytest.approx(
             6.0 / (report.chsh_lhs + 4.0), abs=1e-15
         )
 
 
-class TestQuartetValidation:
+class TestVerdictValidation:
     def test_rejects_out_of_range_correlation(self):
         with pytest.raises(ValueError):
-            CorrelationQuartet(1.2, 0, 0, 0, 1, 1, 1, 1)
+            verdict((1.2, 0, 0, 0), (1, 1, 1, 1))
 
     def test_rejects_out_of_range_gamma(self):
         with pytest.raises(ValueError):
-            CorrelationQuartet(0, 0, 0, 0, 1.5, 1, 1, 1)
+            verdict((0, 0, 0, 0), (1.5, 1, 1, 1))
+
+    @pytest.mark.parametrize("e, gammas", [((0, 0, 0), (1, 1, 1, 1)), ((0, 0, 0, 0), (1, 1, 1))])
+    def test_rejects_other_than_four_pairs(self, e, gammas):
+        with pytest.raises(ValueError):
+            verdict(e, gammas)
+
+
+def past(x: float, steps: int) -> float:
+    """``x`` moved up by ``steps`` units in the last place."""
+    for _ in range(steps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+class TestFourSigmaBoundary:
+    """An estimate exactly VIOLATION_SIGMAS standard errors above a bound is
+    no violation; the smallest step past that point that survives rounding
+    is one.  Each boundary case is exact in binary floating point."""
+
+    def test_exceeds_at_and_past_the_boundary(self):
+        assert VIOLATION_SIGMAS == 4.0
+        assert not exceeds(3.0, 0.25, 2.0)
+        assert exceeds(past(3.0, 1), 0.25, 2.0)
+        assert exceeds(3.0, 0.25, math.nextafter(2.0, -math.inf))
+        # without a standard error, a plain comparison
+        assert not exceeds(2.0, 0.0, 2.0)
+        assert exceeds(past(2.0, 1), 0.0, 2.0)
+
+    def test_sum_loses_one_or_two_ulps_of_e_ac(self):
+        """One or two ulps on e_ac are lost when the CHSH sum rounds; three
+        reach the next double above 3."""
+        for steps in (1, 2):
+            assert chsh_lhs((past(0.75, steps), -0.75, 0.75, 0.75)) == 3.0
+        assert chsh_lhs((past(0.75, 3), -0.75, 0.75, 0.75)) == past(3.0, 1)
+
+    @pytest.mark.parametrize("steps, gamma, violates_chsh, violates_modified", [
+        (0, 1.0, False, False),  # CHSH - 4 sigma = 2 exactly, both bounds 2
+        (3, 1.0, True, True),  # CHSH - 4 sigma one ulp above 2
+        (3, math.nextafter(1.0, 0.0), True, False),  # corrected bound 2 + 2^-50
+    ])
+    def test_verdict(self, steps, gamma, violates_chsh, violates_modified):
+        """CHSH = 3 and sigma = 0.25 exactly at e = (0.75, -0.75, 0.75, 0.75)
+        and sigma_E = 0.125 per pair, then e_ac nudged past the boundary."""
+        report = verdict((past(0.75, steps), -0.75, 0.75, 0.75), (gamma,) * 4, (0.125,) * 4)
+        assert report.chsh_lhs == (3.0 if steps == 0 else past(3.0, 1))
+        assert report.chsh_stderr == 0.25
+        assert report.violates_chsh is violates_chsh
+        assert report.violates_modified is violates_modified

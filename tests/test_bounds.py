@@ -296,6 +296,26 @@ class TestCheckSimulatedGamma:
         assert report.closed_form == pytest.approx(8e-2, rel=1e-12)
         assert report.satisfied is satisfied
 
+    @pytest.mark.parametrize("steps, satisfied", [(0, True), (1, False)])
+    def test_satisfied_at_exactly_four_sigma(self, steps, satisfied):
+        """A rate exactly four standard errors above the closed form still
+        satisfies it; one ulp more does not.  With sigma = 2^-10 both the
+        rate and gamma - 4 sigma are exact near the bound 8e-2."""
+        tau, sigma = 1e-2, 2.0**-10
+        closed = unequal_settings_bound(math.pi / 2, tau)
+        gamma = closed + 4.0 * sigma
+        assert gamma - 4.0 * sigma == closed
+        for _ in range(steps):
+            gamma = math.nextafter(gamma, math.inf)
+        stats = CoincidenceStats(
+            n_total=10_000, n_coincident=839, sum_xy=0, gamma_hat=gamma, stderr_gamma=sigma,
+            e_conditional=0.0, stderr_e=0.01, mode=CoincidenceMode.SAME_BIN,
+            window=tau, tau=tau,
+        )
+        report = check_simulated_gamma(stats, math.pi / 2, tau)
+        assert report.closed_form == closed
+        assert report.satisfied is satisfied
+
     def test_rejects_continuous_statistics(self):
         params = ModelParams(tau=1e-3, window=1e-3, coincidence_mode=CoincidenceMode.CONTINUOUS)
         a = UnitVector3.from_angle_deg(0.0)

@@ -71,10 +71,6 @@ class TestUnitVector3:
         assert v.y == pytest.approx(1.0, abs=1e-15)
         assert v.z == 0.0
 
-    def test_negation_and_dot(self):
-        v = UnitVector3.from_angle_deg(30.0)
-        assert (-v).dot(v) == pytest.approx(-1.0, abs=1e-15)
-
 
 class TestSampleDirection:
     def test_mean_z_vanishes(self):

@@ -86,6 +86,32 @@ def test_only_the_orchestrators_take_both_settings():
                     "coincidence._block_counts"}
 
 
+def test_bell_owns_the_pair_order_and_the_four_sigma_rule():
+    """The CHSH pair order is written out only in ``bell``, and the only
+    functions that read ``VIOLATION_SIGMAS`` are ``bell.exceeds``, the one
+    4-sigma test, and ``reproduce.check_bound_compliance``, which prints it
+    in its failure message."""
+    pair_order, readers = set(), set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.partition('.')[0]}.{node.name}"
+        if (isinstance(node, ast.Tuple)
+                and [getattr(e, "value", None) for e in node.elts] == ["ac", "ad", "bc", "bd"]):
+            pair_order.add(owner.partition(".")[0])
+        if ((isinstance(node, ast.Name) and node.id == "VIOLATION_SIGMAS"
+                or isinstance(node, ast.Attribute) and node.attr == "VIOLATION_SIGMAS")
+                and isinstance(node.ctx, ast.Load)):
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(Path(eprbsim.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert pair_order == {"bell"}
+    assert readers == {"bell.exceeds", "reproduce.check_bound_compliance"}
+
+
 def test_the_screen_runs_the_model_delay_law_and_overlap():
     """Of ``model`` and ``coincidence``, only the one delay-law function,
     ``model._delay``, calls ``np.power``, and ``coincidence`` defines no

@@ -21,7 +21,7 @@ from eprbsim import (
     run_correlation_sweep,
 )
 from eprbsim import coincidence, runner
-from eprbsim.bell import CorrelationQuartet, verdict
+from eprbsim.bell import verdict
 from eprbsim.bounds import EQUAL_QUAD_REL_TOL, UNEQUAL_QUAD_MIN_DEG
 from eprbsim.coincidence import _counts_from_batch
 from eprbsim.model import (
@@ -204,14 +204,10 @@ class TestChshExperiment:
         assert report["violates_chsh"] == (lower > 2.0)
         assert report["violates_modified"] == (lower > report["modified_bound"])
         # the recorded verdict is the one of the recorded pairs
-        pairs = results["pairs"]
-        quartet = CorrelationQuartet(**{
-            f"{prefix}_{label}": pairs[label][name]
-            for prefix, name in (("e", "e_conditional"), ("gamma", "gamma_hat"),
-                                 ("stderr_e", "stderr_e"))
-            for label in runner.PAIR_LABELS
-        })
-        assert runner._record(verdict(quartet)) == report
+        pairs = [results["pairs"][label] for label in runner.PAIR_LABELS]
+        rebuilt = verdict([p["e_conditional"] for p in pairs], [p["gamma_hat"] for p in pairs],
+                          [p["stderr_e"] for p in pairs])
+        assert runner._record(rebuilt) == report
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_local_model_without_cut_violates_nothing(self, seed):
