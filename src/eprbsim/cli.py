@@ -63,7 +63,7 @@ _FLAGS = {
     "--d-exponent": dict(dest="d_exponent", type=float, help="delay-law exponent"),
     "--events": dict(dest="n_events", type=int, help="events per setting pair"),
     "--seed": dict(type=int, help="base random seed"),
-    "--workers": dict(type=int, help="parallel workers (never affects results)"),
+    "--workers": dict(type=int, help="worker processes (never affects results)"),
     "--settings": dict(dest="settings_deg", type=_csv_floats, metavar="A,B,C,D",
                        help="four setting angles in degrees"),
     "--alpha-grid": dict(dest="alpha_grid_deg", type=_csv_floats, metavar="LIST",
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the full default-parameter reproduction and print pass/fail lines",
     )
     p_rep.add_argument("--seed", type=int, help="base seed (checks are calibrated at the default)")
-    p_rep.add_argument("--workers", type=int, help="parallel workers")
+    p_rep.add_argument("--workers", type=int, help="worker processes (never affects results)")
     p_rep.add_argument("--out", metavar="DIR", help="write reproduction_summary.json here")
     p_rep.set_defaults(func=_cmd_reproduce)
     return parser

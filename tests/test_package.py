@@ -152,3 +152,52 @@ def test_one_worker_run_loads_no_process_pool():
                           timeout=300, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("alpha_deg")
+
+
+def child_env(**preset: str) -> dict[str, str]:
+    """The environment of a fresh interpreter that loads ``src``, without the
+    ``OPENBLAS_NUM_THREADS`` this process may have, plus ``preset``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return dict(env, PYTHONPATH=SRC, **preset)
+
+
+@pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")],
+                         ids=["unset", "preset"])
+def test_import_sets_one_blas_thread_unless_set(preset, expected):
+    """``import eprbsim`` sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
+    and leaves a value the user has set."""
+    code = "import os, eprbsim\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=child_env(**preset))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+def test_import_leaves_one_thread():
+    """The process pool is the only parallelism: after ``import eprbsim`` a
+    fresh interpreter runs one thread, not numpy's OpenBLAS pool of one
+    thread per core."""
+    code = "import os, eprbsim\nprint(len(os.listdir('/proc/self/task')))\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+def test_blas_thread_count_never_changes_a_result(tmp_path):
+    """A ``bounds`` run gives the same manifest digest with one BLAS thread
+    and with two.  The grid holds the audit's largest unequal-settings dot
+    product (5,280 nodes, alpha = 1e-5 degrees) and an equal-settings one of
+    5,616 nodes (tau = 1e-300)."""
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "eprbsim", "bounds", "--events", "2000",
+             "--alpha-grid", "0,1e-5,60", "--tau-grid", "0.1,1e-4,1e-300", "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=child_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        digests.add(runner.RunManifest.from_json((out / "manifest.json").read_text()).digest())
+    assert len(digests) == 1, digests
