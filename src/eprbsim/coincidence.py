@@ -8,15 +8,15 @@ the convention under which the per-pair coincidence probability equals
 analytic rate bounds assume.
 
 ``chunk_counts`` counts one chunk of the runner's plan.  It draws the
-chunk's uniforms block by block, screens each block in float32 on provably
-conservative bounds of the tags, and runs the exact kernel of ``model`` and
+chunk's uniforms block by block, screens each block in float32 on tag
+estimates with a proven slack, and runs the exact kernel of ``model`` and
 the cut on the few pairs that pass, gathered over the blocks of the chunk.
 When the cut keeps every pair, only the outcomes count: with in-plane
 settings they are settled by where the phi uniform falls against each
 station's half-turn, without trigonometry, and the tags are never drawn.
 As in the model, the hidden direction is formed once per block
-(``_screen_direction``), and each station's tag bounds
-(``_station_tag_bounds``) and half-turn (``_half_turn``) come from it, its
+(``_screen_direction``), and each station's tag estimate
+(``_station_tag_estimate``) and half-turn (``_half_turn``) come from it, its
 own setting and its own tag row only.
 """
 
@@ -98,7 +98,8 @@ class CoincidenceStats:
         if n_total < 1:
             raise ValueError("no events")
         gamma = n_coincident / n_total
-        stderr_gamma = math.sqrt(gamma * (1.0 - gamma) / n_total)
+        # clamped, so that counts out of range reach the refusal in __post_init__
+        stderr_gamma = math.sqrt(max(0.0, gamma * (1.0 - gamma)) / n_total)
         if n_coincident > 0:
             e = sum_xy / n_coincident
             stderr_e = math.sqrt(max(0.0, 1.0 - e * e) / n_coincident)
@@ -135,7 +136,7 @@ def _counts_from_batch(batch: EventBatch, params: ModelParams) -> tuple[int, int
     return len(batch), n_c, 2 * n_agree - n_c
 
 
-# Margin on the overlap a.S in _station_tag_bounds.  The screen's float32
+# Margin on the overlap a.S in _station_tag_estimate.  The screen's float32
 # overlap, model._overlap of _screen_direction, is within sqrt(2) delta +
 # 2^-20 < OVERLAP_EPS / 4 of the kernel's float64 one, where delta, the
 # error of float32 cos and sin of float32(phi), is tested below OVERLAP_EPS
@@ -166,22 +167,14 @@ def _screen_direction(u: np.ndarray,
     return r_cos, r_sin, z
 
 
-def _float32_half(d_exponent: float, up: bool) -> np.float32:
-    """d/2 rounded up or down to a float32."""
-    exact = 0.5 * d_exponent
-    half = np.float32(exact)
-    if float(half) < exact if up else float(half) > exact:
-        half = np.nextafter(half, np.float32(np.inf if up else 0.0))
-    return half
-
-
-def _station_tag_bounds(h: tuple[np.ndarray, np.ndarray, np.ndarray | None], a: UnitVector3,
-                        t_row: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 bounds (lo, hi) on the tags that the kernel makes for one
-    station, in fresh arrays, from ``h`` of ``_screen_direction``, its own
+def _station_tag_estimate(h: tuple[np.ndarray, np.ndarray, np.ndarray | None], a: UnitVector3,
+                          t_row: np.ndarray, d_exponent: float) -> np.ndarray:
+    """A float32 estimate t~ of the tags that the kernel makes for one
+    station, in a fresh array, from ``h`` of ``_screen_direction``, its own
     setting ``a`` and its own tag uniforms ``t_row``, which are left as they
-    are; so they depend on its own setting and its own copy of s only.
-    Below, u32 = 2^-24 is float32's unit roundoff.
+    are; so it depends on its own setting and its own copy of s only.  The
+    kernel's tag t lies within ``_tag_slack(d)`` of it.  Below, u32 = 2^-24
+    is float32's unit roundoff and p = d/2.
 
     Soundness, step by step:
 
@@ -198,74 +191,62 @@ def _station_tag_bounds(h: tuple[np.ndarray, np.ndarray, np.ndarray | None], a: 
       most 8 u32, since the terms r|cos(phi) a.x|, r|sin(phi) a.y| and |z
       a.z| sum to at most 1.  With |a.x| + |a.y| <= sqrt(2), |d~ - d| <=
       sqrt(2) delta + 2^-20 < eps / 4, eps = OVERLAP_EPS.
-    * Overlap bounds.  dhi = fl(|d~| + eps) and dlo = fl(|d~| - eps) round
-      by at most u32, so dhi >= |d| + 0.7 eps and dlo <= |d| - 0.7 eps, with
-      |d| <= 1.  Then fl(dhi^2) >= dhi^2 (1 - u32) > d^2 (1 + 2^-53) >=
-      fl(d^2), the kernel's, because (1 + 0.7 eps)^2 exceeds the two
-      roundings by far; likewise fl(dlo^2) <= fl(d^2) where dlo >= 0.  A
-      negative dlo is not clamped at 0: then dlo^2 < eps^2 < 2^-26, so fl(1
-      - fl(dlo^2)) = 1, as for dlo = 0.  Only 1 - fl(dhi^2) can be negative,
-      and only it is clamped at 0.
-    * Delay.  T(x) = max(1 - x, 0)^(d/2) does not increase with x, so
-      T(fl(dhi^2)) <= T(fl(d^2)) <= T(fl(dlo^2)) in exact arithmetic.  Both
-      bounds run the kernel's delay law, ``model._delay``, in float32.  The
-      computed T is within a relative (d/2) u32 of the exact T from the
-      rounding of 1 - x, plus u32 for each square root and product (d = 1,
-      2, 3: at most 3.5 u32), or plus the error of float32 ``np.power``
-      (other d: 8 ulps, 16 u32, are allowed; measured, 1.01 ulps), whose
-      exponent d/2 is rounded up for the lower bounds and down for the upper
-      ones.  The kernel's float64 T is within a few 2^-53 of exact.
-    * Tags.  The kernel's tag is fl(u T).  The screen multiplies T by
-      float32(u) (1 -+ M), with M = 8 u32 for d = 1, 2, 3 and (32 + d) u32
-      otherwise.  Three roundings (u, the factor, the product) and the
-      rounding of 1 -+ M to float32 add at most 4 u32, so M exceeds the
-      relative error of all the steps, and lo <= t <= hi.  Beyond M = 1/16
-      (d above about 2^20) the relative errors are no longer small, and the
-      bounds are 0 and 1, which hold for every tag.
-    * Underflow.  For d = 1, 2, 3, 1 - x is 0 or at least 2^-24 and u is 0
-      or at least 2^-53, so every nonzero bound exceeds 2^-90.  For other d,
-      T may fall below float32's smallest normal, 2^-126, where only an
-      absolute error below 2^-126 holds; the cut's slack covers it
-      (``_SCREEN_SLACK``).
+    * Base.  The screen's base is b~ = max(fl(1 - fl(d~^2)), 0) and the
+      kernel's b = max(fl(1 - fl(d^2)), 0); both lie in [0, 1].  |d| exceeds
+      1 by 1e-12 at most, so |d| and |d~| lie below 1 + eps / 4, and |d~^2
+      - d^2| < (eps / 4)(2 + eps / 4).
+      The two float32 roundings add at most 2.01 u32, the kernel's two at
+      most 2^-52, and max(., 0) never widens a gap, so |b~ - b| < dx = eps /
+      2 + 4 u32.
+    * Drift.  For p >= 1, x^p has slope at most p on [0, 1], so |b~^p -
+      b^p| <= p dx; for p < 1, |x^p - y^p| <= |x - y|^p <= dx^p.  Both
+      powers lie in [0, 1], so the drift is at most 1 as well.
+    * Delay.  T~ is the kernel's delay law, ``model._delay``, run in float32
+      on b~.  For d = 2 it is b~; for d = 1 and 3 one or two correctly
+      rounded steps add at most 2.01 u32 T~.  Other d call ``np.power``
+      with p rounded to the nearest float32 p', within u32 p of p where p is
+      at least float32's smallest normal, 2^-126; this moves b~^p by at most
+      |p' - p| max b^q |ln b| <= u32 / (e (1 - u32)) < u32 / 2, and
+      ``np.power``'s error adds 16 u32 (8 ulps are allowed; measured, 1.01).
+      The kernel's float64 T is within 2^-49 of b^p.  So |T~ - T| is below
+      the drift plus 16.5 u32 + 2^-49, and T~ <= 1 + 16 u32.
+    * Tag.  t~ = fl(fl(u) T~) rounds twice, by at most 2.01 u32 in all,
+      since fl(u) T~ <= 1 + 16 u32; the kernel's t = fl(u T) once, by at
+      most 2^-53; and u < 1 scales |T~ - T|.  So |t~ - t| is below the
+      drift plus 19 u32, also where a float32 value falls below 2^-126 and
+      a step adds an absolute error of at most 2^-146 to its relative one;
+      ``_tag_slack`` adds 20 u32, one u32 to spare.
+    * Cap.  d is capped at 2^128, so that p fits a float32.  There, and
+      wherever p is below 2^-126 (dx^p then rounds to 1), the drift is 1,
+      and t~ and t both lie in [0, 1 + 16 u32]: every tag is within the
+      slack of 1 + 20 u32.
     """
-    d_exponent = params.d_exponent
-    m = 2.0 ** -21 if d_exponent in (1.0, 2.0, 3.0) else (32.0 + d_exponent) * 2.0 ** -24
-    if m > 2.0 ** -4:
-        return np.zeros(len(t_row), np.float32), np.ones(len(t_row), np.float32)
-    # |d~| + eps and |d~| - eps, then 1 - their squares
-    hi = _overlap(h, a)
-    np.abs(hi, out=hi)
-    lo = np.add(hi, OVERLAP_EPS)
-    np.subtract(hi, OVERLAP_EPS, out=hi)
-    for x in (lo, hi):
-        np.subtract(1.0, np.multiply(x, x, out=x), out=x)
-    np.maximum(lo, 0.0, out=lo)
-    _delay(lo, d_exponent, _float32_half(d_exponent, up=True))
-    _delay(hi, d_exponent, _float32_half(d_exponent, up=False))
-    # times float32(u) (1 - M) for the lower bound, (1 + M) for the upper
-    u32 = t_row.astype(np.float32)
-    scratch = np.empty_like(lo)
-    for x, factor in ((lo, 1.0 - m), (hi, 1.0 + m)):
-        np.multiply(x, np.multiply(u32, factor, out=scratch), out=x)
-    return lo, hi
+    x = _overlap(h, a)
+    np.multiply(x, x, out=x)
+    np.maximum(np.subtract(1.0, x, out=x), 0.0, out=x)
+    _delay(x, min(d_exponent, 2.0 ** 128))
+    return np.multiply(x, t_row.astype(np.float32), out=x)
 
 
-# Absolute slack on the screen's limit: it covers the 2^-52 by which a
-# same-bin pair's tags may differ beyond tau, and the absolute error, below
-# 2^-126, of float32 tag bounds that fall below float32's smallest normal
-# (_station_tag_bounds).
-_SCREEN_SLACK = 2.0 ** -40
+def _tag_slack(d_exponent: float) -> float:
+    """An upper bound on |t~ - t|, the distance between a station's tag
+    estimate and the kernel's tag (proof in ``_station_tag_estimate``)."""
+    u32 = 2.0 ** -24
+    dx = OVERLAP_EPS / 2 + 4 * u32
+    p = 0.5 * d_exponent
+    return min(p * dx if p >= 1.0 else dx ** p, 1.0) + 20 * u32
 
 
 def _screen_limit(params: ModelParams) -> np.float32 | None:
-    """The largest tag difference, plus slack, that a coincident pair can
-    have, rounded up to a float32; None when the cut keeps every pair (tau =
-    1 or W = 1)."""
+    """The largest difference of the tag estimates that a coincident pair
+    can have, the cut plus twice ``_tag_slack``, rounded up to a float32;
+    None when the cut keeps every pair (tau = 1 or W = 1)."""
     cut = params.window if params.coincidence_mode is CoincidenceMode.CONTINUOUS else params.tau
     if cut >= 1.0:
         return None
-    limit = np.float32(cut + _SCREEN_SLACK)
-    if float(limit) < cut + _SCREEN_SLACK:
+    bound = cut + 2.0 * _tag_slack(params.d_exponent)
+    limit = np.float32(bound)
+    if float(limit) < bound:
         limit = np.nextafter(limit, np.float32(np.inf))
     return limit
 
@@ -358,16 +339,14 @@ def _outcome_counts(blocks: Iterable[np.ndarray], a1: UnitVector3,
     return n, n, 2 * int(n_agree) - n
 
 
-def _screen(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams,
+def _screen(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, d_exponent: float,
             limit: np.float32) -> np.ndarray:
-    """The indices of the pairs of ``u`` whose tag intervals come within
+    """The indices of the pairs of ``u`` whose tag estimates come within
     ``limit``: every pair that may coincide (proof in ``_block_counts``)."""
     h = _screen_direction(u, a1.z != 0.0 or a2.z != 0.0)
-    lo1, hi1 = _station_tag_bounds(h, a1, u[2], params)
-    lo2, hi2 = _station_tag_bounds(h, a2, u[3], params)
-    keep = np.subtract(lo1, hi2, out=lo1) <= limit
-    near = np.subtract(lo2, hi1, out=lo2) <= limit
-    return np.flatnonzero(np.logical_and(keep, near, out=keep))
+    t1 = _station_tag_estimate(h, a1, u[2], d_exponent)
+    t2 = _station_tag_estimate(h, a2, u[3], d_exponent)
+    return np.flatnonzero(np.abs(np.subtract(t1, t2, out=t1), out=t1) <= limit)
 
 
 def _block_counts(
@@ -382,19 +361,20 @@ def _block_counts(
     None), only rows 0 and 1 are read (proof in ``_outcome_counts``).
 
     When the cut can reject a pair, a screen keeps only the pairs whose
-    float32 tag intervals (``_station_tag_bounds``) come within the limit, and
-    the kernel runs on them alone.  Soundness: a same-bin pair has k <=
+    float32 tag estimates (``_station_tag_estimate``) come within the limit,
+    and the kernel runs on them alone.  Soundness: a same-bin pair has k <=
     fl(t/tau) < k+1 for both tags, and fl(t/tau) is within a relative 2^-53
     of t/tau, so |t1 - t2| < tau + 2^-53 (t1 + t2) < tau + 2^-52 (this
     matters for tau below 2^-52); a continuous pair has fl(|t1 - t2|) <= W,
-    so |t1 - t2| <= W + 2^-53.  With t1 >= lo1 and t2 <= hi2, up to 2^-126
-    each where a bound underflows, lo1 - hi2 lies below the cut plus
-    ``_SCREEN_SLACK``, and so below that sum rounded up to a float32.
-    Rounding to nearest never reverses the order of two inputs, so
-    fl(lo1 - hi2) <= the float32 limit.  The same holds for lo2 - hi1, so
-    no coincident pair is screened out.  Every operation of the kernel is
-    elementwise, so the kept events get the outcomes and tags they would
-    get in the whole chunk.
+    so |t1 - t2| <= W + 2^-53.  Each estimate lies within a slack S of its
+    tag with at least u32 = 2^-24 to spare (``_station_tag_estimate``), so
+    |t~1 - t~2| < cut + 2 S - 2^-23, and the spare 2^-23 covers the 2^-52
+    and the float64 roundings of cut + 2 S, at most 2^-49.  That sum,
+    rounded up to a float32, is the limit (``_screen_limit``).  Rounding to
+    nearest never reverses the order of two inputs, so fl(|t~1 - t~2|) <=
+    the float32 limit, and no coincident pair is screened out.  Every
+    operation of the kernel is elementwise, so the kept events get the
+    outcomes and tags they would get in the whole chunk.
 
     The uniforms of the pairs kept are gathered, over the blocks, into one
     array as wide as the first block.  The exact kernel runs on them when
@@ -409,7 +389,7 @@ def _block_counts(
         if not n:  # the first block
             kept = np.empty((4, u.shape[1]))
         n += u.shape[1]
-        index = _screen(u, a1, a2, params, limit)
+        index = _screen(u, a1, a2, params.d_exponent, limit)
         while len(index):
             room = kept.shape[1] - filled
             take, index = index[:room], index[room:]

@@ -177,20 +177,20 @@ def _outcome(d: np.ndarray, sign: int) -> np.ndarray:
     return np.where(d >= 0.0 if sign > 0 else d <= 0.0, np.int8(1), np.int8(-1))
 
 
-def _delay(base: np.ndarray, d_exponent: float, half: float) -> np.ndarray:
+def _delay(base: np.ndarray, d_exponent: float) -> np.ndarray:
     """Delay law T = base^(d/2) for base = 1 - (a.s)^2 >= 0, in place in
-    ``base``, which it returns; ``half`` is d/2 as ``np.power`` takes it for
-    d other than 1, 2 and 3.  The kernel's station step runs it in float64,
-    the screen (``coincidence._station_tag_bounds``) in float32 on widened
-    bases.  T vanishes when s is (anti)parallel to the setting and is 1 when
-    perpendicular; only (a.s)^2 enters, so it is invariant under s -> -s and
-    a -> -a."""
+    ``base``, which it returns, in the precision of ``base``: the kernel's
+    station step runs it in float64, the screen
+    (``coincidence._station_tag_estimate``) in float32, where ``np.power``
+    rounds d/2 to the nearest float32.  T vanishes when s is (anti)parallel
+    to the setting and is 1 when perpendicular; only (a.s)^2 enters, so it is
+    invariant under s -> -s and a -> -a."""
     if d_exponent == 3.0:
         return np.multiply(base, np.sqrt(base), out=base)
     if d_exponent == 1.0:
         return np.sqrt(base, out=base)
     if d_exponent != 2.0:
-        np.power(base, half, out=base)
+        np.power(base, 0.5 * d_exponent, out=base)
     return base
 
 
@@ -202,7 +202,7 @@ def _station(s: tuple[np.ndarray, np.ndarray, np.ndarray], sign: int, a: UnitVec
     d = _overlap(s, a)
     # an overlap that rounds above 1 gives T = 0, as an exact one does
     base = np.maximum(1.0 - d * d, 0.0)
-    return _outcome(d, sign), t_row * _delay(base, d_exponent, 0.5 * d_exponent)
+    return _outcome(d, sign), t_row * _delay(base, d_exponent)
 
 
 def _events_from_uniforms(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,

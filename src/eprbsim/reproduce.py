@@ -74,11 +74,12 @@ def check_cosine_recovery(config: ExperimentConfig) -> CheckResult:
     max_base, se_base = _sweep_max_deviation(base)
     max_half, se_half = _sweep_max_deviation(half)
     se_comb = math.sqrt(se_base**2 + se_half**2)
-    elapsed = base.duration_s
-    ok = max_base <= 0.02 and max_half <= max_base + se_comb and elapsed < 300.0
+    # the seconds stay in the manifest's duration_s, so the detail is the same in every run
+    fast = base.duration_s < 300.0
+    ok = max_base <= 0.02 and max_half <= max_base + se_comb and fast
     detail = (
         f"max|E+cos a|={max_base:.4f} (tol 0.02); halved-tau max {max_half:.4f} "
-        f"<= {max_base:.4f}+{se_comb:.4f}; sweep {elapsed:.1f}s (target 300s)"
+        f"<= {max_base:.4f}+{se_comb:.4f}; sweep under 300s: {fast}"
     )
     return CheckResult(1, "cosine recovery at tau = W -> 0", ok, detail)
 

@@ -59,6 +59,16 @@ class TestUnequalSettingsBound:
         with pytest.raises(ValueError, match="equal_settings_bound"):
             unequal_settings_bound(0.0, 1e-3)
 
+    @pytest.mark.parametrize("alpha, tau, message", [
+        (math.pi + 1e-9, 1e-3, "alpha must be in"),
+        (-0.5, 1e-3, "alpha must be in"),
+        (math.pi / 2, 0.0, "tau must be > 0"),
+        (math.pi / 2, -1e-3, "tau must be > 0"),
+    ])
+    def test_rejects_out_of_range(self, alpha, tau, message):
+        with pytest.raises(ValueError, match=message):
+            unequal_settings_bound(alpha, tau)
+
     def test_strictly_decreasing_in_alpha(self):
         alphas = np.linspace(0.05, math.pi, 100)
         vals = [unequal_settings_bound(a, 1e-3) for a in alphas]
@@ -106,6 +116,11 @@ class TestUnequalSettingsQuadrature:
         with pytest.raises(ValueError):
             unequal_settings_quadrature(math.pi, 1e-3)
 
+    @pytest.mark.parametrize("tau", [0.0, -1e-3])
+    def test_rejects_non_positive_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            unequal_settings_quadrature(math.pi / 2, tau)
+
     def test_dense_angle_grid_at_module_tolerance(self):
         tau = 7e-4
         for alpha_deg in range(1, 180):
@@ -147,6 +162,11 @@ class TestEqualSettingsBound:
 
 
 class TestEqualSettingsQuadrature:
+    @pytest.mark.parametrize("tau", [0.0, -1e-3, 1.1])
+    def test_rejects_out_of_range(self, tau):
+        with pytest.raises(ValueError, match=r"tau must be in \(0, 1\]"):
+            equal_settings_quadrature(tau)
+
     def test_saturated_integrand_gives_four_pi(self):
         assert equal_settings_quadrature(1.0) == pytest.approx(FOUR_PI, rel=1e-9)
 
@@ -211,6 +231,11 @@ class TestApproxEqualSettings:
     def test_relative_gap_to_exact_form(self):
         gap = abs(approx_equal_settings(1e-4) - equal_settings_bound(1e-4))
         assert gap / equal_settings_bound(1e-4) < 0.01
+
+    @pytest.mark.parametrize("tau", [0.0, -1e-3])
+    def test_rejects_non_positive_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            approx_equal_settings(tau)
 
 
 class TestCheckSimulatedGamma:
@@ -323,6 +348,12 @@ class TestCheckSimulatedGamma:
         stats = accumulate(batch, params)
         with pytest.raises(ValueError, match="same-bin"):
             check_simulated_gamma(stats, 0.0, 1e-3)
+
+    @pytest.mark.parametrize("alpha", [-1e-9, math.pi + 1e-9, 4.0])
+    def test_rejects_angle_outside_zero_to_pi(self, alpha):
+        stats = CoincidenceStats.from_counts(1_000, 1, 1, params=self.same_bin_params(1e-3))
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, pi\]"):
+            check_simulated_gamma(stats, alpha, 1e-3)
 
     def test_rejects_window_mismatch(self):
         params = ModelParams(tau=1e-3, window=5e-3, coincidence_mode=CoincidenceMode.SAME_BIN)

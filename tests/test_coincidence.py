@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from eprbsim.coincidence import (
     _block_counts,
     _counts_from_batch,
     _screen_direction,
-    _station_tag_bounds,
+    _station_tag_estimate,
+    _tag_slack,
     accumulate,
     coincidence_mask,
     coincidence_probability_exact,
@@ -66,12 +68,31 @@ def screen_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple:
     return _overlap(h, a1), _overlap(h, a2)
 
 
-def tag_bounds(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams) -> tuple:
-    """The screen's float32 tag bounds (lo1, hi1, lo2, hi2), one station
-    call each."""
+def tag_estimates(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams) -> tuple:
+    """The screen's float32 tag estimates (t~1, t~2), one station call
+    each."""
     h = screen_direction(u, a1, a2)
-    return (*_station_tag_bounds(h, a1, u[2], params),
-            *_station_tag_bounds(h, a2, u[3], params))
+    return tuple(_station_tag_estimate(h, a, t_row, params.d_exponent)
+                 for a, t_row in ((a1, u[2]), (a2, u[3])))
+
+
+U32 = 2.0 ** -24  # float32's unit roundoff
+
+# wrong versions of coincidence._tag_slack that the screen's fuzz must catch
+SLACK_MUTATIONS = {
+    "no slack": lambda d_exponent: 0.0,
+    "no drift": lambda d_exponent: 20 * U32,
+    "linear drift below d = 2": lambda d_exponent: (
+        min(0.5 * d_exponent * (OVERLAP_EPS / 2 + 4 * U32), 1.0) + 20 * U32),
+}
+
+
+def assert_within_slack(estimates: tuple, batch: EventBatch, d_exponent: float) -> None:
+    """Each station's float32 tag estimates are non-negative and within
+    ``_tag_slack`` of the kernel's tags."""
+    for estimate, t in zip(estimates, (batch.t1, batch.t2)):
+        assert estimate.dtype == np.float32 and np.all(estimate >= 0.0)
+        assert np.abs(estimate.astype(np.float64) - t).max() <= _tag_slack(d_exponent)
 
 
 def is_coincident(t1: float, t2: float, params: ModelParams) -> bool:
@@ -162,6 +183,24 @@ class TestAccumulate:
         assert CoincidenceStats.from_counts(n, n_c, sum_xy, params=params) == accumulate(
             whole, params
         )
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"n_coincident": 11}, "n_coincident <= n_total"),
+        ({"n_coincident": -1}, "n_coincident <= n_total"),
+        ({"sum_xy": 6}, "cannot exceed n_coincident"),
+        ({"sum_xy": -6}, "cannot exceed n_coincident"),
+    ])
+    def test_stats_refuse_impossible_counts(self, counts, message):
+        stats = CoincidenceStats.from_counts(10, 5, 1, params=same_bin(0.1))
+        with pytest.raises(ValueError, match=message):
+            replace(stats, **counts)
+
+    @pytest.mark.parametrize("n_coincident", [11, -1])
+    def test_from_counts_refuses_coincidences_out_of_range(self, n_coincident):
+        """The refusal of ``__post_init__``, not a math domain error from the
+        standard error of gamma."""
+        with pytest.raises(ValueError, match="n_coincident <= n_total"):
+            CoincidenceStats.from_counts(10, n_coincident, 0, params=same_bin(0.1))
 
     def test_stderr_formulas(self):
         params = same_bin(0.05)
@@ -328,8 +367,8 @@ class TestSameBinProbabilityExact:
 
 
 class TestScreen:
-    """``_block_counts`` screens with float32 bounds, then runs the exact
-    kernel on the kept pairs; its counts of one block must equal the
+    """``_block_counts`` screens with float32 tag estimates, then runs the
+    exact kernel on the kept pairs; its counts of one block must equal the
     kernel's on the whole block, also for pairs built to sit at the edge of
     the cut."""
 
@@ -387,8 +426,8 @@ class TestScreen:
         """Random uniforms (4, n), with up to half the pairs moved so that
         |t1 - t2| lies within a relative 1e-17 to 1e-6 of the cut, on either
         side.  A quarter of the moved pairs have s within 1e-6 turns of
-        perpendicular to one setting, where T is flattest and the bounds are
-        widened by M alone, and half have t1 placed at 0, 1 or 2 cut widths,
+        perpendicular to one setting, where T is flattest and the drift is
+        smallest, and half have t1 placed at 0, 1 or 2 cut widths,
         the floor of a bin.  Each move solves for a tag's uniform from the
         kernel's delay; a pair that would need a uniform outside [0, 1)
         keeps its random tags."""
@@ -417,37 +456,62 @@ class TestScreen:
         u[3, moved[usable]] = u3[usable]
         return u
 
-    @pytest.mark.parametrize("mode", list(CoincidenceMode))
-    def test_fuzzed_screen_keeps_every_coincident_pair(self, mode):
+    @classmethod
+    def fuzz_screen(cls, mode: CoincidenceMode) -> tuple[tuple | None, int]:
         """Seeded fuzz of the screen's soundness proof: random settings, off
         the plane too and a2 = a1 in a fifth of cases; d in {1, 2, 3} or
         uniform on (0.05, 50); cuts log-uniform from 1e-300 to 1; pairs pushed
-        to the edge of the cut.  Each block's counts must equal the
-        kernel's.  It catches each of these mutations: OVERLAP_EPS = 1e-8,
-        the limit tightened by a relative 2e-6, M = 2^-26 for d = 1, 2, 3,
-        and no _SCREEN_SLACK."""
+        to the edge of the cut.  Returns the first block whose counts differ
+        from the kernel's, as (a1, a2, d, cut, screened, kernel), or None,
+        and the number of coincident pairs up to there."""
         rng = np.random.default_rng(20062)
         n, coincident = 4_096, 0
         for _ in range(1_000):
-            a1 = self.fuzzed_setting(rng)
-            a2 = a1 if rng.random() < 0.2 else self.fuzzed_setting(rng)
+            a1 = cls.fuzzed_setting(rng)
+            a2 = a1 if rng.random() < 0.2 else cls.fuzzed_setting(rng)
             d_exponent = (float(rng.choice([1.0, 2.0, 3.0])) if rng.random() < 0.5
                           else rng.uniform(0.05, 50.0))
             cut = 10.0 ** rng.uniform(-300.0, 0.0)
             params = ModelParams(tau=cut, window=cut, d_exponent=d_exponent,
                                  coincidence_mode=mode)
-            u = self.pushed_uniforms(rng, n, a1, a2, params, cut)
+            u = cls.pushed_uniforms(rng, n, a1, a2, params, cut)
             want = _counts_from_batch(_events_from_uniforms(u, a1, a2, params), params)
-            assert _block_counts([u], a1, a2, params) == want, (a1, a2, d_exponent, cut)
+            got = _block_counts([u], a1, a2, params)
+            if got != want:
+                return (a1, a2, d_exponent, cut, got, want), coincident
             coincident += want[1]
-        # not vacuous: about 4.9e5 (same-bin) and 6.1e5 (continuous) pairs
+        return None, coincident
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    def test_fuzzed_screen_keeps_every_coincident_pair(self, mode):
+        """Each block's counts must equal the kernel's."""
+        mismatch, coincident = self.fuzz_screen(mode)
+        assert mismatch is None, mismatch
+        # not vacuous: about 4.75e5 (same-bin) and 5.95e5 (continuous) pairs
         # coincide, nearly all of them pushed ones
         assert coincident > 100_000
+
+    @pytest.mark.parametrize("mutation", list(SLACK_MUTATIONS))
+    def test_fuzz_catches_each_documented_mutation(self, monkeypatch, mutation):
+        """The fuzz finds a block with wrong counts under each mutation of
+        ``_tag_slack``: no slack, the rounding term alone (no drift), and
+        the drift p dx of p >= 1 also for p < 1.  The proof's other terms
+        have room that the fuzz cannot reach, since the measured overlap
+        error, 3.1e-7, is an eighth of the eps / 4 it allows: the limit
+        tightened by a relative 2e-6, OVERLAP_EPS = 1e-8 and the slack
+        without its 20 u32 each pass the fuzz.  So would the former
+        mutations of the directed bounds; their factor M and the 2^-40
+        slack are gone, and the slack's spare u32 covers what the 2^-40
+        covered."""
+        monkeypatch.setattr(coincidence, "_tag_slack", SLACK_MUTATIONS[mutation])
+        mismatch, _ = self.fuzz_screen(CoincidenceMode.SAME_BIN)
+        assert mismatch is not None
 
 
 class TestTagBounds:
     """The screen's assumptions: float32 trigonometry within a tenth of the
-    overlap margin, and kernel tags inside the screen's bounds."""
+    overlap margin, and kernel tags within the slack of the screen's
+    estimates."""
 
     @pytest.mark.parametrize("trig", [np.cos, np.sin])
     def test_float32_trig_within_a_tenth_of_the_margin(self, trig):
@@ -473,13 +537,14 @@ class TestTagBounds:
         a1 = UnitVector3.from_angle_deg(100.0)
         n = 50_000
         u = event_stream(32, 0).random((4, n))
-        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
         batch = generate_batch(event_stream(32, 0), a1, a2, params, n)
-        # np.power is not correctly rounded; the cut's limit allows for that
-        slack = 0.0 if d_exponent in (1.0, 2.0, 3.0) else 2.0 ** -45
-        for lo, t, hi in ((lo1, batch.t1, hi1), (lo2, batch.t2, hi2)):
-            assert np.all(lo - slack <= t) and np.all(t <= hi + slack)
-            assert np.all(lo >= 0.0) and np.median(hi - lo) < 1e-4
+        assert_within_slack(tag_estimates(u, a1, a2, params), batch, d_exponent)
+
+    @pytest.mark.parametrize("d_exponent", [3.0, 2.0])
+    def test_slack_is_tight_at_the_paper_exponents(self, d_exponent):
+        """The slack widens the cut by less than 4e-5, a sixth of the
+        paper's tau = 2.5e-4."""
+        assert _tag_slack(d_exponent) < 2e-5
 
     @pytest.mark.parametrize("components", [(0.6, 0.8, 0.0), (0.48, 0.6, 0.64)])
     def test_screen_overlap_stays_float32_for_numpy_components(self, components):
@@ -533,29 +598,26 @@ class TestTagBounds:
         want = np.tile(targets, 2)
         assert np.abs(d1[:m] - want).max() < 1e-12
         assert np.abs(d2[m:2 * m] - want).max() < 1e-12
-        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
         batch = generate_batch(RowGenerator(u), a1, a2, params, n)
-        slack = 0.0 if d_exponent in (1.0, 2.0, 3.0) else 2.0 ** -45
-        for lo, t, hi in ((lo1, batch.t1, hi1), (lo2, batch.t2, hi2)):
-            assert np.all(lo - slack <= t) and np.all(t <= hi + slack)
-            assert np.all(lo >= 0.0)
+        assert_within_slack(tag_estimates(u, a1, a2, params), batch, d_exponent)
 
-    def test_huge_exponent_gets_bounds_that_hold_for_every_tag(self):
-        """Beyond d ~ 2^20 the float32 errors are not small; the bounds are 0
-        and 1."""
-        params = ModelParams(d_exponent=2.0 ** 21)
+    @pytest.mark.parametrize("d_exponent", [2.0 ** 21, 1e7, 1e300])
+    def test_huge_exponent_gets_the_kernel_counts(self, d_exponent):
+        """From d ~ 3.8e5 on the slack exceeds 1 and the screen keeps every
+        pair; a d/2 beyond float32's range is capped, with no warning."""
+        params = ModelParams(tau=2.5e-4, window=2.5e-4, d_exponent=d_exponent)
         a1, a2 = UnitVector3.from_angle_deg(100.0), UnitVector3.from_angle_deg(45.0)
         n = 1_000
         u = event_stream(36, 0).random((4, n))
-        lo1, hi1, lo2, hi2 = tag_bounds(u, a1, a2, params)
-        assert np.all(lo1 == 0.0) and np.all(lo2 == 0.0)
-        assert np.all(hi1 == 1.0) and np.all(hi2 == 1.0)
+        want = _counts_from_batch(_events_from_uniforms(u, a1, a2, params), params)
+        assert _tag_slack(d_exponent) > 1.0
+        assert _block_counts([u], a1, a2, params) == want
 
     @pytest.mark.parametrize("d_exponent", [3.0, 0.7])
     @pytest.mark.parametrize("a", [X_AXIS, UnitVector3.from_angle_deg(100.0),
                                    UnitVector3(0.48, 0.6, 0.64)])
     def test_each_station_reads_its_own_setting_only(self, a, d_exponent):
-        """A station's screen overlaps and tag bounds are byte-identical
+        """A station's screen overlap and tag estimate are byte-identical
         under any change of the other station's setting, in-plane or not.
         At u0 = 0, where r = 0, every term of the overlap is a signed zero."""
         params = ModelParams(d_exponent=d_exponent)
@@ -565,9 +627,9 @@ class TestTagBounds:
         others = [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
                   UnitVector3(0.48, 0.6, 0.64)]
         station_1 = {(screen_overlaps(u, a, b)[0].tobytes(),
-                      *(x.tobytes() for x in tag_bounds(u, a, b, params)[:2])) for b in others}
+                      tag_estimates(u, a, b, params)[0].tobytes()) for b in others}
         station_2 = {(screen_overlaps(u, b, a)[1].tobytes(),
-                      *(x.tobytes() for x in tag_bounds(u, b, a, params)[2:])) for b in others}
+                      tag_estimates(u, b, a, params)[1].tobytes()) for b in others}
         assert len(station_1) == 1 and len(station_2) == 1
 
 

@@ -49,7 +49,7 @@ def hidden_directions(seed: int, n: int) -> np.ndarray:
 def delay(dot_sq, d_exponent: float = 3.0) -> np.ndarray:
     """T = (1 - dot_sq)^(d/2), as ``_station`` computes it from d^2."""
     dot_sq = np.atleast_1d(np.asarray(dot_sq, dtype=float))
-    return _delay(np.maximum(1.0 - dot_sq, 0.0), d_exponent, 0.5 * d_exponent)
+    return _delay(np.maximum(1.0 - dot_sq, 0.0), d_exponent)
 
 
 def delay_scales(s: np.ndarray, a: UnitVector3, d_exponent: float = 3.0) -> np.ndarray:
@@ -240,6 +240,10 @@ class TestSampleTimeTag:
 
 
 class TestGeneratePair:
+    def test_rejects_an_empty_batch(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            generate_batch(event_stream(112, 0), X_AXIS, X_AXIS, ModelParams(), 0)
+
     def test_equal_settings_anticorrelate(self):
         a = UnitVector3.from_angle_deg(33.0)
         batch = generate_batch(event_stream(113, 0), a, a, ModelParams(), 100_000)

@@ -3,11 +3,10 @@
 ``reproduce-paper`` runs them at the default 10 M events per pair; here
 each simulated check runs at 2^18 events (check 7 keeps its own 1 M), so
 the whole battery takes about a second.  Every result is pinned whole:
-number, name, verdict and the detail line with its numbers.  Only check 1's
-elapsed seconds vary between runs, and they are masked before comparing.
+number, name, verdict and the detail line with its numbers.  No detail
+holds a wall time (check 1 says only whether its sweep met the 300 s
+target), so every run of the same code gives the same results.
 """
-
-import re
 
 import pytest
 
@@ -20,7 +19,7 @@ EXPECTED = [
     CheckResult(
         1, "cosine recovery at tau = W -> 0", False,
         "max|E+cos a|=0.2013 (tol 0.02); halved-tau max 0.0847 <= 0.2013+0.1682; "
-        "sweep X.Xs (target 300s)",
+        "sweep under 300s: True",
     ),
     CheckResult(
         2, "triangle law without post-selection", True,
@@ -54,13 +53,7 @@ EXPECTED = [
 ]
 
 
-def _masked(result: CheckResult) -> CheckResult:
-    """The result with check 1's elapsed seconds replaced by X.X."""
-    detail = re.sub(r"sweep \d+\.\ds", "sweep X.Xs", result.detail)
-    return CheckResult(result.number, result.name, result.passed, detail)
-
-
 @pytest.mark.parametrize("check, expected", zip(ALL_CHECKS, EXPECTED),
                          ids=[f"check_{e.number}" for e in EXPECTED])
 def test_check_result_pinned(check, expected):
-    assert _masked(check(CONFIG)) == expected
+    assert check(CONFIG) == expected

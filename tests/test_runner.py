@@ -536,6 +536,17 @@ class TestTabularOutput:
         assert row["e_conditional"] == ""
         assert row["flagged"] == "true"
 
+    def test_table_dash_for_undefined_correlation(self):
+        """A starved sweep angle prints "-" for its correlation and its
+        error, and "yes" for its flag."""
+        config = small_config(tau=1e-7, window=1e-7, n_events=200, alpha_grid_deg=(45.0,))
+        table = rows_to_table(table_rows(run_correlation_sweep(config)), COLUMNS["sweep"])
+        header, _, row = table.splitlines()
+        cells = dict(zip(header.split(), row.split()))
+        assert cells["n_coincident"] == "0"
+        assert cells["e_conditional"] == cells["stderr_e"] == "-"
+        assert cells["flagged"] == "yes"
+
     def test_chsh_rows_include_settings(self):
         rows = table_rows(run_chsh_experiment(small_config(n_events=100_000)))
         assert [r["pair"] for r in rows] == ["ac", "ad", "bc", "bd"]
