@@ -1,9 +1,10 @@
 """Analytic bounds on the coincidence probability, with quadrature oracles.
 
-For same-bin tagging with window equal to the resolution, the per-pair
-coincidence probability is bounded by ``tau * min(T1,T2) / (T1*T2)`` and by
-1.  Averaging over the hidden direction gives rate bounds as a function of
-the angle alpha between the settings:
+For same-bin tagging at resolution tau, the per-pair coincidence
+probability (``coincidence.coincidence_probability``) is bounded by
+``tau * min(T1,T2) / (T1*T2)`` and by 1.  Averaging over the hidden
+direction gives rate bounds as a function of the angle alpha between the
+settings:
 
 * unequal settings: the closed form ``8 * tau * cot(alpha/2)``, paired with
   direct quadrature of the sphere-averaged density integral
@@ -243,26 +244,23 @@ def equal_settings_apply(alpha: float) -> bool:
 def check_simulated_gamma(stats: CoincidenceStats, alpha: float, tau: float) -> BoundReport:
     """Compare a simulated coincidence rate against the applicable bound.
 
-    Requires same-bin statistics taken with window = tau; the bounds do not
-    describe the continuous-window convention.  At alpha = 0 and alpha = pi
-    the equal-settings bound applies, elsewhere the unequal-settings one;
+    Requires same-bin statistics at resolution ``tau``, whatever their
+    window, which same-bin mode does not read; the bounds do not describe
+    the continuous-window convention.  At alpha = 0 and alpha = pi the
+    equal-settings bound applies, elsewhere the unequal-settings one;
     ``quad_rel_tol`` is the accuracy of the quadrature that goes with it.
     ``satisfied`` is false only when the estimate ``bell.exceeds`` the closed
     form, by more than four standard errors, so a violation is never a
-    fluctuation.
-    The bounds are one-sided: any compliant rate passes, equality is not
-    expected.
+    fluctuation.  The bounds are one-sided: any compliant rate passes,
+    equality is not expected.
     """
     if stats.mode is not CoincidenceMode.SAME_BIN:
         raise ValueError(
             "bound check requires same-bin statistics; "
             f"got mode {stats.mode.value!r}"
         )
-    if stats.window != tau or stats.tau != tau:
-        raise ValueError(
-            f"bounds assume W = tau = {tau}; statistics were taken with "
-            f"tau = {stats.tau}, W = {stats.window}"
-        )
+    if stats.tau != tau:
+        raise ValueError(f"bounds at tau = {tau}; statistics were taken at tau = {stats.tau}")
     if not 0.0 <= alpha <= math.pi:
         raise ValueError(f"alpha must be in [0, pi], got {alpha}")
     if equal_settings_apply(alpha):

@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--config", *model, *events, "--alpha-grid", *output)
     command("chsh", "four-settings CHSH experiment with verdicts", run_chsh_experiment,
             "--config", *model, *events, "--settings", *output)
-    # the audit sets tau = W per row and takes same-bin tagging only
+    # the audit sets tau per row and takes same-bin tagging only
     p_bounds = command("bounds", "audit simulated rates against analytic bounds",
                        run_bound_audit, "--config", "--mode", "--d-exponent", *events, *output)
     p_bounds.add_argument("--alpha-grid", dest="audit_alpha_deg", type=_csv_floats,

@@ -1,11 +1,13 @@
 """Time-window post-selection, chunk counts and coincidence statistics.
 
-Two conventions for "coincident" are supported.  Continuous mode keeps a
-pair when ``|t1 - t2| <= W``.  Same-bin mode discretizes tags to bins of
-width ``tau`` and keeps a pair when both tags land in the same bin; this is
-the convention under which the per-pair coincidence probability equals
-``tau * min(T1, T2) / (T1 * T2)`` almost everywhere, which is what the
-analytic rate bounds assume.
+"Coincident" has one definition, over one width, ``model.ModelParams.cut``:
+continuous mode keeps a pair when ``|t1 - t2| <= W``, and same-bin mode
+when both tags land in the same bin of width ``tau``.
+``coincidence_mask`` applies the rule to tags, and
+``coincidence_probability`` is the exact chance that it keeps a pair whose
+tags are uniform on [0, T1) and [0, T2).  In same-bin mode that chance is
+at most ``tau * min(T1, T2) / (T1 * T2)``, the density that the analytic
+rate bounds assume.
 
 ``chunk_counts`` counts one chunk of the runner's plan.  It draws the
 chunk's uniforms block by block, screens each block in float32 on tag
@@ -46,17 +48,61 @@ __all__ = [
     "coincidence_mask",
     "accumulate",
     "chunk_counts",
-    "coincidence_probability_exact",
-    "same_bin_probability_exact",
+    "coincidence_probability",
 ]
 
 
 def coincidence_mask(t1: np.ndarray, t2: np.ndarray, params: ModelParams) -> np.ndarray:
     """Boolean mask of coincident pairs for arrays of time tags (the
     continuous window is inclusive at its boundary)."""
+    cut = params.cut
     if params.coincidence_mode is CoincidenceMode.CONTINUOUS:
-        return np.abs(t1 - t2) <= params.window
-    return np.floor(t1 / params.tau) == np.floor(t2 / params.tau)
+        return np.abs(t1 - t2) <= cut
+    return np.floor(t1 / cut) == np.floor(t2 / cut)
+
+
+def coincidence_probability(T1: np.ndarray | float, T2: np.ndarray | float,
+                            mode: CoincidenceMode, cut: float) -> np.ndarray | float:
+    """The exact probability that the rule of ``mode`` at width ``cut`` (W
+    >= 0, or tau > 0) keeps a pair whose tags are independent uniforms on
+    [0, T1) and [0, T2), elementwise over arrays; a scale of 0 gives a tag
+    of 0.  With lo = min(T1, T2) and hi = max(T1, T2), each form is built
+    from ratios of sides, so nothing underflows on the way, and no term
+    taken away is more than half of what it is taken from, so nothing
+    cancels: within a few ulps of P, which a test checks against exact
+    rational arithmetic.
+
+    Continuous: the band |t1 - t2| <= W of the lo x hi rectangle over its
+    area, 1 from W >= hi on.  Where W <= lo and lo + W <= hi it is (W/hi)
+    (2 - W/(2 lo)); where lo < W and lo + W <= hi, (lo/2 + W)/hi.  Where
+    lo + W > hi, a = hi - W and d = hi - lo cut off the corners: (W/lo)
+    ((lo + hi - W)/hi) - (d/lo)(d/hi)/2 for W < lo, 1 - (a/lo)(a/hi)/2
+    else.
+
+    Same-bin: the k = floor(lo / tau) bins below the one that holds the
+    rest r = lo - k tau of lo are full at both stations, so P = (k tau^2 +
+    r min(tau, hi - k tau)) / (lo hi) = (1 - r/lo) tau/hi + (r/lo) min(tau,
+    hi - k tau)/hi.  Where lo / tau overflows, r/lo < 2^-1000 is taken as
+    0 and P as tau/hi.
+    """
+    lo, hi = np.minimum(T1, T2), np.maximum(T1, T2)
+    if not (np.all(lo >= 0.0)
+            and (cut > 0.0 or cut == 0.0 and mode is CoincidenceMode.CONTINUOUS)):
+        raise ValueError(f"need T1, T2 >= 0, W >= 0 and tau > 0; got {mode.value} width {cut}")
+    with np.errstate(all="ignore"):  # each branch is evaluated everywhere
+        if mode is CoincidenceMode.CONTINUOUS:
+            w, a, d = cut, hi - cut, hi - lo
+            p = np.select(
+                [w >= hi, (lo + w <= hi) & (w < lo), lo + w <= hi, w < lo],
+                [1.0, (w / hi) * (2.0 - w / (2.0 * lo)), (0.5 * lo + w) / hi,
+                 (w / lo) * ((lo + hi - w) / hi) - 0.5 * (d / lo) * (d / hi)],
+                1.0 - 0.5 * (a / lo) * (a / hi))
+        else:
+            k = np.floor(lo / cut)
+            r = np.where(lo > 0.0, np.clip(lo - k * cut, 0.0, cut) / lo, 1.0)
+            rest = np.clip(hi - k * cut, 0.0, cut)
+            p = np.where(hi > 0.0, (1.0 - r) * (cut / hi) + r * (rest / hi), 1.0)
+    return p[()]
 
 
 @dataclass(frozen=True)
@@ -215,7 +261,8 @@ def _station_tag_estimate(h: tuple[np.ndarray, np.ndarray, np.ndarray | None], a
       most 2^-53; and u < 1 scales |T~ - T|.  So |t~ - t| is below the
       drift plus 19 u32, also where a float32 value falls below 2^-126 and
       a step adds an absolute error of at most 2^-146 to its relative one;
-      ``_tag_slack`` adds 20 u32, one u32 to spare.
+      ``_tag_slack`` adds 20 u32, one u32 to spare, less the rounding of
+      its own float64 sum.  A test checks this arithmetic exactly.
     * Cap.  d is capped at 2^128, so that p fits a float32.  There, and
       wherever p is below 2^-126 (dx^p then rounds to 1), the drift is 1,
       and t~ and t both lie in [0, 1 + 16 u32]: every tag is within the
@@ -239,12 +286,13 @@ def _tag_slack(d_exponent: float) -> float:
 
 def _screen_limit(params: ModelParams) -> np.float32 | None:
     """The largest difference of the tag estimates that a coincident pair
-    can have, the cut plus twice ``_tag_slack``, rounded up to a float32;
-    None when the cut keeps every pair (tau = 1 or W = 1)."""
-    cut = params.window if params.coincidence_mode is CoincidenceMode.CONTINUOUS else params.tau
-    if cut >= 1.0:
+    can have, ``params.cut`` plus twice ``_tag_slack``, rounded up to a
+    float64 and then to a float32; None when the cut keeps every pair
+    (``params.cut`` = 1)."""
+    if params.cut >= 1.0:
         return None
-    bound = cut + 2.0 * _tag_slack(params.d_exponent)
+    # one step up, since the sum rounded to nearest may fall short of it
+    bound = math.nextafter(params.cut + 2.0 * _tag_slack(params.d_exponent), math.inf)
     limit = np.float32(bound)
     if float(limit) < bound:
         limit = np.nextafter(limit, np.float32(np.inf))
@@ -266,7 +314,7 @@ def _half_turn(a: UnitVector3) -> float:
 
 def _outcome_counts(blocks: Iterable[np.ndarray], a1: UnitVector3,
                     a2: UnitVector3) -> tuple[int, int, int]:
-    """``_block_counts`` when the cut keeps every pair (tau = 1 or W = 1;
+    """``_block_counts`` when the cut keeps every pair (``cut`` = 1;
     ``_screen_limit`` is None): only the outcomes count, and they are
     settled from rows 0 and 1 of each block (z and phi).
 
@@ -357,7 +405,7 @@ def _block_counts(
     every pair; equal to ``_counts_from_batch`` of the kernel's batch of all
     of them.  A block may be overwritten once the next one is asked for.
 
-    When the cut keeps every pair (tau = 1 or W = 1; ``_screen_limit`` is
+    When the cut keeps every pair (``cut`` = 1; ``_screen_limit`` is
     None), only rows 0 and 1 are read (proof in ``_outcome_counts``).
 
     When the cut can reject a pair, a screen keeps only the pairs whose
@@ -366,13 +414,13 @@ def _block_counts(
     fl(t/tau) < k+1 for both tags, and fl(t/tau) is within a relative 2^-53
     of t/tau, so |t1 - t2| < tau + 2^-53 (t1 + t2) < tau + 2^-52 (this
     matters for tau below 2^-52); a continuous pair has fl(|t1 - t2|) <= W,
-    so |t1 - t2| <= W + 2^-53.  Each estimate lies within a slack S of its
-    tag with at least u32 = 2^-24 to spare (``_station_tag_estimate``), so
-    |t~1 - t~2| < cut + 2 S - 2^-23, and the spare 2^-23 covers the 2^-52
-    and the float64 roundings of cut + 2 S, at most 2^-49.  That sum,
-    rounded up to a float32, is the limit (``_screen_limit``).  Rounding to
-    nearest never reverses the order of two inputs, so fl(|t~1 - t~2|) <=
-    the float32 limit, and no coincident pair is screened out.  Every
+    so |t1 - t2| <= W + 2^-53.  Each estimate lies within S - 2^-53 of its
+    tag, for the slack S = ``_tag_slack`` (its spare u32 covers the 2^-53;
+    ``_station_tag_estimate``), so |t~1 - t~2| < cut + 2 S.  The limit
+    (``_screen_limit``) is at least cut + 2 S exactly: the float64 sum is
+    moved one step up, then rounded up to a float32.  Rounding to nearest
+    never reverses the order of two inputs, so fl(|t~1 - t~2|) <= the
+    float32 limit, and no coincident pair is screened out.  Every
     operation of the kernel is elementwise, so the kept events get the
     outcomes and tags they would get in the whole chunk.
 
@@ -442,56 +490,3 @@ def accumulate(batch: EventBatch, params: ModelParams) -> CoincidenceStats:
     number.
     """
     return CoincidenceStats.from_counts(*_counts_from_batch(batch, params), params=params)
-
-
-def coincidence_probability_exact(T1: float, T2: float, W: float) -> float:
-    """Exact P(|u1 - u2| <= W) for independent uniforms on [0,T1] x [0,T2].
-
-    Band-area geometry: the acceptance region is the rectangle minus the two
-    corner triangles above and below the band, each clipped to the rectangle.
-    Degenerate sides collapse to a point at 0, so only the other tag needs to
-    fall within W of the origin.
-    """
-    if T1 < 0.0 or T2 < 0.0 or W < 0.0:
-        raise ValueError("T1, T2, W must be >= 0")
-    if T1 == 0.0 and T2 == 0.0:
-        return 1.0
-    if T1 == 0.0:
-        return min(1.0, W / T2)
-    if T2 == 0.0:
-        return min(1.0, W / T1)
-    c = max(T2 - W, 0.0)
-    above = 0.5 * c * c - 0.5 * max(c - T1, 0.0) ** 2
-    d = max(T1 - W, 0.0)
-    below = 0.5 * d * d - 0.5 * max(d - T2, 0.0) ** 2
-    p = 1.0 - (above + below) / (T1 * T2)
-    return min(1.0, max(0.0, p))
-
-
-def same_bin_probability_exact(T1: float, T2: float, tau: float) -> float:
-    """Exact probability that both uniform tags land in the same tau-bin.
-
-    With lo = min(T1, T2), hi = max(T1, T2) and k = floor(lo / tau), the k
-    bins below k tau are full at both stations and bin k holds the rest of
-    lo: P = (k tau^2 + (lo - k tau) min(tau, hi - k tau)) / (lo hi).  Equals
-    ``tau * min(T1, T2) / (T1 * T2)`` whenever the endpoint bins differ,
-    and never exceeds that density.
-    """
-    if tau <= 0.0:
-        raise ValueError("tau must be > 0")
-    if T1 < 0.0 or T2 < 0.0:
-        raise ValueError("T1, T2 must be >= 0")
-    if T1 == 0.0 and T2 == 0.0:
-        return 1.0
-    if T1 == 0.0:
-        return min(tau, T2) / T2
-    if T2 == 0.0:
-        return min(tau, T1) / T1
-    lo, hi = min(T1, T2), max(T1, T2)
-    if not math.isfinite(lo / tau):
-        # the k full bins hold all of lo but a relative tau / lo < 2^-1000
-        return tau / hi
-    k = math.floor(lo / tau)
-    # lo - k tau lies in [0, tau) but for the rounding of lo / tau
-    rest = min(max(lo - k * tau, 0.0), tau)
-    return (k * tau * tau + rest * min(tau, hi - k * tau)) / (lo * hi)

@@ -78,11 +78,11 @@ class UnitVector3:
 class ModelParams:
     """Model and post-selection parameters, in units of the maximal delay.
 
-    ``tau`` is the time-tag resolution, ``window`` the coincidence window W.
-    ``d_exponent`` shapes the delay law ``T = (1 - (a.s)^2)^(d/2)``; the
-    default 3 makes the same-bin coincidence density proportional to
-    ``1/max(T1, T2)`` with the sin^2 azimuthal profile used by the analytic
-    bounds.
+    ``tau`` is the time-tag resolution, ``window`` the coincidence window W;
+    ``cut`` is the one of them that the mode reads.  ``d_exponent`` shapes
+    the delay law ``T = (1 - (a.s)^2)^(d/2)``; the default 3 makes the
+    same-bin coincidence density proportional to ``1/max(T1, T2)`` with the
+    sin^2 azimuthal profile used by the analytic bounds.
     """
 
     tau: float = 0.00025
@@ -100,6 +100,12 @@ class ModelParams:
             raise ValueError(f"window must be in (0, 1], got {self.window}")
         if not (math.isfinite(self.d_exponent) and self.d_exponent > 0.0):
             raise ValueError(f"d_exponent must be finite and > 0, got {self.d_exponent}")
+
+    @property
+    def cut(self) -> float:
+        """The one width the coincidence rule reads: ``window`` in
+        continuous mode, ``tau`` in same-bin mode."""
+        return self.window if self.coincidence_mode is CoincidenceMode.CONTINUOUS else self.tau
 
 
 @dataclass(frozen=True)

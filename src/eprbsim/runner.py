@@ -165,10 +165,8 @@ class ExperimentConfig:
 
     def audit_params(self, tau: float) -> ModelParams:
         """The model parameters of the audit rows at resolution ``tau``:
-        same-bin tagging with W = tau."""
-        return replace(
-            self.model_params(), tau=tau, window=tau, coincidence_mode=CoincidenceMode.SAME_BIN
-        )
+        same-bin tagging, whose cut is ``tau``."""
+        return replace(self.model_params(), tau=tau, coincidence_mode=CoincidenceMode.SAME_BIN)
 
     def to_dict(self) -> dict:
         return _record(self)
@@ -389,9 +387,9 @@ def _audit_row(report: BoundReport) -> dict:
 
 def run_bound_audit(config: ExperimentConfig) -> RunManifest:
     """Simulated coincidence rates against the analytic bounds on a
-    (tau, alpha) grid; same-bin tagging with W = tau throughout."""
+    (tau, alpha) grid; same-bin tagging at each resolution tau throughout."""
     if config.coincidence_mode is not CoincidenceMode.SAME_BIN:
-        raise ConfigError("the bound audit requires same-bin mode with W = tau")
+        raise ConfigError("the bound audit requires same-bin mode")
     t0 = time.perf_counter()
     a1 = UnitVector3.from_angle_deg(0.0)
     grid = [(tau, alpha_deg) for tau in config.audit_tau for alpha_deg in config.audit_alpha_deg]

@@ -355,13 +355,20 @@ class TestCheckSimulatedGamma:
         with pytest.raises(ValueError, match=r"alpha must be in \[0, pi\]"):
             check_simulated_gamma(stats, alpha, 1e-3)
 
-    def test_rejects_window_mismatch(self):
-        params = ModelParams(tau=1e-3, window=5e-3, coincidence_mode=CoincidenceMode.SAME_BIN)
+    def test_window_is_not_read_and_tau_must_match(self):
+        """Same-bin mode reads no window: statistics of one stream at W =
+        5e-3 and at W = tau = 1e-3 give the same report.  Statistics at
+        another tau are refused."""
         a = UnitVector3.from_angle_deg(0.0)
-        batch = generate_batch(event_stream(605, 0), a, a, params, 10_000)
-        stats = accumulate(batch, params)
-        with pytest.raises(ValueError, match="W = tau"):
-            check_simulated_gamma(stats, 0.0, 1e-3)
+        reports = []
+        for window in (5e-3, 1e-3):
+            params = ModelParams(tau=1e-3, window=window, coincidence_mode=CoincidenceMode.SAME_BIN)
+            stats = accumulate(generate_batch(event_stream(605, 0), a, a, params, 10_000), params)
+            assert stats.window == window and stats.n_coincident > 0
+            reports.append(check_simulated_gamma(stats, 0.0, 1e-3))
+        assert reports[0] == reports[1]
+        with pytest.raises(ValueError, match="statistics were taken at tau = 0.001"):
+            check_simulated_gamma(stats, 0.0, 2e-3)
 
 
 def test_package_runs_without_scipy():

@@ -1,9 +1,12 @@
-"""Window post-selection, estimators, and the exact probability oracles."""
+"""Window post-selection, estimators, the exact per-pair probability, and
+the screen."""
 
+import decimal
 import math
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +18,13 @@ from eprbsim.coincidence import (
     _block_counts,
     _counts_from_batch,
     _screen_direction,
+    _screen_limit,
     _station_tag_estimate,
     _tag_slack,
     accumulate,
+    chunk_counts,
     coincidence_mask,
-    coincidence_probability_exact,
-    same_bin_probability_exact,
+    coincidence_probability,
 )
 from eprbsim.model import (
     CoincidenceMode,
@@ -31,11 +35,13 @@ from eprbsim.model import (
     _hidden_direction,
     _overlap,
     _station,
+    batch_streams,
     event_stream,
     generate_batch,
 )
 from eprbsim.runner import simulate_pair_stats
 
+CONTINUOUS, SAME_BIN = CoincidenceMode.CONTINUOUS, CoincidenceMode.SAME_BIN
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
@@ -117,6 +123,15 @@ class TestIsCoincident:
         params = same_bin(0.1)
         assert is_coincident(0.19, 0.11, params)
         assert not is_coincident(0.19, 0.21, params)
+
+    def test_each_mode_reads_its_cut_only(self):
+        """``cut`` is W in continuous mode and tau in same-bin mode, and the
+        mask reads no other width."""
+        narrow_window = ModelParams(tau=0.1, window=1e-9, coincidence_mode=SAME_BIN)
+        coarse_bins = continuous(0.01, tau=1.0)
+        assert (narrow_window.cut, coarse_bins.cut) == (0.1, 0.01)
+        assert is_coincident(0.19, 0.11, narrow_window)
+        assert not is_coincident(0.19, 0.11, coarse_bins)
 
 
 class TestAccumulate:
@@ -269,10 +284,11 @@ class TestConditioningInvariants:
 
 class TestCoincidenceProbabilityExact:
     def test_window_covers_square(self):
-        assert coincidence_probability_exact(1.0, 1.0, 1.0) == 1.0
+        assert coincidence_probability(1.0, 1.0, CONTINUOUS, 1.0) == 1.0
 
     def test_rectangular_band_value(self):
-        assert coincidence_probability_exact(1.0, 2.0, 0.1) == pytest.approx(0.0975, abs=1e-15)
+        assert coincidence_probability(1.0, 2.0, CONTINUOUS, 0.1) == pytest.approx(0.0975,
+                                                                                 abs=1e-15)
 
     def test_against_monte_carlo(self):
         rng = np.random.default_rng(2024)
@@ -280,27 +296,27 @@ class TestCoincidenceProbabilityExact:
         u = rng.random(n)
         v = 2.0 * rng.random(n)
         hits = float((np.abs(u - v) <= 0.1).mean())
-        p = coincidence_probability_exact(1.0, 2.0, 0.1)
+        p = coincidence_probability(1.0, 2.0, CONTINUOUS, 0.1)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits - p) < 3.0 * sigma
 
     def test_degenerate_sides(self):
-        assert coincidence_probability_exact(0.0, 0.0, 0.0) == 1.0
-        assert coincidence_probability_exact(0.0, 2.0, 0.1) == pytest.approx(0.05)
-        assert coincidence_probability_exact(0.5, 0.0, 0.1) == pytest.approx(0.2)
-        assert coincidence_probability_exact(0.0, 0.05, 0.1) == 1.0
+        assert coincidence_probability(0.0, 0.0, CONTINUOUS, 0.0) == 1.0
+        assert coincidence_probability(0.0, 2.0, CONTINUOUS, 0.1) == pytest.approx(0.05)
+        assert coincidence_probability(0.5, 0.0, CONTINUOUS, 0.1) == pytest.approx(0.2)
+        assert coincidence_probability(0.0, 0.05, CONTINUOUS, 0.1) == 1.0
 
     def test_density_upper_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
             T1, T2 = rng.uniform(0.01, 1.0, size=2)
             W = rng.uniform(0.0, 1.0)
-            p = coincidence_probability_exact(T1, T2, W)
+            p = coincidence_probability(T1, T2, CONTINUOUS, W)
             assert 0.0 <= p <= 1.0
             assert p <= min(1.0, 2.0 * W * min(T1, T2) / (T1 * T2)) + 1e-12
 
     def test_monotone_in_window(self):
-        values = [coincidence_probability_exact(0.7, 0.9, w) for w in np.linspace(0, 1, 50)]
+        values = [coincidence_probability(0.7, 0.9, CONTINUOUS, w) for w in np.linspace(0, 1, 50)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -308,7 +324,7 @@ class TestSameBinProbabilityExact:
     def test_equals_density_when_endpoint_bins_differ(self):
         # T2/tau is an integer here, so every bin mass is tau/T and the sum
         # telescopes to tau * min / (T1*T2) exactly
-        assert same_bin_probability_exact(0.7, 0.4, 0.05) == pytest.approx(
+        assert coincidence_probability(0.7, 0.4, SAME_BIN, 0.05) == pytest.approx(
             0.05 * 0.4 / (0.7 * 0.4), rel=1e-12
         )
 
@@ -317,7 +333,7 @@ class TestSameBinProbabilityExact:
         for _ in range(300):
             T1, T2 = rng.uniform(0.01, 1.0, size=2)
             tau = rng.uniform(0.001, 1.0)
-            p = same_bin_probability_exact(T1, T2, tau)
+            p = coincidence_probability(T1, T2, SAME_BIN, tau)
             assert p <= min(1.0, tau * min(T1, T2) / (T1 * T2)) + 1e-12
 
     def test_against_monte_carlo(self):
@@ -327,29 +343,29 @@ class TestSameBinProbabilityExact:
         t1 = rng.random(n) * T1
         t2 = rng.random(n) * T2
         hits = float((np.floor(t1 / tau) == np.floor(t2 / tau)).mean())
-        p = same_bin_probability_exact(T1, T2, tau)
+        p = coincidence_probability(T1, T2, SAME_BIN, tau)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits - p) < 4.0 * sigma
 
     def test_shared_endpoint_bin_case(self):
         # both scales end inside the same bin: only that bin contributes
         # fully, so the probability drops below the density
-        p = same_bin_probability_exact(0.32, 0.33, 0.25)
+        p = coincidence_probability(0.32, 0.33, SAME_BIN, 0.25)
         density = 0.25 * 0.32 / (0.32 * 0.33)
         assert p < density
 
     def test_tiny_tau_without_a_bin_array(self):
         """10^15 bins per unit of time: the closed form needs no array of
         them, and beyond float64's range no count of them."""
-        assert same_bin_probability_exact(1.0, 1.0, 1e-15) == pytest.approx(1e-15, rel=1e-12)
+        assert coincidence_probability(1.0, 1.0, SAME_BIN, 1e-15) == pytest.approx(1e-15, rel=1e-12)
         # lo / tau overflows: no bin count is formed
-        assert same_bin_probability_exact(1.0, 1.0, 1e-320) == 1e-320
-        assert same_bin_probability_exact(1e10, 2e10, 1e-300) == 5e-311
+        assert coincidence_probability(1.0, 1.0, SAME_BIN, 1e-320) == 1e-320
+        assert coincidence_probability(1e10, 2e10, SAME_BIN, 1e-300) == 5e-311
 
     def test_degenerate_sides(self):
-        assert same_bin_probability_exact(0.0, 0.0, 0.1) == 1.0
-        assert same_bin_probability_exact(0.0, 0.4, 0.1) == pytest.approx(0.25)
-        assert same_bin_probability_exact(0.4, 0.0, 0.1) == pytest.approx(0.25)
+        assert coincidence_probability(0.0, 0.0, SAME_BIN, 0.1) == 1.0
+        assert coincidence_probability(0.0, 0.4, SAME_BIN, 0.1) == pytest.approx(0.25)
+        assert coincidence_probability(0.4, 0.0, SAME_BIN, 0.1) == pytest.approx(0.25)
 
     def test_model_rate_matches_geometry(self):
         """Empirical same-bin rate at fixed delay scales matches the exact
@@ -360,10 +376,114 @@ class TestSameBinProbabilityExact:
         t1 = rng.random(n) * T1
         t2 = rng.random(n) * T2
         hits = float((np.floor(t1 / tau) == np.floor(t2 / tau)).mean())
-        p = same_bin_probability_exact(T1, T2, tau)
+        p = coincidence_probability(T1, T2, SAME_BIN, tau)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits - p) < 4.0 * sigma
         assert hits <= min(1.0, tau * min(T1, T2) / (T1 * T2)) + 3.0 * sigma
+
+
+def exact_band(T1: float, T2: float, W: float) -> Fraction:
+    """P(|t1 - t2| <= W) in exact arithmetic: the rectangle less the two
+    corners beyond the band, each a triangle clipped to the rectangle."""
+    T1, T2, W = Fraction(T1), Fraction(T2), Fraction(W)
+    if T1 == 0 or T2 == 0:
+        hi = max(T1, T2)
+        return Fraction(1) if hi <= W else W / hi
+
+    def corner(c: Fraction, side: Fraction) -> Fraction:
+        c = max(c, Fraction(0))
+        return (c * c - max(c - side, Fraction(0)) ** 2) / 2
+
+    return 1 - (corner(T2 - W, T1) + corner(T1 - W, T2)) / (T1 * T2)
+
+
+def exact_bins(T1: float, T2: float, tau: float) -> Fraction:
+    """P(same bin) in exact arithmetic: the sum over bins j of the chances
+    that both tags land in bin j, each clamp(T - j tau, 0, tau) / T.  The
+    k = floor(lo / tau) bins below lo are full at both stations, and the
+    bins above bin k hold no share of lo."""
+    T1, T2, tau = Fraction(T1), Fraction(T2), Fraction(tau)
+    lo, hi = min(T1, T2), max(T1, T2)
+    if hi == 0:
+        return Fraction(1)
+    if lo == 0:  # a tag of 0 lies in bin 0
+        return min(tau, hi) / hi
+    k = math.floor(lo / tau)
+
+    def share(T: Fraction) -> Fraction:
+        return min(max(T - k * tau, Fraction(0)), tau)
+
+    return (k * tau * tau + share(T1) * share(T2)) / (T1 * T2)
+
+
+class TestCoincidenceProbability:
+    """``coincidence_probability`` in both modes against exact rational
+    arithmetic, over scales and cuts from 1e-300 to 1.  The scale 0.5 ** 1000
+    is the delay of d = 2000 at a.s = 1/sqrt(2), where T1 T2 underflows;
+    at (1, 1, 1e-20) and (1, 0.5, 1e-12), taking the band's corners from
+    the whole rectangle cancels."""
+
+    SCALES = [0.0, 1e-300, 0.5 ** 1000, 1e-170, 1e-20, 0.05, 0.32, 0.33, 0.5, 1.0]
+    CUTS = [1e-300, 1e-20, 1e-12, 2.5e-4, 0.05, 0.25, 1.0]
+
+    @pytest.mark.parametrize("mode, exact", [(CONTINUOUS, exact_band), (SAME_BIN, exact_bins)],
+                             ids=["continuous", "same-bin"])
+    def test_within_1e_13_of_exact_arithmetic(self, mode, exact):
+        """Relative error at most 1e-13 where P is a normal float, and
+        absolute error at most 1e-13 of the smallest normal below; an array
+        call equals the calls on its elements."""
+        rng = np.random.default_rng(26)
+        scales = np.concatenate([self.SCALES, rng.random(6), 10.0 ** rng.uniform(-300.0, 0.0, 6)])
+        T1, T2 = (grid.ravel() for grid in np.meshgrid(scales, scales))
+        for cut in [*self.CUTS, *10.0 ** rng.uniform(-300.0, 0.0, 4)]:
+            got = coincidence_probability(T1, T2, mode, cut)
+            for t1, t2, p in zip(T1, T2, got):
+                assert coincidence_probability(float(t1), float(t2), mode, cut) == p
+                want = exact(t1, t2, cut)
+                bound = Fraction(1e-13) * max(want, Fraction(sys.float_info.min))
+                assert abs(Fraction(float(p)) - want) <= bound, (t1, t2, cut, p, float(want))
+
+    @pytest.mark.parametrize("T1, T2, mode, cut", [
+        (-0.1, 0.5, CONTINUOUS, 0.1), (0.5, math.nan, SAME_BIN, 0.1),
+        (0.5, 0.5, SAME_BIN, 0.0), (0.5, 0.5, CONTINUOUS, -1e-9),
+    ])
+    def test_refuses_negative_scales_and_widths(self, T1, T2, mode, cut):
+        with pytest.raises(ValueError, match="need T1, T2 >= 0"):
+            coincidence_probability(T1, T2, mode, cut)
+
+
+class TestCutAgainstPerPairProbability:
+    """Given its hidden direction, a pair's tags are independent uniforms on
+    [0, T1) and [0, T2), so the cut keeps it with the chance P =
+    ``coincidence_probability(T1, T2)``.  The counts of ``chunk_counts`` on
+    a chunk are then sums of independent Bernoulli(P) over its pairs: z =
+    (n_c - sum P) / sqrt(sum P (1 - P)) is close to N(0, 1), and so is the
+    z of sum_xy against sum P x1 x2.  This tests the tag draws, the screen
+    and the cut as one layer, on the directions the chunk drew.  The seeds,
+    the cases and the bound |z| <= 4 were fixed in advance."""
+
+    N = 1 << 19
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("mode, cut, alpha_deg", [
+        (SAME_BIN, 1e-2, 45.0), (SAME_BIN, 2.5e-4, 45.0),
+        (CONTINUOUS, 2.5e-4, 150.0), (SAME_BIN, 2.5e-4, 0.0),
+    ])
+    def test_counts_within_four_sigma_of_the_exact_sums(self, seed, mode, cut, alpha_deg):
+        params = ModelParams(tau=cut, window=cut, coincidence_mode=mode)
+        a1, a2 = X_AXIS, UnitVector3.from_angle_deg(alpha_deg)
+        u = np.array([rng.random(self.N) for rng in batch_streams(seed, 0, self.N, rows=4)])
+        counts = chunk_counts((seed, 0, 0, self.N, a1, a2, params))
+        # the chunk's own pairs: the kernel on these uniforms gives its counts
+        assert _counts_from_batch(_events_from_uniforms(u, a1, a2, params), params) == counts
+        s, ones = _hidden_direction(u), np.ones(self.N)
+        x1, T1 = _station(s, 1, a1, ones, params.d_exponent)
+        x2, T2 = _station(s, -1, a2, ones, params.d_exponent)
+        P = coincidence_probability(T1, T2, mode, cut)
+        sigma = math.sqrt(np.sum(P * (1.0 - P)))
+        z_count = (counts[1] - np.sum(P)) / sigma
+        z_xy = (counts[2] - np.sum(P * (x1 * x2))) / sigma
+        assert abs(z_count) <= 4.0 and abs(z_xy) <= 4.0, (z_count, z_xy)
 
 
 class TestScreen:
@@ -631,6 +751,60 @@ class TestTagBounds:
         station_2 = {(screen_overlaps(u, b, a)[1].tobytes(),
                       tag_estimates(u, b, a, params)[1].tobytes()) for b in others}
         assert len(station_1) == 1 and len(station_2) == 1
+
+
+class TestScreenArithmetic:
+    """The arithmetic of the screen's proof (``_station_tag_estimate``,
+    ``_block_counts``) as exact rational inequalities, on the constants the
+    code uses, so that a change to ``OVERLAP_EPS``, ``_tag_slack`` or
+    ``_screen_limit`` that breaks the proof fails here.  u32 = 2^-24 and
+    eps = OVERLAP_EPS."""
+
+    U32 = Fraction(1, 2 ** 24)
+    SQRT2_ABOVE = Fraction(14143, 10000)
+    D_EXPONENTS = [0.7, 1.0, 2.0, 3.0, 2.0 ** 21]
+
+    def test_overlap_and_base_fit_their_margins(self):
+        eps, u32 = Fraction(OVERLAP_EPS), self.U32
+        assert self.SQRT2_ABOVE ** 2 >= 2
+        # the overlap: sqrt(2) delta + 2^-20 < eps / 4, with delta < eps / 10
+        assert self.SQRT2_ABOVE * eps / 10 + Fraction(1, 2 ** 20) < eps / 4
+        # the base: (eps/4)(2 + eps/4), the screen's 2.01 u32 and the
+        # kernel's 2^-52 of rounding fit in dx = eps/2 + 4 u32
+        assert eps * eps / 16 + Fraction(201, 100) * u32 + Fraction(1, 2 ** 52) <= 4 * u32
+
+    @classmethod
+    def drift(cls, d_exponent: float) -> Fraction:
+        """An upper bound on the proof's drift: p dx for p = d/2 >= 1, else
+        dx^p, and at most 1; dx^p from 40-digit decimal logarithms, raised by
+        a relative 1e-30 to cover their rounding."""
+        dx = Fraction(OVERLAP_EPS) / 2 + 4 * cls.U32
+        p = Fraction(d_exponent) / 2
+        if p >= 1:
+            return min(p * dx, Fraction(1))
+        with decimal.localcontext(decimal.Context(prec=40)):
+            base = decimal.Decimal(dx.numerator) / decimal.Decimal(dx.denominator)
+            power = (decimal.Decimal(float(p)) * base.ln()).exp()
+        return min(Fraction(power) * (1 + Fraction(1, 10 ** 30)), Fraction(1))
+
+    @pytest.mark.parametrize("d_exponent", D_EXPONENTS)
+    def test_slack_covers_drift_and_roundings(self, d_exponent):
+        """The slack exceeds the drift by the 19 u32 of the tag's roundings,
+        and by 2^-53 more, for the same-bin floor's 2^-52 over two tags.  It
+        adds 20 u32 to a float64 drift, so its spare is a u32 less its own
+        rounding."""
+        spare = Fraction(_tag_slack(d_exponent)) - self.drift(d_exponent) - 19 * self.U32
+        assert spare >= Fraction(1, 2 ** 53)
+
+    def test_limit_is_at_least_the_cut_plus_twice_the_slack(self):
+        cuts = [*np.logspace(-300.0, -1.0, 300), 2.5e-4, 0.5, 1.0 - 2.0 ** -53]
+        for mode in CoincidenceMode:
+            for d_exponent in self.D_EXPONENTS:
+                twice = 2 * Fraction(_tag_slack(d_exponent))
+                for cut in map(float, cuts):
+                    limit = _screen_limit(ModelParams(tau=cut, window=cut, d_exponent=d_exponent,
+                                                      coincidence_mode=mode))
+                    assert Fraction(float(limit)) >= Fraction(cut) + twice, (mode, d_exponent, cut)
 
 
 class RowGenerator:

@@ -15,6 +15,7 @@ from eprbsim import bell, bounds, cli, coincidence, model, reproduce, runner
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 MODULES = {m.__name__.rpartition(".")[2]: m
            for m in (model, coincidence, runner, bounds, bell, cli, reproduce)}
 # a backticked module.name; ``model.py`` and the like are file names
@@ -67,6 +68,25 @@ def test_code_references_in_the_docs_resolve():
                for module, name in REFERENCE.findall(path.read_text())
                if name != "py" and not hasattr(MODULES[module], name)]
     assert not missing, missing
+
+
+def test_benchmark_probe_builds_its_params():
+    """The benchmark's traced mode (``perfbench/run.py --trace 1``) imports
+    ``traced`` and builds ``traced._params(run)`` for each run of its fixed
+    probe, whose chunks it cuts with ``coincidence_mask``; a change to the
+    package that breaks either fails here."""
+    code = (
+        "import numpy as np, traced\n"
+        "from eprbsim.coincidence import coincidence_mask\n"
+        "for run in traced.PROBE:\n"
+        "    params = traced._params(run)\n"
+        "    assert coincidence_mask(np.zeros(2), np.array([0.0, 2.0]), params).tolist() == [\n"
+        "        True, False], run\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              [SRC, PERFBENCH])))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_only_the_orchestrators_take_both_settings():
