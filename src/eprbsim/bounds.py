@@ -57,7 +57,6 @@ __all__ = [
     "equal_settings_bound",
     "equal_settings_quadrature",
     "approx_equal_settings",
-    "equal_settings_apply",
     "check_simulated_gamma",
 ]
 
@@ -235,12 +234,6 @@ def approx_equal_settings(tau: float) -> float:
     return 6.0 * math.pi * tau ** (2.0 / 3.0)
 
 
-def equal_settings_apply(alpha: float) -> bool:
-    """Whether the equal-settings bound governs settings alpha apart: at
-    alpha = 0 and at alpha = pi, where a2 = -a1 gives T1 = T2."""
-    return alpha == 0.0 or alpha == math.pi
-
-
 def check_simulated_gamma(stats: CoincidenceStats, alpha: float, tau: float) -> BoundReport:
     """Compare a simulated coincidence rate against the applicable bound.
 
@@ -263,7 +256,7 @@ def check_simulated_gamma(stats: CoincidenceStats, alpha: float, tau: float) -> 
         raise ValueError(f"bounds at tau = {tau}; statistics were taken at tau = {stats.tau}")
     if not 0.0 <= alpha <= math.pi:
         raise ValueError(f"alpha must be in [0, pi], got {alpha}")
-    if equal_settings_apply(alpha):
+    if alpha == 0.0 or alpha == math.pi:  # at pi, a2 = -a1 gives T1 = T2
         closed = equal_settings_bound(tau)
         quadr = equal_settings_quadrature(tau)
         rel_tol = EQUAL_QUAD_REL_TOL

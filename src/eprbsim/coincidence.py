@@ -35,11 +35,11 @@ from .model import (
     EventBatch,
     ModelParams,
     UnitVector3,
-    _delay,
     _events_from_uniforms,
     _hidden_direction,
     _outcome,
     _overlap,
+    _station_tag,
     batch_streams,
 )
 
@@ -248,14 +248,16 @@ def _station_tag_estimate(h: tuple[np.ndarray, np.ndarray, np.ndarray | None], a
       b^p| <= p dx; for p < 1, |x^p - y^p| <= |x - y|^p <= dx^p.  Both
       powers lie in [0, 1], so the drift is at most 1 as well.
     * Delay.  T~ is the kernel's delay law, ``model._delay``, run in float32
-      on b~.  For d = 2 it is b~; for d = 1 and 3 one or two correctly
-      rounded steps add at most 2.01 u32 T~.  Other d call ``np.power``
-      with p rounded to the nearest float32 p', within u32 p of p where p is
-      at least float32's smallest normal, 2^-126; this moves b~^p by at most
-      |p' - p| max b^q |ln b| <= u32 / (e (1 - u32)) < u32 / 2, and
-      ``np.power``'s error adds 16 u32 (8 ulps are allowed; measured, 1.01).
-      The kernel's float64 T is within 2^-49 of b^p.  So |T~ - T| is below
-      the drift plus 16.5 u32 + 2^-49, and T~ <= 1 + 16 u32.
+      on b~ by the kernel's tag step, ``model._station_tag``, which forms
+      b~ and t~ as well.  For d = 2 it is b~; for d = 1 and 3 one or two
+      correctly rounded steps add at most 2.01 u32 T~ (a test enumerates b~
+      in [1/2, 1)).  Other d call ``np.power`` with p rounded to the nearest
+      float32 p', within u32 p of p where p is at least float32's smallest
+      normal, 2^-126; this moves b~^p by at most |p' - p| max b^q |ln b| <=
+      u32 / (e (1 - u32)) < u32 / 2, and ``np.power``'s error adds 16 u32
+      (8 ulps are allowed; measured, 1.01).  The kernel's float64 T is
+      within 2^-49 of b^p.  So |T~ - T| is below the drift plus 16.5 u32 +
+      2^-49, and T~ <= 1 + 16 u32.
     * Tag.  t~ = fl(fl(u) T~) rounds twice, by at most 2.01 u32 in all,
       since fl(u) T~ <= 1 + 16 u32; the kernel's t = fl(u T) once, by at
       most 2^-53; and u < 1 scales |T~ - T|.  So |t~ - t| is below the
@@ -268,11 +270,7 @@ def _station_tag_estimate(h: tuple[np.ndarray, np.ndarray, np.ndarray | None], a
       and t~ and t both lie in [0, 1 + 16 u32]: every tag is within the
       slack of 1 + 20 u32.
     """
-    x = _overlap(h, a)
-    np.multiply(x, x, out=x)
-    np.maximum(np.subtract(1.0, x, out=x), 0.0, out=x)
-    _delay(x, min(d_exponent, 2.0 ** 128))
-    return np.multiply(x, t_row.astype(np.float32), out=x)
+    return _station_tag(_overlap(h, a), t_row, min(d_exponent, 2.0 ** 128))
 
 
 def _tag_slack(d_exponent: float) -> float:
@@ -284,13 +282,10 @@ def _tag_slack(d_exponent: float) -> float:
     return min(p * dx if p >= 1.0 else dx ** p, 1.0) + 20 * u32
 
 
-def _screen_limit(params: ModelParams) -> np.float32 | None:
+def _screen_limit(params: ModelParams) -> np.float32:
     """The largest difference of the tag estimates that a coincident pair
     can have, ``params.cut`` plus twice ``_tag_slack``, rounded up to a
-    float64 and then to a float32; None when the cut keeps every pair
-    (``params.cut`` = 1)."""
-    if params.cut >= 1.0:
-        return None
+    float64 and then to a float32."""
     # one step up, since the sum rounded to nearest may fall short of it
     bound = math.nextafter(params.cut + 2.0 * _tag_slack(params.d_exponent), math.inf)
     limit = np.float32(bound)
@@ -314,9 +309,9 @@ def _half_turn(a: UnitVector3) -> float:
 
 def _outcome_counts(blocks: Iterable[np.ndarray], a1: UnitVector3,
                     a2: UnitVector3) -> tuple[int, int, int]:
-    """``_block_counts`` when the cut keeps every pair (``cut`` = 1;
-    ``_screen_limit`` is None): only the outcomes count, and they are
-    settled from rows 0 and 1 of each block (z and phi).
+    """The counts of ``_block_counts`` when the cut keeps every pair (``cut``
+    = 1; ``chunk_counts`` picks the path): only the outcomes count, and they
+    are settled from rows 0 and 1 of each block (z and phi).
 
     Every pair is coincident: tags are fl(u T) with u < 1 and T <= 1, so
     they lie in [0, 1), fl(|t1 - t2|) <= 1 <= W and floor(t / 1) = 0.  A
@@ -401,20 +396,18 @@ def _block_counts(
     blocks: Iterable[np.ndarray], a1: UnitVector3, a2: UnitVector3, params: ModelParams
 ) -> tuple[int, int, int]:
     """(events, coincidences, sum of x1*x2 over coincidences) of the events
-    of the uniform ``blocks``, each (4, n), or (2, n) when the cut keeps
-    every pair; equal to ``_counts_from_batch`` of the kernel's batch of all
-    of them.  A block may be overwritten once the next one is asked for.
+    of the uniform ``blocks``, each (4, n), at a cut that can reject a pair
+    (``chunk_counts`` gives ``cut`` = 1 to ``_outcome_counts``); equal to
+    ``_counts_from_batch`` of the kernel's batch of all of them, at any cut.
+    A block may be overwritten once the next one is asked for.
 
-    When the cut keeps every pair (``cut`` = 1; ``_screen_limit`` is
-    None), only rows 0 and 1 are read (proof in ``_outcome_counts``).
-
-    When the cut can reject a pair, a screen keeps only the pairs whose
-    float32 tag estimates (``_station_tag_estimate``) come within the limit,
-    and the kernel runs on them alone.  Soundness: a same-bin pair has k <=
-    fl(t/tau) < k+1 for both tags, and fl(t/tau) is within a relative 2^-53
-    of t/tau, so |t1 - t2| < tau + 2^-53 (t1 + t2) < tau + 2^-52 (this
-    matters for tau below 2^-52); a continuous pair has fl(|t1 - t2|) <= W,
-    so |t1 - t2| <= W + 2^-53.  Each estimate lies within S - 2^-53 of its
+    A screen keeps only the pairs whose float32 tag estimates
+    (``_station_tag_estimate``) come within the limit (``_screen_limit``,
+    once per chunk), and the kernel runs on them alone.  Soundness: a
+    same-bin pair has k <= fl(t/tau) < k+1 for both tags, and fl(t/tau) is
+    within a relative 2^-53 of t/tau, so |t1 - t2| < tau + 2^-53 (t1 + t2)
+    < tau + 2^-52 (this matters for tau below 2^-52); a continuous pair has
+    fl(|t1 - t2|) <= W, so |t1 - t2| <= W + 2^-53.  Each estimate lies within S - 2^-53 of its
     tag, for the slack S = ``_tag_slack`` (its spare u32 covers the 2^-53;
     ``_station_tag_estimate``), so |t~1 - t~2| < cut + 2 S.  The limit
     (``_screen_limit``) is at least cut + 2 S exactly: the float64 sum is
@@ -430,8 +423,6 @@ def _block_counts(
     small tau, never when no pair is kept.
     """
     limit = _screen_limit(params)
-    if limit is None:
-        return _outcome_counts(blocks, a1, a2)
     parts, n, filled = [], 0, 0
     for u in blocks:
         if not n:  # the first block
@@ -462,13 +453,16 @@ BLOCK_SIZE = 1 << 14
 def chunk_counts(task: tuple) -> tuple[int, int, int]:
     """The counts of one chunk task ``(seed, stream, start, size, a1, a2,
     params)``, generated in blocks of up to BLOCK_SIZE events; equal to
-    those of ``generate_batch`` on the whole chunk.  Only the uniforms that
-    the counts need are drawn, into one buffer that every block reuses: a
-    float64 row of a block is 128 KiB, glibc's default mmap threshold, above
-    which a fresh array may be a new mapping whose pages fault in again."""
+    those of ``generate_batch`` on the whole chunk.  ``params.cut`` picks
+    the path once: ``_outcome_counts`` when the cut keeps every pair, else
+    ``_block_counts``.  Only the uniforms that the path needs are drawn,
+    into one buffer that every block reuses: a float64 row of a block is
+    128 KiB, glibc's default mmap threshold, above which a fresh array may
+    be a new mapping whose pages fault in again."""
     seed, stream, start, size, a1, a2, params = task
     # z and phi alone when the cut keeps every pair, else the two tags as well
-    rows = 2 if _screen_limit(params) is None else 4
+    every_pair = params.cut >= 1.0
+    rows = 2 if every_pair else 4
     streams = batch_streams(seed, start, size, stream=stream, rows=rows)
     buffer = np.empty((rows, min(BLOCK_SIZE, size)))
 
@@ -479,6 +473,8 @@ def chunk_counts(task: tuple) -> tuple[int, int, int]:
                 rng.random(out=row)
             yield u
 
+    if every_pair:
+        return _outcome_counts(blocks(), a1, a2)
     return _block_counts(blocks(), a1, a2, params)
 
 

@@ -185,11 +185,9 @@ def _outcome(d: np.ndarray, sign: int) -> np.ndarray:
 
 def _delay(base: np.ndarray, d_exponent: float) -> np.ndarray:
     """Delay law T = base^(d/2) for base = 1 - (a.s)^2 >= 0, in place in
-    ``base``, which it returns, in the precision of ``base``: the kernel's
-    station step runs it in float64, the screen
-    (``coincidence._station_tag_estimate``) in float32, where ``np.power``
-    rounds d/2 to the nearest float32.  T vanishes when s is (anti)parallel
-    to the setting and is 1 when perpendicular; only (a.s)^2 enters, so it is
+    ``base``, which it returns, in the precision of ``base``, to which
+    ``np.power`` rounds d/2.  T vanishes when s is (anti)parallel to the
+    setting and is 1 when perpendicular; only (a.s)^2 enters, so it is
     invariant under s -> -s and a -> -a."""
     if d_exponent == 3.0:
         return np.multiply(base, np.sqrt(base), out=base)
@@ -200,15 +198,26 @@ def _delay(base: np.ndarray, d_exponent: float) -> np.ndarray:
     return base
 
 
+def _station_tag(d: np.ndarray, t_row: np.ndarray, d_exponent: float) -> np.ndarray:
+    """One station's tags t = u T from its overlaps ``d`` and tag uniforms
+    ``t_row``, in place in ``d``, which it returns, in the precision of d:
+    float64 in the kernel (``_station``), float32, with u rounded to it, in
+    the screen (``coincidence._station_tag_estimate``)."""
+    np.multiply(d, d, out=d)
+    # an overlap that rounds above 1 gives T = 0, as an exact one does
+    np.maximum(np.subtract(1.0, d, out=d), 0.0, out=d)
+    _delay(d, d_exponent)
+    return np.multiply(d, t_row.astype(d.dtype, copy=False), out=d)
+
+
 def _station(s: tuple[np.ndarray, np.ndarray, np.ndarray], sign: int, a: UnitVector3,
              t_row: np.ndarray, d_exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """One station's outcomes and tags (x, t) from the hidden direction ``s``,
     the sign of its copy of s, its own setting ``a`` and its tag uniforms
     ``t_row``: nothing of the other station enters."""
     d = _overlap(s, a)
-    # an overlap that rounds above 1 gives T = 0, as an exact one does
-    base = np.maximum(1.0 - d * d, 0.0)
-    return _outcome(d, sign), t_row * _delay(base, d_exponent)
+    x = _outcome(d, sign)  # before _station_tag overwrites d
+    return x, _station_tag(d, t_row, d_exponent)
 
 
 def _events_from_uniforms(u: np.ndarray, a1: UnitVector3, a2: UnitVector3,

@@ -218,7 +218,7 @@ ALL_CHECKS = (
 )
 
 
-def run_all(config: ExperimentConfig, echo=print) -> list[CheckResult]:
+def run_all(config: ExperimentConfig) -> list[CheckResult]:
     last = config.seed + HEADLINE_SEEDS - 1  # check 3's last seed, refused before any check
     try:
         replace(config, seed=last)
@@ -229,8 +229,8 @@ def run_all(config: ExperimentConfig, echo=print) -> list[CheckResult]:
         res = check(config)
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
-        echo(f"[{res.number}] {res.name}: {status}")
-        echo(f"    {res.detail}")
+        print(f"[{res.number}] {res.name}: {status}")
+        print(f"    {res.detail}")
     n_pass = sum(r.passed for r in results)
-    echo(f"{n_pass}/{len(results)} checks passed")
+    print(f"{n_pass}/{len(results)} checks passed")
     return results

@@ -18,6 +18,7 @@ from eprbsim.model import (
     _outcome,
     _overlap,
     _station,
+    _station_tag,
     batch_streams,
     event_stream,
     generate_batch,
@@ -191,6 +192,24 @@ class TestDelayScale:
     @pytest.mark.parametrize("d_exponent", [1.0, 2.0, 3.0, 2.5])
     def test_overlap_rounded_above_one_gives_zero(self, d_exponent):
         assert delay(1.0 + 2.0**-52, d_exponent)[0] == 0.0
+
+    @pytest.mark.parametrize("d_exponent", [0.7, 1.0, 2.0, 3.0, 2.0 ** 21])
+    def test_station_tag_forms_the_tags_in_its_overlaps(self, d_exponent):
+        """``_station_tag`` returns its own overlap array, in its own dtype
+        (float32 stays float32); in float64 its tags equal t_row *
+        _delay(max(1 - d^2, 0), d) bit for bit, also where |d| rounds above
+        1 and at d = +-0."""
+        rng = np.random.default_rng(19)
+        edges = [0.0, -0.0, 1.0, -1.0, 1.0 + 2.0 ** -52, -1.0 - 2.0 ** -52, 1.0 + 1e-12,
+                 math.nextafter(1.0, 0.0), 1e-300, 0.5]
+        d = np.concatenate([edges, rng.uniform(-1.0, 1.0, 4_096)])
+        t_row = rng.random(len(d))
+        want = t_row * _delay(np.maximum(1.0 - d * d, 0.0), d_exponent)
+        for dtype in (np.float64, np.float32):
+            x = d.astype(dtype)
+            got = _station_tag(x, t_row, d_exponent)
+            assert got is x and got.dtype == dtype
+        assert _station_tag(d, t_row, d_exponent).tobytes() == want.tobytes()
 
     def test_half_overlap_value(self):
         assert delay(0.25)[0] == pytest.approx(0.649519052838329, abs=1e-12)

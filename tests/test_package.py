@@ -134,9 +134,11 @@ def test_bell_owns_the_pair_order_and_the_four_sigma_rule():
 
 def test_the_screen_runs_the_model_delay_law_and_overlap():
     """Of ``model`` and ``coincidence``, only the one delay-law function,
-    ``model._delay``, calls ``np.power``, and ``coincidence`` defines no
-    overlap function of its own: the float32 screen runs the kernel's."""
-    power, overlaps = set(), set()
+    ``model._delay``, calls ``np.power``; its one caller is the tag step,
+    ``model._station_tag``, which the screen's ``_station_tag_estimate``
+    calls; and ``coincidence`` defines no overlap function of its own: the
+    float32 screen runs the kernel's."""
+    power, overlaps, calls = set(), set(), {}
     for module in (model, coincidence):
         name = module.__name__.rpartition(".")[2]
         for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
@@ -145,11 +147,16 @@ def test_the_screen_runs_the_model_delay_law_and_overlap():
             if "overlap" in node.name and module is coincidence:
                 overlaps.add(f"{name}.{node.name}")
             for call in ast.walk(node):
-                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                        and call.func.attr == "power"
+                if not isinstance(call, ast.Call):
+                    continue
+                if isinstance(call.func, ast.Name):
+                    calls.setdefault(call.func.id, set()).add(f"{name}.{node.name}")
+                if (isinstance(call.func, ast.Attribute) and call.func.attr == "power"
                         and isinstance(call.func.value, ast.Name) and call.func.value.id == "np"):
                     power.add(f"{name}.{node.name}")
     assert power == {"model._delay"}
+    assert calls["_delay"] == {"model._station_tag"}
+    assert "coincidence._station_tag_estimate" in calls["_station_tag"]
     assert not overlaps, overlaps
 
 

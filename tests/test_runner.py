@@ -437,17 +437,18 @@ class TestRunPlan:
             made.append(len(streams))
             return [CountingStream(rng, k) for k, rng in enumerate(streams)]
 
-        block_counts = coincidence._block_counts
-
-        def recording_block_counts(blocks, *args):
-            def recorded():
-                for u in blocks:
-                    shapes.append(u.shape)
-                    yield u
-            return block_counts(recorded(), *args)
+        def recording(counts):
+            def recording_counts(blocks, *args):
+                def recorded():
+                    for u in blocks:
+                        shapes.append(u.shape)
+                        yield u
+                return counts(recorded(), *args)
+            return recording_counts
 
         monkeypatch.setattr(coincidence, "batch_streams", counting_streams)
-        monkeypatch.setattr(coincidence, "_block_counts", recording_block_counts)
+        for path in ("_outcome_counts", "_block_counts"):  # whichever path runs
+            monkeypatch.setattr(coincidence, path, recording(getattr(coincidence, path)))
         params = ModelParams(tau=cut, window=cut, coincidence_mode=mode)
         a1, a2 = UnitVector3.from_angle_deg(10.0), UnitVector3.from_angle_deg(55.0)
         n = 40_001
