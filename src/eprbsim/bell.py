@@ -82,9 +82,7 @@ def gamma_threshold(target_lhs: float) -> float:
 
 
 def verdict(
-    e: Sequence[float],
-    gammas: Sequence[float],
-    stderr_e: Sequence[float] = (0.0,) * 4,
+    e: Sequence[float], gammas: Sequence[float], stderr_e: Sequence[float]
 ) -> InequalityReport:
     """Evaluate both inequalities on the measured correlations ``e``, their
     coincidence rates ``gammas`` and the correlations' standard errors

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .runner import (
@@ -137,7 +137,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     results = reproduce.run_all(config)
     if out:
-        summary = [asdict(r) for r in results]
+        summary = []
+        for r in results:
+            for label, manifest in r.manifests.items():
+                (out / f"{r.number}-{label}.json").write_text(manifest.to_json() + "\n")
+            # a digest leaves out the timestamp and duration, so the summary is the same every run
+            summary.append(dict(number=r.number, name=r.name, passed=r.passed, detail=r.detail,
+                                digests={k: m.digest() for k, m in r.manifests.items()}))
         (out / "reproduction_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECKS_FAILED
 
@@ -178,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument("--seed", type=int, help="base seed (checks are calibrated at the default)")
     p_rep.add_argument("--workers", type=int, help="worker processes (never affects results)")
-    p_rep.add_argument("--out", metavar="DIR", help="write reproduction_summary.json here")
+    p_rep.add_argument("--out", metavar="DIR",
+                       help="write reproduction_summary.json and each check's manifests here")
     p_rep.set_defaults(func=_cmd_reproduce)
     return parser
 

@@ -5,7 +5,9 @@ bound audit at their default parameters and checks every headline number:
 cosine recovery, the triangle law without post-selection, inequality
 verdicts across seeds, threshold constants, closed forms against
 quadrature, bound compliance, and worker-count determinism.  Each check
-reads its numbers from the ``results`` of the manifests its runs return.
+reads its numbers from the ``results`` of the manifests its runs return,
+and returns those manifests with its result, by run label, so that
+``reproduce-paper --out`` can write them (``DIR/<check>-<label>.json``).
 
 Two checks are expected to fail and are reported honestly rather than
 patched over: the cot-form closed expression for the unequal-settings rate
@@ -18,7 +20,7 @@ integral.  See README for the full analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .bell import VIOLATION_SIGMAS, exceeds, gamma_threshold, modified_bound
 from .bounds import (
@@ -50,6 +52,8 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    # the manifests the check read, by run label; equality and repr leave them out
+    manifests: dict[str, RunManifest] = field(default_factory=dict, compare=False, repr=False)
 
 
 def _sweep_max_deviation(manifest: RunManifest) -> tuple[float, float]:
@@ -81,7 +85,8 @@ def check_cosine_recovery(config: ExperimentConfig) -> CheckResult:
         f"max|E+cos a|={max_base:.4f} (tol 0.02); halved-tau max {max_half:.4f} "
         f"<= {max_base:.4f}+{se_comb:.4f}; sweep under 300s: {fast}"
     )
-    return CheckResult(1, "cosine recovery at tau = W -> 0", ok, detail)
+    return CheckResult(1, "cosine recovery at tau = W -> 0", ok, detail,
+                       {"base": base, "half": half})
 
 
 def check_triangle_law(config: ExperimentConfig) -> CheckResult:
@@ -94,20 +99,24 @@ def check_triangle_law(config: ExperimentConfig) -> CheckResult:
     )
     worst = 0.0
     full_window = True
-    for row in run_correlation_sweep(cfg).results["rows"]:
+    triangle = run_correlation_sweep(cfg)
+    for row in triangle.results["rows"]:
         target = -(1.0 - 2.0 * math.radians(row["alpha_deg"]) / math.pi)
         worst = max(worst, abs(row["e_conditional"] - target))
         full_window = full_window and row["gamma_hat"] == 1.0
     ok = worst <= 0.01 and full_window
     detail = f"max|E+(1-2a/pi)|={worst:.4f} (tol 0.01); gamma=1 everywhere: {full_window}"
-    return CheckResult(2, "triangle law without post-selection", ok, detail)
+    return CheckResult(2, "triangle law without post-selection", ok, detail,
+                       {"triangle": triangle})
 
 
 def check_headline_verdict(config: ExperimentConfig) -> CheckResult:
     ok = True
     details = []
+    runs = {}
     for k in range(HEADLINE_SEEDS):
-        r = run_chsh_experiment(replace(config, seed=config.seed + k)).results["report"]
+        runs[f"seed{k}"] = run = run_chsh_experiment(replace(config, seed=config.seed + k))
+        r = run.results["report"]
         gamma_max = max(r["gammas"])
         seed_ok = (
             r["chsh_lhs"] >= 2.6
@@ -122,7 +131,8 @@ def check_headline_verdict(config: ExperimentConfig) -> CheckResult:
         "CHSH > 2.6 with gamma <= 0.1, corrected bound >= 56 never violated; "
         + "; ".join(details)
     )
-    return CheckResult(3, "strong correlations, no corrected-inequality violation", ok, detail)
+    return CheckResult(3, "strong correlations, no corrected-inequality violation", ok, detail,
+                       runs)
 
 
 def check_threshold_constants(_: ExperimentConfig) -> CheckResult:
@@ -169,7 +179,8 @@ def check_closed_forms(_: ExperimentConfig) -> CheckResult:
 def check_bound_compliance(config: ExperimentConfig) -> CheckResult:
     failures = []
     by_alpha: dict[float, list[dict]] = {}
-    for row in run_bound_audit(config).results["rows"]:
+    audit = run_bound_audit(config)
+    for row in audit.results["rows"]:
         if not row["satisfied"]:
             margin = row["simulated_gamma"] - VIOLATION_SIGMAS * row["stderr_gamma"]
             failures.append(
@@ -192,7 +203,7 @@ def check_bound_compliance(config: ExperimentConfig) -> CheckResult:
         if ok
         else "; ".join(failures)
     )
-    return CheckResult(6, "simulated rates vs analytic bounds", ok, detail)
+    return CheckResult(6, "simulated rates vs analytic bounds", ok, detail, {"audit": audit})
 
 
 def check_worker_determinism(config: ExperimentConfig) -> CheckResult:
@@ -204,7 +215,8 @@ def check_worker_determinism(config: ExperimentConfig) -> CheckResult:
         f"1-worker digest {solo.digest()[:12]} == "
         f"8-worker digest {pooled.digest()[:12]}: {same}"
     )
-    return CheckResult(7, "bit-identical results for 1 vs 8 workers", same, detail)
+    return CheckResult(7, "bit-identical results for 1 vs 8 workers", same, detail,
+                       {"workers1": solo, "workers8": pooled})
 
 
 ALL_CHECKS = (

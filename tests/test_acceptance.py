@@ -15,6 +15,10 @@ message:
   true rate grows; compliance holds at 30 and 90 deg and at equal settings;
 * criterion 7 (partly): `reproduce-paper` runs the two checks above and
   therefore exits 3, not 0; worker-count determinism itself passes.
+
+Each headline experiment runs once: criteria 1, 2, 3 and 6 assert on the
+manifests that one `reproduce-paper --out` run keeps, each on the run of
+the config it names.  Criterion 7's 1-vs-8 worker test makes its own runs.
 """
 
 import json
@@ -24,30 +28,49 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from eprbsim import (
-    CoincidenceMode,
-    ExperimentConfig,
-    run_bound_audit,
-    run_chsh_experiment,
-    run_correlation_sweep,
-)
+from eprbsim import CoincidenceMode, ExperimentConfig, RunManifest, run_chsh_experiment
 from eprbsim.bell import gamma_threshold, modified_bound
-from eprbsim.bounds import (
-    approx_equal_settings,
-    equal_settings_bound,
-    equal_settings_quadrature,
-    unequal_settings_bound,
-    unequal_settings_quadrature,
-)
+from eprbsim.bounds import (approx_equal_settings, equal_settings_bound, equal_settings_quadrature,
+                            unequal_settings_bound, unequal_settings_quadrature)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 WORKERS = 2
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 GAMMA_0 = 3.0 - 3.0 / math.sqrt(2.0)
+
+# the manifests reproduce-paper --out writes, as DIR/<check>-<label>.json
+RUN_LABELS = ["1-base", "1-half", "2-triangle", *(f"3-seed{k}" for k in range(5)),
+              "6-audit", "7-workers1", "7-workers8"]
+
+
+@pytest.fixture(scope="module")
+def reproduction(tmp_path_factory):
+    """One `reproduce-paper --workers 2 --out DIR` run: its process, summary and manifests
+    by label.  DIR holds only those, each manifest with the digest the summary records."""
+    out = tmp_path_factory.mktemp("reproduction")
+    proc = subprocess.run(
+        [sys.executable, "-m", "eprbsim", "reproduce-paper", "--workers", str(WORKERS),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=1800, env=dict(os.environ, PYTHONPATH=SRC))
+    files = sorted(p.name for p in out.iterdir())
+    assert files == sorted([f"{k}.json" for k in RUN_LABELS] + ["reproduction_summary.json"])
+    summary = json.loads((out / "reproduction_summary.json").read_text())
+    manifests = {k: RunManifest.from_json((out / f"{k}.json").read_text()) for k in RUN_LABELS}
+    recorded = {f"{s['number']}-{k}": d for s in summary for k, d in s["digests"].items()}
+    assert {k: m.digest() for k, m in manifests.items()} == recorded
+    return SimpleNamespace(proc=proc, summary=summary, manifests=manifests)
+
+
+def manifest_of(reproduction, label: str, config: ExperimentConfig) -> RunManifest:
+    """The manifest of run ``label``, which must be the run of ``config``."""
+    manifest = reproduction.manifests[label]
+    assert ExperimentConfig.from_dict(manifest.config) == config, f"{label} ran another config"
+    return manifest
 
 
 def announce(number: int, name: str, passed: bool, detail: str) -> None:
@@ -67,12 +90,11 @@ def max_cosine_deviation(manifest):
     return worst, worst_se
 
 
-def test_criterion_1_cosine_recovery():
+def test_criterion_1_cosine_recovery(reproduction):
     config = ExperimentConfig(workers=WORKERS)
-    base = run_correlation_sweep(config)
-    half = run_correlation_sweep(
-        replace(config, tau=config.tau / 2.0, window=config.window / 2.0)
-    )
+    base = manifest_of(reproduction, "1-base", config)
+    halved = replace(config, tau=config.tau / 2.0, window=config.window / 2.0)
+    half = manifest_of(reproduction, "1-half", halved)
     max_base, se_base = max_cosine_deviation(base)
     max_half, se_half = max_cosine_deviation(half)
     se_comb = math.sqrt(se_base**2 + se_half**2)
@@ -88,16 +110,12 @@ def test_criterion_1_cosine_recovery():
     assert elapsed < 300.0, detail
 
 
-def test_criterion_2_triangle_law_without_postselection():
-    config = ExperimentConfig(
-        alpha_grid_deg=(0.0, 45.0, 90.0, 135.0, 180.0),
-        window=1.0,
-        coincidence_mode=CoincidenceMode.CONTINUOUS,
-        n_events=1_000_000,
-        workers=WORKERS,
-    )
+def test_criterion_2_triangle_law_without_postselection(reproduction):
+    config = ExperimentConfig(alpha_grid_deg=(0.0, 45.0, 90.0, 135.0, 180.0), window=1.0,
+                              coincidence_mode=CoincidenceMode.CONTINUOUS, n_events=1_000_000,
+                              workers=WORKERS)
     worst = 0.0
-    for row in run_correlation_sweep(config).results["rows"]:
+    for row in manifest_of(reproduction, "2-triangle", config).results["rows"]:
         assert row["gamma_hat"] == 1.0, "full window must keep every pair"
         target = -(1.0 - 2.0 * math.radians(row["alpha_deg"]) / math.pi)
         worst = max(worst, abs(row["e_conditional"] - target))
@@ -106,17 +124,16 @@ def test_criterion_2_triangle_law_without_postselection():
     assert worst <= 0.01, detail
 
 
-def test_criterion_3_strong_correlations_without_violation():
+def test_criterion_3_strong_correlations_without_violation(reproduction):
     config = ExperimentConfig(workers=WORKERS)
     lines = []
     failures = []
     for k in range(5):
-        report = run_chsh_experiment(replace(config, seed=config.seed + k)).results["report"]
+        run = manifest_of(reproduction, f"3-seed{k}", replace(config, seed=config.seed + k))
+        report = run.results["report"]
         gamma_max = max(report["gammas"])
-        lines.append(
-            f"seed+{k}: lhs={report['chsh_lhs']:.4f} gamma_max={gamma_max:.2e} "
-            f"bound={report['modified_bound']:.0f}"
-        )
+        lines.append(f"seed+{k}: lhs={report['chsh_lhs']:.4f} gamma_max={gamma_max:.2e} "
+                     f"bound={report['modified_bound']:.0f}")
         if not (
             report["chsh_lhs"] >= 2.6
             and gamma_max <= 0.1
@@ -176,11 +193,11 @@ def test_criterion_5_closed_forms_vs_quadrature():
     )
 
 
-def test_criterion_6_simulated_rates_vs_bounds():
+def test_criterion_6_simulated_rates_vs_bounds(reproduction):
     config = ExperimentConfig(workers=WORKERS)  # audit grid: {0,30,90,150} x {1e-2,1e-3}
     failures = []
     by_alpha = {}
-    for row in run_bound_audit(config).results["rows"]:
+    for row in manifest_of(reproduction, "6-audit", config).results["rows"]:
         margin = row["simulated_gamma"] - 4.0 * row["stderr_gamma"]
         if margin > row["closed_form"]:
             failures.append(
@@ -194,14 +211,9 @@ def test_criterion_6_simulated_rates_vs_bounds():
         for hi, lo in zip(rows[:-1], rows[1:]):
             slack = 4.0 * math.sqrt(hi["stderr_gamma"]**2 + lo["stderr_gamma"]**2)
             if lo["simulated_gamma"] > hi["simulated_gamma"] + slack:
-                failures.append(
-                    f"alpha={alpha_deg:g}: rate not decreasing with tau"
-                )
-    detail = (
-        "all rates within bounds, decreasing with tau"
-        if not failures
-        else f"{len(failures)} bound violations"
-    )
+                failures.append(f"alpha={alpha_deg:g}: rate not decreasing with tau")
+    detail = ("all rates within bounds, decreasing with tau" if not failures
+              else f"{len(failures)} bound violations")
     announce(6, "simulated rates vs analytic bounds", not failures, detail)
     assert not failures, (
         "bound compliance failures (the cot form undershoots the exact rate "
@@ -220,20 +232,8 @@ def test_criterion_7_worker_determinism():
     assert same, "results must not depend on the worker count"
 
 
-def test_criterion_7_reproduce_paper_exit_code(tmp_path):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "eprbsim", "reproduce-paper",
-            "--workers", str(WORKERS), "--out", str(tmp_path),
-        ],
-        capture_output=True,
-        text=True,
-        timeout=1800,
-        env=env,
-    )
-    summary_file = tmp_path / "reproduction_summary.json"
-    summary = json.loads(summary_file.read_text()) if summary_file.is_file() else []
+def test_criterion_7_reproduce_paper_exit_code(reproduction):
+    proc, summary = reproduction.proc, reproduction.summary
     failed = [f"[{s['number']}] {s['name']}: {s['detail']}" for s in summary if not s["passed"]]
     detail = f"exit code {proc.returncode}, failing checks: {[s['number'] for s in summary if not s['passed']]}"
     announce(7, "reproduce-paper exits 0", proc.returncode == 0, detail)

@@ -16,6 +16,7 @@ from eprbsim.bell import (
 
 TWO_SQRT_TWO = 2.8284271247461903
 GAMMA_0 = 0.8786796564403576
+NO_ERROR = (0.0,) * 4  # standard errors of four exactly known correlations
 
 
 def cosine_quartet(gamma: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -92,26 +93,26 @@ class TestGammaThreshold:
 
 class TestVerdict:
     def test_small_gamma_never_violates_corrected_bound(self):
-        report = verdict(*cosine_quartet(0.02))
+        report = verdict(*cosine_quartet(0.02), NO_ERROR)
         assert report.violates_chsh
         assert report.modified_bound == pytest.approx(296.0, abs=1e-9)
         assert not report.violates_modified
 
     def test_large_gamma_violates_corrected_bound(self):
-        report = verdict(*cosine_quartet(0.9))
+        report = verdict(*cosine_quartet(0.9), NO_ERROR)
         assert report.violates_modified
 
     def test_zero_correlations_violate_nothing(self):
-        report = verdict((0, 0, 0, 0), (0.4, 0.4, 0.4, 0.4))
+        report = verdict((0, 0, 0, 0), (0.4, 0.4, 0.4, 0.4), NO_ERROR)
         assert not report.violates_chsh
         assert not report.violates_modified
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="empty post-selected ensemble"):
-            verdict((0, 0, 0, 0), (0.4, 0.0, 0.4, 0.4))
+            verdict((0, 0, 0, 0), (0.4, 0.0, 0.4, 0.4), NO_ERROR)
 
     def test_uses_minimum_gamma(self):
-        report = verdict((-0.7, 0.7, -0.7, -0.7), (0.9, 0.5, 0.8, 0.7))
+        report = verdict((-0.7, 0.7, -0.7, -0.7), (0.9, 0.5, 0.8, 0.7), NO_ERROR)
         assert report.gamma_min == 0.5
         assert report.modified_bound == pytest.approx(8.0, abs=1e-12)
         assert report.gammas == (0.9, 0.5, 0.8, 0.7)
@@ -134,7 +135,7 @@ class TestVerdict:
         assert report.violates_modified is violated
 
     def test_threshold_field_matches_lhs(self):
-        report = verdict(*cosine_quartet(0.3))
+        report = verdict(*cosine_quartet(0.3), NO_ERROR)
         assert report.gamma_threshold_for_lhs == pytest.approx(
             6.0 / (report.chsh_lhs + 4.0), abs=1e-15
         )
@@ -143,16 +144,16 @@ class TestVerdict:
 class TestVerdictValidation:
     def test_rejects_out_of_range_correlation(self):
         with pytest.raises(ValueError):
-            verdict((1.2, 0, 0, 0), (1, 1, 1, 1))
+            verdict((1.2, 0, 0, 0), (1, 1, 1, 1), NO_ERROR)
 
     def test_rejects_out_of_range_gamma(self):
         with pytest.raises(ValueError):
-            verdict((0, 0, 0, 0), (1.5, 1, 1, 1))
+            verdict((0, 0, 0, 0), (1.5, 1, 1, 1), NO_ERROR)
 
     @pytest.mark.parametrize("e, gammas", [((0, 0, 0), (1, 1, 1, 1)), ((0, 0, 0, 0), (1, 1, 1))])
     def test_rejects_other_than_four_pairs(self, e, gammas):
         with pytest.raises(ValueError):
-            verdict(e, gammas)
+            verdict(e, gammas, NO_ERROR)
 
 
 def past(x: float, steps: int) -> float:

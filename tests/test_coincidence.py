@@ -3,10 +3,13 @@ the screen."""
 
 import decimal
 import math
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -680,6 +683,27 @@ class TestTagBounds:
             worst = max(worst, float(np.max(np.abs(got - want) / want)))
         assert worst <= budget * U32
 
+    # [2, 4) and [4, float32(2 pi)], each as [low, high) in float32
+    PHI_RANGES = {"2-4": (2.0, 4.0),
+                  "4-2pi": (4.0, np.nextafter(np.float32(2.0 * np.pi), np.float32(8.0)))}
+
+    @pytest.mark.parametrize("low, high", PHI_RANGES.values(), ids=PHI_RANGES)
+    def test_float32_trig_within_a_tenth_of_the_margin_from_2_to_2pi(self, low, high):
+        """Every float32 phi in [2, 4), 2^23 of them, and in [4,
+        float32(2 pi)], 4,788,188, through float32 cos and sin, against
+        float64 of the same input.  The screen's delta adds the float32
+        rounding of the kernel's phi, at most half an ulp, 2^-22 below 8;
+        measured, the trig error alone is 7.2e-8 (2-4) and 6.0e-8 (4-2pi) on
+        numpy's AVX-512 path, 3.3e-8 on its baseline path."""
+        first, stop = np.array([low, high], dtype=np.float32).view(np.uint32).tolist()
+        worst, part = 0.0, 1 << 21
+        for start in range(first, stop, part):
+            phi = np.arange(start, min(start + part, stop), dtype=np.uint32).view(np.float32)
+            wide = phi.astype(np.float64)
+            for trig in (np.cos, np.sin):
+                worst = max(worst, float(np.max(np.abs(trig(phi).astype(np.float64) - trig(wide)))))
+        assert worst + 2.0 ** -22 <= OVERLAP_EPS / 10
+
     @pytest.mark.parametrize("d_exponent", [3.0, 2.0])
     def test_slack_is_tight_at_the_paper_exponents(self, d_exponent):
         """The slack widens the cut by less than 4e-5, a sixth of the
@@ -992,3 +1016,36 @@ class TestOutcomeScreen:
             n_blocks += len(blocks)
         # each block is counted twice: alone and in the run of four
         assert n_blocks // 4 < len(exact_calls) // 2 < n_blocks * 3 // 4
+
+
+class TestReducedDispatch:
+    # the trig pins behind the screen's delta and the outcome path's 2^-40
+    TRIG_PINS = [
+        "TestTagBounds::test_float32_trig_within_a_tenth_of_the_margin",
+        "TestTagBounds::test_screen_overlaps_within_a_tenth_of_the_margin",
+        "TestTagBounds::test_float32_trig_within_a_tenth_of_the_margin_from_2_to_2pi",
+        "TestOutcomeScreen::test_float64_trig_within_2_to_the_minus_40",
+    ]
+
+    def test_trig_pins_hold_on_numpy_baseline_dispatch(self):
+        """numpy picks its float32 cos and sin by CPU at run time.  A child
+        process with every dispatched feature that numpy reports enabled
+        switched off (``NPY_DISABLE_CPU_FEATURES``, set in the child only)
+        runs on numpy's baseline path, and the trig pins hold there too."""
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+        if not features:
+            pytest.skip("numpy dispatches no feature beyond its baseline here")
+        repo = Path(__file__).resolve().parents[1]
+        check = (
+            "import sys, pytest, numpy._core._multiarray_umath as m\n"
+            f"assert not any(m.__cpu_features__[f] for f in {features!r})\n"
+            "sys.exit(pytest.main(sys.argv[1:]))\n"
+        )
+        pins = [f"tests/test_coincidence.py::{pin}" for pin in self.TRIG_PINS]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"),
+                   NPY_DISABLE_CPU_FEATURES=" ".join(features))
+        proc = subprocess.run([sys.executable, "-c", check, "-q", "-p", "no:cacheprovider", *pins],
+                              cwd=repo, env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1].startswith("9 passed"), proc.stdout
