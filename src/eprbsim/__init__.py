@@ -30,7 +30,6 @@ from .runner import (
     run_bound_audit,
     run_chsh_experiment,
     run_correlation_sweep,
-    simulate_pair_stats,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "run_correlation_sweep",
     "run_chsh_experiment",
     "run_bound_audit",
-    "simulate_pair_stats",
     "ModelParams",
     "UnitVector3",
     "CoincidenceMode",

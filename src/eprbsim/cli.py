@@ -4,6 +4,10 @@ Subcommands: `sweep` (conditional correlation vs angle), `chsh` (the
 four-settings experiment), `bounds` (rate-bound audit) and `reproduce-paper`
 (the full default-parameter reproduction with a pass/fail summary).
 
+This module writes everything the package prints: the table or CSV of a
+run, rendered from its manifest alone, and the pass/fail lines of the
+reproduction checks.  Errors go to stderr.
+
 Each command offers only the flags whose config fields it reads.  A flag
 stores its value under the field's name, so every command loads its config
 alike: the defaults, the `--config` file, then the flags given.  A
@@ -17,22 +21,24 @@ ensemble, 3 reproduction checks failed.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .bell import PAIR_LABELS
+from .bounds import BoundReport
+from .coincidence import CoincidenceStats
 from .runner import (
-    COLUMNS,
     ConfigError,
     EmptyEnsembleError,
     ExperimentConfig,
-    rows_to_csv,
-    rows_to_table,
+    RunManifest,
     run_bound_audit,
     run_chsh_experiment,
     run_correlation_sweep,
-    table_rows,
 )
 from . import reproduce
 
@@ -85,6 +91,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             file_data = json.loads(path.read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_data, dict):
@@ -109,33 +117,88 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
     return out
 
 
+# the estimators of a setting pair, without the raw sum and the cut behind them
+_ESTIMATES = [
+    f.name for f in fields(CoincidenceStats) if f.name not in ("sum_xy", "mode", "window", "tau")
+]
+
+_COLUMNS = {
+    "sweep": ["alpha_deg", *_ESTIMATES, "reference_minus_cos", "flagged"],
+    "chsh": ["pair", "setting_1_deg", "setting_2_deg", *_ESTIMATES],
+    "bounds": ["alpha_deg", *(f.name for f in fields(BoundReport) if f.name != "alpha")],
+}
+
+
+def _render(manifest: RunManifest, fmt: str) -> str:
+    """What a run prints, read from its manifest alone: its rows as CSV, or
+    as an aligned table that a chsh run follows with its two verdict lines.
+
+    The CSV prints every float in full and leaves a missing value empty.
+    The table prints floats with 6 significant digits, angles (the ``_deg``
+    columns) with 12, so 179.99999 and 1e-05 do not read as 180 and 0,
+    while 29.999999999999996 still reads 30; a missing value reads "-".
+    """
+    results, columns = manifest.results, _COLUMNS[manifest.kind]
+    if manifest.kind == "chsh":
+        rows = []
+        for label in PAIR_LABELS:
+            th1, th2 = results["pair_settings_deg"][label]
+            rows.append({"pair": label, "setting_1_deg": th1, "setting_2_deg": th2,
+                         **results["pairs"][label]})
+        r = results["report"]
+        verdicts = (
+            f"CHSH = {r['chsh_lhs']:.6f} +- {r['chsh_stderr']:.6f}  "
+            f"(plain bound 2: {'violated' if r['violates_chsh'] else 'satisfied'})\n"
+            f"corrected bound 6/gamma-4 = {r['modified_bound']:.6g} at gamma_min = "
+            f"{r['gamma_min']:.6g}: {'violated' if r['violates_modified'] else 'satisfied'}\n"
+        )
+    else:
+        rows, verdicts = results["rows"], ""
+
+    none, no, yes = ("", "false", "true") if fmt == "csv" else ("-", "no", "yes")
+
+    def cell(column: str, value) -> str:
+        if value is None:
+            return none
+        if isinstance(value, bool):
+            return yes if value else no
+        if not isinstance(value, float):
+            return str(value)
+        if fmt == "csv":
+            return repr(value)
+        return f"{value:.12g}" if column.endswith("_deg") else f"{value:.6g}"
+
+    grid = [columns] + [[cell(c, row.get(c)) for c in columns] for row in rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(grid)
+        return buf.getvalue()
+    widths = [max(len(r[i]) for r in grid) for i in range(len(columns))]
+    lines = ["  ".join(s.rjust(w) for s, w in zip(r, widths)) for r in grid]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n" + verdicts
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _out_dir(args)
     manifest = args.run(config)
-    rows, columns = table_rows(manifest), COLUMNS[manifest.kind]
-    render = rows_to_csv if args.format == "csv" else rows_to_table
-    sys.stdout.write(render(rows, columns))
+    sys.stdout.write(_render(manifest, args.format))
     if out:
         (out / "manifest.json").write_text(manifest.to_json() + "\n")
-        (out / f"{manifest.kind}.csv").write_text(rows_to_csv(rows, columns))
-    if manifest.kind == "chsh" and args.format == "table":
-        r = manifest.results["report"]
-        print(
-            f"CHSH = {r['chsh_lhs']:.6f} +- {r['chsh_stderr']:.6f}  "
-            f"(plain bound 2: {'violated' if r['violates_chsh'] else 'satisfied'})"
-        )
-        print(
-            f"corrected bound 6/gamma-4 = {r['modified_bound']:.6g} at gamma_min = "
-            f"{r['gamma_min']:.6g}: {'violated' if r['violates_modified'] else 'satisfied'}"
-        )
+        (out / f"{manifest.kind}.csv").write_text(_render(manifest, "csv"))
     return EXIT_OK
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    results = reproduce.run_all(config)
+    results = []
+    for r in reproduce.run_all(config):
+        results.append(r)
+        print(f"[{r.number}] {r.name}: {'PASS' if r.passed else 'FAIL'}")
+        print(f"    {r.detail}", flush=True)
+    print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     if out:
         summary = []
         for r in results:

@@ -12,7 +12,7 @@ size.  The chunk size is part of the algorithm, not configuration:
 changing it would change the sampled stream.
 
 Each run returns its ``RunManifest``, the one record of its numbers: the
-CLI prints and writes it, and the reproduction checks read its
+CLI renders and writes it, and the reproduction checks read its
 ``results``.  A sweep row holds the pair's ``CoincidenceStats`` fields plus
 ``alpha_deg``, ``reference_minus_cos`` and ``flagged``; a CHSH run holds
 each pair's fields under ``pairs`` and the ``InequalityReport`` under
@@ -22,9 +22,7 @@ each pair's fields under ``pairs`` and the ``InequalityReport`` under
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -387,9 +385,15 @@ def _audit_row(report: BoundReport) -> dict:
 
 def run_bound_audit(config: ExperimentConfig) -> RunManifest:
     """Simulated coincidence rates against the analytic bounds on a
-    (tau, alpha) grid; same-bin tagging at each resolution tau throughout."""
+    (tau, alpha) grid; same-bin tagging at each resolution tau throughout,
+    and the d = 3 delay law of every closed form and quadrature."""
     if config.coincidence_mode is not CoincidenceMode.SAME_BIN:
         raise ConfigError("the bound audit requires same-bin mode")
+    if config.d_exponent != 3.0:
+        raise ConfigError(
+            f"the bound audit's closed forms and quadratures hold for d = 3 only, "
+            f"got d_exponent = {config.d_exponent}"
+        )
     t0 = time.perf_counter()
     a1 = UnitVector3.from_angle_deg(0.0)
     grid = [(tau, alpha_deg) for tau in config.audit_tau for alpha_deg in config.audit_alpha_deg]
@@ -404,74 +408,3 @@ def run_bound_audit(config: ExperimentConfig) -> RunManifest:
     ]}
     return _make_manifest("bounds", config, results, t0)
 
-
-# ---------------------------------------------------------------------------
-# tabular output
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(c)) for c in columns])
-    return buf.getvalue()
-
-
-def rows_to_table(rows: list[dict], columns: list[str]) -> str:
-    """Aligned text table.  Floats print with 6 significant digits, angles
-    (the ``_deg`` columns) with 12, so 179.99999 and 1e-05 do not read as 180
-    and 0, while 29.999999999999996 still reads 30."""
-
-    def cell(column: str, value) -> str:
-        if value is None:
-            return "-"
-        if isinstance(value, bool):
-            return "yes" if value else "no"
-        if isinstance(value, float):
-            return f"{value:.12g}" if column.endswith("_deg") else f"{value:.6g}"
-        return str(value)
-
-    grid = [columns] + [[cell(c, row.get(c)) for c in columns] for row in rows]
-    widths = [max(len(r[i]) for r in grid) for i in range(len(columns))]
-    lines = []
-    for k, r in enumerate(grid):
-        lines.append("  ".join(s.rjust(w) for s, w in zip(r, widths)))
-        if k == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
-
-
-# the estimators of a setting pair, without the raw sum and the cut behind them
-_ESTIMATES = [
-    f.name for f in fields(CoincidenceStats) if f.name not in ("sum_xy", "mode", "window", "tau")
-]
-
-COLUMNS = {
-    "sweep": ["alpha_deg", *_ESTIMATES, "reference_minus_cos", "flagged"],
-    "chsh": ["pair", "setting_1_deg", "setting_2_deg", *_ESTIMATES],
-    "bounds": ["alpha_deg", *(f.name for f in fields(BoundReport) if f.name != "alpha")],
-}
-
-
-def table_rows(manifest: RunManifest) -> list[dict]:
-    """The rows of a run's table, read from its manifest alone."""
-    results = manifest.results
-    if manifest.kind != "chsh":
-        return results["rows"]
-    rows = []
-    for label in PAIR_LABELS:
-        th1, th2 = results["pair_settings_deg"][label]
-        rows.append({"pair": label, "setting_1_deg": th1, "setting_2_deg": th2,
-                     **results["pairs"][label]})
-    return rows

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprbsim import CoincidenceMode, ModelParams, UnitVector3, bounds, simulate_pair_stats
+from eprbsim import CoincidenceMode, ModelParams, UnitVector3, bounds
 from eprbsim.bounds import (
     EQUAL_QUAD_REL_TOL,
     UNEQUAL_QUAD_MIN_DEG,
@@ -32,6 +32,7 @@ from eprbsim.bounds import (
 )
 from eprbsim.coincidence import CoincidenceStats, accumulate
 from eprbsim.model import event_stream, generate_batch
+from eprbsim.runner import simulate_pair_stats
 
 FOUR_PI = 4.0 * math.pi
 SRC = str(Path(__file__).resolve().parents[1] / "src")

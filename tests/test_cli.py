@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from eprbsim.cli import build_parser, main
-from eprbsim.runner import COLUMNS, RunManifest, rows_to_csv, rows_to_table, table_rows
+from eprbsim.cli import _render, build_parser, main
+from eprbsim.runner import RunManifest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -82,6 +82,18 @@ class TestSweepCommand:
         cfg.write_text(json.dumps({"resolution": 0.1}))
         proc = run_cli("sweep", "--config", str(cfg))
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"tau": 0.001', "config file is not valid JSON"),
+        (b'\xff\xfe{"tau": 0.001}', "cannot read config file"),
+    ], ids=["invalid-json", "not-utf8"])
+    def test_unreadable_config_file_exits_1(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(content)
+        assert main(["sweep", "--config", str(cfg), "--events", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_bad_flag_exits_1(self):
         proc = run_cli("sweep", "--no-such-flag")
@@ -179,7 +191,8 @@ class TestBoundsCommand:
         rows = [line.split() for line in proc.stdout.splitlines()[2:]]
         assert [row[0] for row in rows] == ["0", "1e-05", "179.99999", "180", "30"]
         assert [row[-1] for row in rows] == ["yes", "yes", "no", "yes", "yes"]
-        assert rows_to_table([{"alpha_deg": 29.999999999999996}], ["alpha_deg"]).split()[-1] == "30"
+        near_30 = RunManifest("bounds", {}, {"rows": [{"alpha_deg": 29.999999999999996}]})
+        assert _render(near_30, "table").splitlines()[2].split()[0] == "30"
 
     def test_subnormal_audit_tau_exits_1(self):
         proc = run_cli("bounds", "--events", "20000", "--tau-grid", "1e-320")
@@ -187,6 +200,16 @@ class TestBoundsCommand:
         assert "audit_tau" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("d", ["1", "2", "0.7"])
+    def test_delay_exponent_other_than_3_exits_1(self, capsys, d):
+        """Every closed form and quadrature of the audit is the d = 3
+        integral, so another exponent is refused before any event is
+        simulated."""
+        assert main(["bounds", "--d-exponent", d, "--events", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert "d = 3" in captured.err
+        assert captured.out == ""
 
     def test_continuous_mode_rejected(self):
         proc = run_cli("bounds", "--mode", "continuous", "--events", "1000")
@@ -222,14 +245,13 @@ class TestTablesFollowManifest:
         assert manifest.kind == command
         assert manifest.config["workers"] == 1
         assert "workers" not in json.loads((tmp_path / "manifest.json").read_text())
-        rows, columns = table_rows(manifest), COLUMNS[command]
-        assert len(rows) == (4 if command == "chsh" else 3)
-        render = rows_to_csv if fmt == "csv" else rows_to_table
-        assert stdout.startswith(render(rows, columns))
+        assert stdout == _render(manifest, fmt)
+        csv_text = (tmp_path / f"{command}.csv").read_text()
+        assert csv_text == _render(manifest, "csv")
+        assert len(csv_text.splitlines()) == 1 + (4 if command == "chsh" else 3)
         # only the chsh table is followed by its two verdict lines
-        extra = stdout[len(render(rows, columns)):].splitlines()
+        extra = stdout.splitlines()[2 + (4 if command == "chsh" else 3):]
         assert len(extra) == (2 if command == "chsh" and fmt == "table" else 0)
-        assert (tmp_path / f"{command}.csv").read_text() == rows_to_csv(rows, columns)
 
 
 class TestReproduceCommand:

@@ -2,6 +2,7 @@
 and whether it runs, and the code that README and the docstrings name."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -87,6 +88,35 @@ def test_benchmark_probe_builds_its_params():
                           timeout=300, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
                               [SRC, PERFBENCH])))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_smoke_mode_passes():
+    """``perfbench/run.py --smoke`` runs one small round of every benchmark
+    workload through the CLI and checks the manifest each writes; a change
+    to the flags it passes or the rows it reads fails here first."""
+    proc = subprocess.run([sys.executable, os.path.join(PERFBENCH, "run.py"), "--smoke"],
+                          capture_output=True, text=True, timeout=300,
+                          cwd=Path(PERFBENCH).parent)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert (summary["correct"], summary["failed"]) == (True, 0), proc.stdout
+
+
+def test_only_the_cli_writes_to_stdout():
+    """No module of the package but ``cli`` calls ``print`` or touches
+    ``sys.stdout``: the library returns data, and the CLI decides every
+    byte a command prints."""
+    writers = set()
+    for path in sorted(Path(eprbsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"
+                    or isinstance(node, ast.Attribute) and node.attr == "stdout"
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"
+                    or isinstance(node, ast.ImportFrom) and node.module == "sys"
+                    and any(alias.name == "stdout" for alias in node.names)):
+                writers.add(path.stem)
+    assert writers == {"cli"}, writers
 
 
 def test_only_the_orchestrators_take_both_settings():

@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from eprbsim import ExperimentConfig
-from eprbsim.reproduce import ALL_CHECKS, CheckResult
+from eprbsim.reproduce import ALL_CHECKS, CheckResult, check_cosine_recovery
 
 CONFIG = ExperimentConfig(n_events=2**18, workers=1)
 
@@ -98,3 +98,16 @@ def test_manifest_digests_pinned(check, digests):
     # equality reads number, name, verdict and detail, never the manifests
     assert result == replace(result, manifests={})
     assert result != replace(result, detail=result.detail + " ")
+
+
+def test_starved_angle_fails_check_1():
+    """At 4096 events some angles of the default sweep keep no coincidence;
+    check 1 then fails and names them, and does not raise, so the battery
+    runs on to the next check."""
+    result = check_cosine_recovery(replace(CONFIG, n_events=4096))
+    assert result == CheckResult(
+        1, "cosine recovery at tau = W -> 0", False,
+        "base sweep: no coincidences at alpha = 60, 90, 105, 150 deg; "
+        "half sweep: no coincidences at alpha = 30, 45, 60, 90, 105, 120, 135, 150 deg",
+    )
+    assert list(result.manifests) == ["base", "half"]

@@ -23,6 +23,7 @@ from eprbsim import (
 from eprbsim import coincidence, runner
 from eprbsim.bell import verdict
 from eprbsim.bounds import EQUAL_QUAD_REL_TOL, UNEQUAL_QUAD_MIN_DEG
+from eprbsim.cli import _render
 from eprbsim.coincidence import _counts_from_batch
 from eprbsim.model import (
     ModelParams,
@@ -31,15 +32,7 @@ from eprbsim.model import (
     event_stream,
     generate_batch,
 )
-from eprbsim.runner import (
-    CHUNK_SIZE,
-    COLUMNS,
-    rows_to_csv,
-    rows_to_table,
-    simulate_pair_stats,
-    simulate_plan,
-    table_rows,
-)
+from eprbsim.runner import CHUNK_SIZE, simulate_pair_stats, simulate_plan
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -522,7 +515,7 @@ class TestManifest:
 class TestTabularOutput:
     def test_sweep_csv_parses_back(self):
         manifest = run_correlation_sweep(small_config())
-        text = rows_to_csv(table_rows(manifest), COLUMNS["sweep"])
+        text = _render(manifest, "csv")
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 3
         assert rows[0]["alpha_deg"] == "0.0"
@@ -532,7 +525,7 @@ class TestTabularOutput:
     def test_csv_empty_cell_for_undefined_correlation(self):
         config = small_config(tau=1e-7, window=1e-7, n_events=200, alpha_grid_deg=(45.0,))
         manifest = run_correlation_sweep(config)
-        text = rows_to_csv(table_rows(manifest), COLUMNS["sweep"])
+        text = _render(manifest, "csv")
         row = next(csv.DictReader(io.StringIO(text)))
         assert row["e_conditional"] == ""
         assert row["flagged"] == "true"
@@ -541,7 +534,7 @@ class TestTabularOutput:
         """A starved sweep angle prints "-" for its correlation and its
         error, and "yes" for its flag."""
         config = small_config(tau=1e-7, window=1e-7, n_events=200, alpha_grid_deg=(45.0,))
-        table = rows_to_table(table_rows(run_correlation_sweep(config)), COLUMNS["sweep"])
+        table = _render(run_correlation_sweep(config), "table")
         header, _, row = table.splitlines()
         cells = dict(zip(header.split(), row.split()))
         assert cells["n_coincident"] == "0"
@@ -549,15 +542,14 @@ class TestTabularOutput:
         assert cells["flagged"] == "yes"
 
     def test_chsh_rows_include_settings(self):
-        rows = table_rows(run_chsh_experiment(small_config(n_events=100_000)))
-        assert [r["pair"] for r in rows] == ["ac", "ad", "bc", "bd"]
-        text = rows_to_csv(rows, COLUMNS["chsh"])
+        text = _render(run_chsh_experiment(small_config(n_events=100_000)), "csv")
         parsed = list(csv.DictReader(io.StringIO(text)))
+        assert [r["pair"] for r in parsed] == ["ac", "ad", "bc", "bd"]
         assert parsed[0]["setting_2_deg"] == "45.0"
 
     def test_bounds_table_renders(self):
         manifest = run_bound_audit(small_config(n_events=100_000))
-        table = rows_to_table(table_rows(manifest), COLUMNS["bounds"])
+        table = _render(manifest, "table")
         lines = table.strip().splitlines()
         assert lines[0].split()[:2] == ["alpha_deg", "tau"]
         assert len(lines) == 2 + len(manifest.results["rows"])
