@@ -48,7 +48,7 @@ import numpy as np
 
 from .bell import exceeds
 from .coincidence import CoincidenceStats
-from .model import CoincidenceMode
+from .model import CoincidenceMode, ModelParams
 
 __all__ = [
     "BoundReport",
@@ -57,6 +57,7 @@ __all__ = [
     "equal_settings_bound",
     "equal_settings_quadrature",
     "approx_equal_settings",
+    "gamma_max",
     "check_simulated_gamma",
 ]
 
@@ -232,6 +233,21 @@ def approx_equal_settings(tau: float) -> float:
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
     return 6.0 * math.pi * tau ** (2.0 / 3.0)
+
+
+def gamma_max(alpha: float, params: ModelParams) -> float:
+    """The d = 3 rate bound at any cut for settings alpha in (0, pi) apart:
+    4 tau / (pi sin alpha) same-bin, 8 W / (pi sin alpha) continuous.  A
+    pair coincides with probability at most tau / max(T1, T2), or 2 W /
+    max(T1, T2), which integrates over the sphere to 16 tau / sin(alpha),
+    the exact ``unequal_settings_quadrature``, or twice that; over 4 pi it
+    is the bound.  As the cut goes to 0 the rate tends to it."""
+    if params.d_exponent != 3.0:
+        raise ValueError(f"the rate bound holds for d = 3 only, got {params.d_exponent}")
+    if not 0.0 < alpha < math.pi:
+        raise ValueError(f"alpha must be strictly inside (0, pi), got {alpha}")
+    width = params.cut if params.coincidence_mode is CoincidenceMode.SAME_BIN else 2.0 * params.cut
+    return 4.0 * width / (math.pi * math.sin(alpha))
 
 
 def check_simulated_gamma(stats: CoincidenceStats, alpha: float, tau: float) -> BoundReport:

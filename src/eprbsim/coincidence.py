@@ -13,8 +13,8 @@ rate bounds assume.
 chunk's uniforms block by block, screens each block in float32 on tag
 estimates with a proven slack, and runs the exact kernel of ``model`` and
 the cut on the few pairs that pass, gathered over the blocks of the chunk.
-When the cut keeps every pair, only the outcomes count: with in-plane
-settings they are settled by where the phi uniform falls against each
+When the cut keeps every pair, only the outcomes count: settings lie in
+the plane, so they are settled by where the phi uniform falls against each
 station's half-turn, without trigonometry, and the tags are never drawn.
 As in the model, the hidden direction is formed once per block
 (``_screen_direction``), and each station's tag estimate
@@ -190,14 +190,11 @@ def _counts_from_batch(batch: EventBatch, params: ModelParams) -> tuple[int, int
 OVERLAP_EPS = 1e-5
 
 
-def _screen_direction(u: np.ndarray,
-                      with_z: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The screen's float32 hidden direction (r cos(phi), r sin(phi), z)
-    drawn from rows 0 and 1 of ``u`` (z and phi), which are left as they
-    are, in fresh arrays; z is formed only ``with_z``, else None, since
-    ``model._overlap`` reads it only for a setting with a.z != 0.  Each
-    uniform row is rounded to float32 once, and the rest runs in float32: r
-    = sqrt(4u (1 - u)), since 1 - z^2 = 4 u (1 - u), and z = 2 (1/2 - u)."""
+def _screen_direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The screen's float32 (r cos(phi), r sin(phi)), all of s that
+    ``model._overlap`` reads, in fresh arrays, from rows 0 and 1 of ``u`` (z
+    and phi), which are left as they are.  Each row is rounded to float32
+    once, and the rest runs in float32: r = sqrt(4u (1 - u)) = sqrt(1 - z^2)."""
     r = u[0].astype(np.float32)
     np.multiply(r, 4.0, out=r)
     scratch = np.subtract(1.0, u[0], out=np.empty_like(r), casting="same_kind")
@@ -205,15 +202,10 @@ def _screen_direction(u: np.ndarray,
     phi = np.multiply(2.0 * np.pi, u[1], out=scratch, casting="same_kind")
     r_cos = np.cos(phi)
     np.multiply(r_cos, r, out=r_cos)
-    r_sin = np.multiply(np.sin(phi, out=phi), r, out=phi)
-    z = None
-    if with_z:
-        z = np.subtract(0.5, u[0], out=r, casting="same_kind")
-        np.add(z, z, out=z)
-    return r_cos, r_sin, z
+    return r_cos, np.multiply(np.sin(phi, out=phi), r, out=phi)
 
 
-def _station_tag_estimate(h: tuple[np.ndarray, np.ndarray, np.ndarray | None], a: UnitVector3,
+def _station_tag_estimate(h: tuple[np.ndarray, np.ndarray], a: UnitVector3,
                           t_row: np.ndarray, d_exponent: float) -> np.ndarray:
     """A float32 estimate t~ of the tags that the kernel makes for one
     station, in a fresh array, from ``h`` of ``_screen_direction``, its own
@@ -233,9 +225,8 @@ def _station_tag_estimate(h: tuple[np.ndarray, np.ndarray, np.ndarray | None], a
       differ from the kernel's by at most delta, pinned below OVERLAP_EPS /
       10 by a test.  d~ is ``model._overlap`` of that direction: float32
       products with the float32 coefficients float32(a), exactly half of
-      float32(2a), and float32 sums.  With z = fl(1 - 2u), these add at
-      most 8 u32, since the terms r|cos(phi) a.x|, r|sin(phi) a.y| and |z
-      a.z| sum to at most 1.  With |a.x| + |a.y| <= sqrt(2), |d~ - d| <=
+      float32(2a), and a float32 sum: at most 8 u32, as r|cos(phi) a.x| +
+      r|sin(phi) a.y| <= 1.  With |a.x| + |a.y| <= sqrt(2), |d~ - d| <=
       sqrt(2) delta + 2^-20 < eps / 4, eps = OVERLAP_EPS.
     * Base.  The screen's base is b~ = max(fl(1 - fl(d~^2)), 0) and the
       kernel's b = max(fl(1 - fl(d^2)), 0); both lie in [0, 1].  |d| exceeds
@@ -302,8 +293,8 @@ _ARC_MARGIN = 2.0 ** -30
 
 def _half_turn(a: UnitVector3) -> float:
     """The start l, in turns of phi, of the half-turn (l, l + 1/2) mod 1 on
-    which an in-plane setting ``a`` has a.s > 0: its azimuth less a quarter
-    turn, in [-3/4, 1/4]."""
+    which a setting ``a`` has a.s > 0: its azimuth less a quarter turn, in
+    [-3/4, 1/4]."""
     return math.atan2(a.y, a.x) / (2.0 * math.pi) - 0.25
 
 
@@ -318,8 +309,8 @@ def _outcome_counts(blocks: Iterable[np.ndarray], a1: UnitVector3,
     block's counts are then (n, n, 2 agree - n), and whether a pair's
     outcomes agree depends on the signs of its two overlaps alone.
 
-    With both settings in-plane (a.z = 0) the signs are read off the phi
-    uniform u1.  Write a = rho (cos psi, sin psi, 0), rho within 1e-12 of 1
+    Settings lie in the plane, so the signs are read off the phi uniform
+    u1.  Write a = rho (cos psi, sin psi, 0), rho within 1e-12 of 1
     (``UnitVector3``), and theta = 2 pi u1.  The exact a.s is r rho cos(theta
     - psi), positive on the half-turn (l, l + 1/2) mod 1 of u1 with l = psi /
     2 pi - 1/4 (``_half_turn``, a function of one setting).  The kernel's d
@@ -351,26 +342,25 @@ def _outcome_counts(blocks: Iterable[np.ndarray], a1: UnitVector3,
     edge as of the end, and its outcomes are as above.  Any other block,
     about 1.2e-4 of the blocks of 2^14 pairs, gets the kernel's exact
     overlaps (``model._overlap`` of ``model._hidden_direction``) from its z
-    and phi, as does every block when a setting has a.z != 0; at u0 = 0, r =
-    0 and the tie-break (``model._outcome``) gives both stations +1.
+    and phi; at u0 = 0, r = 0 and the tie-break (``model._outcome``) gives
+    both stations +1.
     """
     # (whole turns, fraction) of the edges b -+ margin about each boundary b
     # of the arc (s, e) between the two starts, taken the short way, and of
     # its antipode, on which the outcomes agree
+    s, e = sorted((_half_turn(a1), _half_turn(a2)))
+    if e - s > 0.5:
+        s, e = e, s + 1.0
     edges = []
-    if a1.z == 0.0 and a2.z == 0.0:
-        s, e = sorted((_half_turn(a1), _half_turn(a2)))
-        if e - s > 0.5:
-            s, e = e, s + 1.0
-        for b in (s, e, s + 0.5, e + 0.5):
-            for x in (b - _ARC_MARGIN, b + _ARC_MARGIN):
-                k = math.floor(x)
-                edges.append((k, x - k))
+    for b in (s, e, s + 0.5, e + 0.5):
+        for x in (b - _ARC_MARGIN, b + _ARC_MARGIN):
+            k = math.floor(x)
+            edges.append((k, x - k))
     n = n_agree = 0
     for u in blocks:
         m = u.shape[1]
         n += m
-        if edges and u[0].min() > 0.0:
+        if u[0].min() > 0.0:
             # the pairs whose phi, unwrapped over the turns, lies below each edge
             below = [k * m + np.count_nonzero(u[1] < x) for k, x in edges]
             if below[0::2] == below[1::2]:  # no pair within the margin
@@ -386,7 +376,7 @@ def _screen(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, d_exponent: float,
             limit: np.float32) -> np.ndarray:
     """The indices of the pairs of ``u`` whose tag estimates come within
     ``limit``: every pair that may coincide (proof in ``_block_counts``)."""
-    h = _screen_direction(u, a1.z != 0.0 or a2.z != 0.0)
+    h = _screen_direction(u)
     t1 = _station_tag_estimate(h, a1, u[2], d_exponent)
     t2 = _station_tag_estimate(h, a2, u[3], d_exponent)
     return np.flatnonzero(np.abs(np.subtract(t1, t2, out=t1), out=t1) <= limit)

@@ -49,7 +49,7 @@ class CoincidenceMode(Enum):
 
 @dataclass(frozen=True)
 class UnitVector3:
-    """A direction in space; used for settings and for the hidden variable."""
+    """An analyzer setting: a unit vector in the x-y plane, so z is 0."""
 
     x: float
     y: float
@@ -60,7 +60,9 @@ class UnitVector3:
         # direction stays float32: a numpy float64 would promote it
         for name in ("x", "y", "z"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        norm_sq = self.x * self.x + self.y * self.y + self.z * self.z
+        if self.z != 0.0:
+            raise ValueError(f"a setting lies in the x-y plane: z must be 0, got {self.z!r}")
+        norm_sq = self.x * self.x + self.y * self.y
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"not a unit vector: |v|^2 = {norm_sq!r}")
 
@@ -164,15 +166,10 @@ def _hidden_direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return r * np.cos(phi), r * np.sin(phi), sz
 
 
-def _overlap(s: tuple[np.ndarray, np.ndarray, np.ndarray], a: UnitVector3) -> np.ndarray:
-    """d = (sx a.x + sy a.y) + sz a.z.  The last term is skipped when a.z ==
-    0: it only adds +-0, which can turn a -0 into +0 but changes neither the
-    outcome nor d^2."""
-    sx, sy, sz = s
-    d = sx * a.x
-    d += sy * a.y
-    if a.z != 0.0:
-        d += sz * a.z
+def _overlap(s: tuple[np.ndarray, ...], a: UnitVector3) -> np.ndarray:
+    """d = sx a.x + sy a.y, the overlap a.s with a setting ``a``."""
+    d = s[0] * a.x
+    d += s[1] * a.y
     return d
 
 

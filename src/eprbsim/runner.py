@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 19
+# events per setting pair: a plan holds all its 2^17 chunk tasks, 17.5 MiB
+MAX_EVENTS = 1 << 36
 
 DEFAULT_SEED = 20060913
 DEFAULT_ALPHA_GRID = tuple(float(a) for a in range(0, 181, 15))
@@ -128,8 +130,8 @@ class ExperimentConfig:
             self.model_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.n_events < 1:
-            raise ConfigError(f"n_events must be >= 1, got {self.n_events}")
+        if not 1 <= self.n_events <= MAX_EVENTS:
+            raise ConfigError(f"n_events must be in [1, 2^36 = {MAX_EVENTS}], got {self.n_events}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit non-negative integer")
         if self.workers < 1:
@@ -241,6 +243,14 @@ def simulate_plan(
     return stats
 
 
+def _simulate_rows(rows: list[tuple], config: ExperimentConfig) -> list[CoincidenceStats]:
+    """The statistics of each row (theta1, theta2, params) of a run, its
+    settings in degrees; row i draws stream i."""
+    plan = [(UnitVector3.from_angle_deg(th1), UnitVector3.from_angle_deg(th2), params, i)
+            for i, (th1, th2, params) in enumerate(rows)]
+    return simulate_plan(plan, config.n_events, config.seed, config.workers)
+
+
 def simulate_pair_stats(
     a1: UnitVector3,
     a2: UnitVector3,
@@ -319,12 +329,7 @@ def run_correlation_sweep(config: ExperimentConfig) -> RunManifest:
     """
     t0 = time.perf_counter()
     params = config.model_params()
-    a1 = UnitVector3.from_angle_deg(0.0)
-    plan = [
-        (a1, UnitVector3.from_angle_deg(alpha_deg), params, i)
-        for i, alpha_deg in enumerate(config.alpha_grid_deg)
-    ]
-    all_stats = simulate_plan(plan, config.n_events, config.seed, config.workers)
+    all_stats = _simulate_rows([(0.0, alpha, params) for alpha in config.alpha_grid_deg], config)
     results = {
         "rows": [
             {
@@ -349,11 +354,7 @@ def run_chsh_experiment(config: ExperimentConfig) -> RunManifest:
     params = config.model_params()
     angle = dict(zip("abcd", config.settings_deg))
     pair_angles = {label: (angle[label[0]], angle[label[1]]) for label in PAIR_LABELS}
-    plan = [
-        (UnitVector3.from_angle_deg(th1), UnitVector3.from_angle_deg(th2), params, i)
-        for i, (th1, th2) in enumerate(pair_angles.values())
-    ]
-    all_stats = simulate_plan(plan, config.n_events, config.seed, config.workers)
+    all_stats = _simulate_rows([(*pair_angles[label], params) for label in PAIR_LABELS], config)
     pair_stats = dict(zip(PAIR_LABELS, all_stats))
     for label in PAIR_LABELS:
         if pair_stats[label].n_coincident == 0:
@@ -395,13 +396,8 @@ def run_bound_audit(config: ExperimentConfig) -> RunManifest:
             f"got d_exponent = {config.d_exponent}"
         )
     t0 = time.perf_counter()
-    a1 = UnitVector3.from_angle_deg(0.0)
     grid = [(tau, alpha_deg) for tau in config.audit_tau for alpha_deg in config.audit_alpha_deg]
-    plan = [
-        (a1, UnitVector3.from_angle_deg(alpha_deg), config.audit_params(tau), stream)
-        for stream, (tau, alpha_deg) in enumerate(grid)
-    ]
-    all_stats = simulate_plan(plan, config.n_events, config.seed, config.workers)
+    all_stats = _simulate_rows([(0.0, a, config.audit_params(tau)) for tau, a in grid], config)
     results = {"rows": [
         _audit_row(check_simulated_gamma(stats, math.radians(alpha_deg), tau))
         for (tau, alpha_deg), stats in zip(grid, all_stats)

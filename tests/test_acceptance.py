@@ -19,6 +19,13 @@ message:
 Each headline experiment runs once: criteria 1, 2, 3 and 6 assert on the
 manifests that one `reproduce-paper --out` run keeps, each on the run of
 the config it names.  Criterion 7's 1-vs-8 worker test makes its own runs.
+
+Two more tests hold every unequal-settings row of those manifests to the
+proven rate bound ``bounds.gamma_max`` (one-sided) and to the tau -> 0
+limits, gamma -> gamma_max and E -> -cos(alpha), within four standard
+errors.  The rows, all at alpha <= 165 deg where the finite-tau deficit is
+below a tenth of a standard error, and the bound were fixed before the
+tests were run.
 """
 
 import json
@@ -33,9 +40,9 @@ from types import SimpleNamespace
 import pytest
 
 from eprbsim import CoincidenceMode, ExperimentConfig, RunManifest, run_chsh_experiment
-from eprbsim.bell import gamma_threshold, modified_bound
+from eprbsim.bell import exceeds, gamma_threshold, modified_bound
 from eprbsim.bounds import (approx_equal_settings, equal_settings_bound, equal_settings_quadrature,
-                            unequal_settings_bound, unequal_settings_quadrature)
+                            gamma_max, unequal_settings_bound, unequal_settings_quadrature)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 WORKERS = 2
@@ -243,3 +250,61 @@ def test_criterion_7_reproduce_paper_exit_code(reproduction):
         "documented in the module docstring:\n" + "\n".join(failed) + "\n--- stdout ---\n"
         + proc.stdout
     )
+
+
+def unequal_rows(reproduction) -> list[SimpleNamespace]:
+    """Every unequal-settings row of the fixture's runs at the default
+    config: the base sweep's 11, the 20 CHSH pairs of the five seeds and
+    the 6 audit rows, which keep no correlation (``e`` is None)."""
+    config = ExperimentConfig(workers=WORKERS)
+    rows = []
+
+    def add(name, alpha_deg, params, gamma, stderr_gamma, e=None, stderr_e=None):
+        rows.append(SimpleNamespace(name=name, alpha_deg=alpha_deg, params=params, gamma=gamma,
+                                    stderr_gamma=stderr_gamma, e=e, stderr_e=stderr_e))
+
+    for row in manifest_of(reproduction, "1-base", config).results["rows"]:
+        if 0.0 < row["alpha_deg"] < 180.0:
+            add(f"1-base {row['alpha_deg']:g}", row["alpha_deg"], config.model_params(),
+                row["gamma_hat"], row["stderr_gamma"], row["e_conditional"], row["stderr_e"])
+    for k in range(5):
+        results = manifest_of(reproduction, f"3-seed{k}",
+                              replace(config, seed=config.seed + k)).results
+        for label, pair in results["pairs"].items():
+            th1, th2 = results["pair_settings_deg"][label]
+            turn = abs(th1 - th2) % 360.0
+            add(f"3-seed{k} {label}", min(turn, 360.0 - turn), config.model_params(),
+                pair["gamma_hat"], pair["stderr_gamma"], pair["e_conditional"], pair["stderr_e"])
+    for row in manifest_of(reproduction, "6-audit", config).results["rows"]:
+        if 0.0 < row["alpha_deg"] < 180.0:
+            add(f"6-audit {row['alpha_deg']:g} tau={row['tau']:g}", row["alpha_deg"],
+                config.audit_params(row["tau"]), row["simulated_gamma"], row["stderr_gamma"])
+    assert len(rows) == 37 and all(0.0 < row.alpha_deg <= 165.0 for row in rows)
+    return rows
+
+
+def test_unequal_rates_within_the_proven_bound(reproduction):
+    """No unequal row's rate exceeds gamma_max = 4 tau / (pi sin alpha) by
+    more than four standard errors (``bell.exceeds``)."""
+    over = [f"{row.name}: gamma={row.gamma:.4e} se={row.stderr_gamma:.1e} > "
+            f"{gamma_max(math.radians(row.alpha_deg), row.params):.4e}"
+            for row in unequal_rows(reproduction)
+            if exceeds(row.gamma, row.stderr_gamma,
+                       gamma_max(math.radians(row.alpha_deg), row.params))]
+    assert not over, "\n".join(over)
+
+
+def test_unequal_rows_within_four_sigma_of_the_small_tau_limits(reproduction):
+    """|z| <= 4 for gamma against gamma_max on all 37 rows, and for E
+    against -cos(alpha) on the 31 that keep E."""
+    far = []
+    for row in unequal_rows(reproduction):
+        alpha = math.radians(row.alpha_deg)
+        z_gamma = (row.gamma - gamma_max(alpha, row.params)) / row.stderr_gamma
+        if abs(z_gamma) > 4.0:
+            far.append(f"{row.name}: gamma z = {z_gamma:.2f}")
+        if row.e is not None:
+            z_e = (row.e + math.cos(alpha)) / row.stderr_e
+            if abs(z_e) > 4.0:
+                far.append(f"{row.name}: E z = {z_e:.2f}")
+    assert not far, "\n".join(far)

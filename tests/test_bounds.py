@@ -27,9 +27,11 @@ from eprbsim.bounds import (
     check_simulated_gamma,
     equal_settings_bound,
     equal_settings_quadrature,
+    gamma_max,
     unequal_settings_bound,
     unequal_settings_quadrature,
 )
+from eprbsim.bell import exceeds
 from eprbsim.coincidence import CoincidenceStats, accumulate
 from eprbsim.model import event_stream, generate_batch
 from eprbsim.runner import simulate_pair_stats
@@ -237,6 +239,46 @@ class TestApproxEqualSettings:
     def test_rejects_non_positive_tau(self, tau):
         with pytest.raises(ValueError, match="tau must be > 0"):
             approx_equal_settings(tau)
+
+
+class TestGammaMax:
+    @pytest.mark.parametrize("alpha_deg", [1.0, 15.0, 45.0, 90.0, 150.0, 179.0])
+    def test_is_the_unequal_quadrature_over_four_pi(self, alpha_deg):
+        alpha = math.radians(alpha_deg)
+        for tau in (1.0, 1e-3, 1e-300):
+            got = gamma_max(alpha, ModelParams(tau=tau))
+            assert got == pytest.approx(unequal_settings_quadrature(alpha, tau) / FOUR_PI,
+                                        rel=UNEQUAL_QUAD_REL_TOL)
+            assert got == pytest.approx(4.0 * tau / (math.pi * math.sin(alpha)), rel=1e-15)
+
+    def test_continuous_window_counts_twice(self):
+        """The band |t1 - t2| <= W is up to 2W wide where the same-bin rule
+        keeps at most one bin of width tau = W."""
+        alpha = math.radians(60.0)
+        same_bin = gamma_max(alpha, ModelParams(tau=1e-3, window=0.5))
+        continuous = gamma_max(alpha, ModelParams(tau=0.5, window=1e-3,
+                                                  coincidence_mode=CoincidenceMode.CONTINUOUS))
+        assert continuous == 2.0 * same_bin
+
+    @pytest.mark.parametrize("alpha, params, message", [
+        (0.0, ModelParams(), "alpha"),
+        (math.pi, ModelParams(), "alpha"),
+        (-1.0, ModelParams(), "alpha"),
+        (1.0, ModelParams(d_exponent=2.0), "d = 3"),
+    ])
+    def test_refuses_equal_settings_and_other_exponents(self, alpha, params, message):
+        with pytest.raises(ValueError, match=message):
+            gamma_max(alpha, params)
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    @pytest.mark.parametrize("alpha_deg", [45.0, 90.0, 150.0])
+    def test_simulated_rates_do_not_exceed_it(self, mode, alpha_deg):
+        params = ModelParams(tau=1e-3, window=1e-3, coincidence_mode=mode)
+        alpha = math.radians(alpha_deg)
+        stats = simulate_pair_stats(UnitVector3.from_angle_deg(0.0),
+                                    UnitVector3.from_angle_deg(alpha_deg), params, 1_000_000, 5)
+        assert stats.n_coincident > 1_000
+        assert not exceeds(stats.gamma_hat, stats.stderr_gamma, gamma_max(alpha, params))
 
 
 class TestCheckSimulatedGamma:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from eprbsim import runner
 from eprbsim.cli import _render, build_parser, main
 from eprbsim.runner import RunManifest
 
@@ -344,6 +345,23 @@ class TestFlags:
         assert main(["bounds", "--config", str(cfg), "--format", "csv"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [(float(r["alpha_deg"]), float(r["tau"])) for r in rows] == [(90.0, 0.01)]
+
+
+class TestEventCeiling:
+    @pytest.mark.parametrize("command", ["sweep", "chsh", "bounds"])
+    def test_events_past_the_ceiling_exit_1(self, monkeypatch, capsys, command):
+        """An event count past 2^36 per pair is refused at the config, as an
+        error and before any plan is made: a plan holds every chunk task at
+        once, and 10^18 events once died in a MemoryError."""
+        def no_plan(*args, **kwargs):
+            raise AssertionError("a plan was made")
+
+        monkeypatch.setattr(runner, "simulate_plan", no_plan)
+        assert main([command, "--events", "1000000000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "n_events" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestHelp:

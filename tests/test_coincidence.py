@@ -48,7 +48,9 @@ from eprbsim.runner import simulate_pair_stats
 
 CONTINUOUS, SAME_BIN = CoincidenceMode.CONTINUOUS, CoincidenceMode.SAME_BIN
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)
-Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
+Y_AXIS = UnitVector3(0.0, 1.0, 0.0)
+# a setting not made by from_angle_deg, its components exact decimals
+EXACT = UnitVector3(0.28, -0.96, 0.0)
 
 
 def continuous(window: float, tau: float = 0.25) -> ModelParams:
@@ -66,23 +68,17 @@ def exact_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple:
     return _overlap(s, a1), _overlap(s, a2)
 
 
-def screen_direction(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple:
-    """The screen's float32 hidden direction of ``u``, with z formed as
-    ``_screen`` forms it for the settings a1 and a2."""
-    return _screen_direction(u, a1.z != 0.0 or a2.z != 0.0)
-
-
 def screen_overlaps(u: np.ndarray, a1: UnitVector3, a2: UnitVector3) -> tuple:
     """The screen's float32 overlaps (d~1, d~2), the kernel's ``_overlap``
     of the float32 direction, one station call each."""
-    h = screen_direction(u, a1, a2)
+    h = _screen_direction(u)
     return _overlap(h, a1), _overlap(h, a2)
 
 
 def tag_estimates(u: np.ndarray, a1: UnitVector3, a2: UnitVector3, params: ModelParams) -> tuple:
     """The screen's float32 tag estimates (t~1, t~2), one station call
     each."""
-    h = screen_direction(u, a1, a2)
+    h = _screen_direction(u)
     return tuple(_station_tag_estimate(h, a, t_row, params.d_exponent)
                  for a, t_row in ((a1, u[2]), (a2, u[3])))
 
@@ -539,11 +535,11 @@ class TestScreen:
 
     @staticmethod
     def fuzzed_setting(rng) -> UnitVector3:
-        """An in-plane setting at a random angle, or in three of ten cases a
-        random direction off the plane."""
+        """A setting at a random angle, or in three of ten cases one
+        normalised from random components."""
         if rng.random() < 0.3:
-            v = rng.normal(size=3)
-            return UnitVector3(*(float(c) for c in v / np.linalg.norm(v)))
+            v = rng.normal(size=2)
+            return UnitVector3(*(float(c) for c in v / np.linalg.norm(v)), 0.0)
         return UnitVector3.from_angle_deg(rng.uniform(-360.0, 360.0))
 
     @staticmethod
@@ -560,8 +556,6 @@ class TestScreen:
         moved = rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)
         flat = moved[rng.random(len(moved)) < 0.25]
         for a, j in ((a1, flat[0::2]), (a2, flat[1::2])):
-            if a.z != 0.0:
-                u[0, j] = 0.5  # s in the plane, so a.s = r (a.x cos(phi) + a.y sin(phi))
             turn = math.atan2(a.y, a.x) / (2.0 * math.pi) + rng.choice([-0.25, 0.25], len(j))
             u1 = np.mod(turn + rng.uniform(-1e-6, 1e-6, len(j)), 1.0)
             u[1, j] = np.where(u1 < 1.0, u1, 0.0)
@@ -583,8 +577,8 @@ class TestScreen:
 
     @classmethod
     def fuzz_screen(cls, mode: CoincidenceMode) -> tuple[tuple | None, int]:
-        """Seeded fuzz of the screen's soundness proof: random settings, off
-        the plane too and a2 = a1 in a fifth of cases; d in {1, 2, 3} or
+        """Seeded fuzz of the screen's soundness proof: random settings, and
+        a2 = a1 in a fifth of cases; d in {1, 2, 3} or
         uniform on (0.05, 50); cuts log-uniform from 1e-300 to 1; pairs pushed
         to the edge of the cut.  Returns the first block whose counts differ
         from the kernel's, as (a1, a2, d, cut, screened, kernel), or None,
@@ -612,7 +606,7 @@ class TestScreen:
         """Each block's counts must equal the kernel's."""
         mismatch, coincident = self.fuzz_screen(mode)
         assert mismatch is None, mismatch
-        # not vacuous: about 4.75e5 (same-bin) and 5.95e5 (continuous) pairs
+        # not vacuous: about 5.09e5 (same-bin) and 6.37e5 (continuous) pairs
         # coincide, nearly all of them pushed ones
         assert coincident > 100_000
 
@@ -645,8 +639,7 @@ class TestTagBounds:
         err = np.abs(trig(phi.astype(np.float32)).astype(np.float64) - trig(phi))
         assert err.max() <= OVERLAP_EPS / 10
 
-    @pytest.mark.parametrize("a", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
-                                   UnitVector3(0.48, 0.6, 0.64)])
+    @pytest.mark.parametrize("a", [UnitVector3.from_angle_deg(45.0), X_AXIS, Y_AXIS, EXACT])
     def test_screen_overlaps_within_a_tenth_of_the_margin(self, a):
         n = 1 << 16
         u = event_stream(33, 0).random((4, n))
@@ -655,8 +648,7 @@ class TestTagBounds:
         assert np.abs(approx - exact).max() <= OVERLAP_EPS / 10
 
     @pytest.mark.parametrize("d_exponent", [3.0, 2.0, 1.0, 0.7, 40.0])
-    @pytest.mark.parametrize("a2", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
-                                    UnitVector3(0.48, 0.6, 0.64)])
+    @pytest.mark.parametrize("a2", [UnitVector3.from_angle_deg(45.0), X_AXIS, Y_AXIS, EXACT])
     def test_kernel_tags_within_bounds(self, d_exponent, a2):
         params = ModelParams(d_exponent=d_exponent)
         a1 = UnitVector3.from_angle_deg(100.0)
@@ -710,17 +702,16 @@ class TestTagBounds:
         paper's tau = 2.5e-4."""
         assert _tag_slack(d_exponent) < 2e-5
 
-    @pytest.mark.parametrize("components", [(0.6, 0.8, 0.0), (0.48, 0.6, 0.64)])
+    @pytest.mark.parametrize("components", [(0.6, 0.8, 0.0), (0.28, -0.96, -0.0)])
     def test_screen_overlap_stays_float32_for_numpy_components(self, components):
         """A setting built from np.float64 components still gives a float32
         screen overlap: a numpy scalar would promote the products to
         float64."""
         a = UnitVector3(*np.array(components))
         u = event_stream(38, 0).random((4, 64))
-        assert _overlap(_screen_direction(u, a.z != 0.0), a).dtype == np.float32
+        assert _overlap(_screen_direction(u), a).dtype == np.float32
 
-    @pytest.mark.parametrize("a", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
-                                   UnitVector3(0.48, 0.6, 0.64)])
+    @pytest.mark.parametrize("a", [UnitVector3.from_angle_deg(45.0), X_AXIS, Y_AXIS, EXACT])
     def test_screen_overlaps_near_the_poles_within_a_tenth_of_the_margin(self, a):
         """z = 1 - 2u within 2e-7 of +-1, where the radius is smallest."""
         n = 1 << 16
@@ -734,18 +725,16 @@ class TestTagBounds:
     @staticmethod
     def aligned_uniforms(a: UnitVector3, targets: np.ndarray) -> np.ndarray:
         """Uniforms (2, 2m) of z and phi at which a.s hits each target, with
-        s = t a plus a perpendicular part, at both roots in phi."""
+        s on the equator (u0 = 1/2, z = 0), at both roots in phi."""
         rho, psi = math.hypot(a.x, a.y), math.atan2(a.y, a.x)
-        z = targets * a.z
-        delta = np.arccos(np.minimum(targets * rho / np.sqrt(1.0 - z * z), 1.0))
+        delta = np.arccos(np.minimum(targets * rho, 1.0))
         phi = np.concatenate([psi + delta, psi - delta])
         u1 = np.mod(phi / (2.0 * np.pi), 1.0)
         u1[u1 >= 1.0] = 0.0
-        return np.array([np.tile((1.0 - z) / 2.0, 2), u1])
+        return np.array([np.full(len(phi), 0.5), u1])
 
     @pytest.mark.parametrize("d_exponent", [3.0, 2.0, 1.0, 0.7, 40.0])
-    @pytest.mark.parametrize("a2", [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
-                                    UnitVector3(0.48, 0.6, 0.64)])
+    @pytest.mark.parametrize("a2", [UnitVector3.from_angle_deg(45.0), X_AXIS, Y_AXIS, EXACT])
     def test_kernel_tags_within_bounds_near_alignment(self, d_exponent, a2):
         """|a.s| placed at 1 - 1e-7, 1 - eps and 1 - 2 eps, where T is
         smallest and steepest, at each station."""
@@ -778,18 +767,16 @@ class TestTagBounds:
         assert _block_counts([u], a1, a2, params) == want
 
     @pytest.mark.parametrize("d_exponent", [3.0, 0.7])
-    @pytest.mark.parametrize("a", [X_AXIS, UnitVector3.from_angle_deg(100.0),
-                                   UnitVector3(0.48, 0.6, 0.64)])
+    @pytest.mark.parametrize("a", [X_AXIS, UnitVector3.from_angle_deg(100.0), EXACT])
     def test_each_station_reads_its_own_setting_only(self, a, d_exponent):
         """A station's screen overlap and tag estimate are byte-identical
-        under any change of the other station's setting, in-plane or not.
-        At u0 = 0, where r = 0, every term of the overlap is a signed zero."""
+        under any change of the other station's setting.  At u0 = 0, where
+        r = 0, every term of the overlap is a signed zero."""
         params = ModelParams(d_exponent=d_exponent)
         n = 4_096
         u = event_stream(37, 0).random((4, n))
         u[0, :512] = 0.0
-        others = [UnitVector3.from_angle_deg(45.0), X_AXIS, Z_AXIS,
-                  UnitVector3(0.48, 0.6, 0.64)]
+        others = [UnitVector3.from_angle_deg(45.0), X_AXIS, Y_AXIS, EXACT]
         station_1 = {(screen_overlaps(u, a, b)[0].tobytes(),
                       tag_estimates(u, a, b, params)[0].tobytes()) for b in others}
         station_2 = {(screen_overlaps(u, b, a)[1].tobytes(),
@@ -867,8 +854,8 @@ class TestOutcomeScreen:
     """Without a cut (tau = 1 or W = 1), ``_outcome_counts`` counts agreements
     from where phi falls against each station's half-turn, and gives a block
     the exact overlaps when a pair lies within 2^-30 turns of a half-turn's
-    end, when u0 = 0, or when a setting is off the plane; its counts must
-    equal the kernel's for hidden directions placed where a.s is near 0."""
+    end or when u0 = 0; its counts must equal the kernel's for hidden
+    directions placed where a.s is near 0."""
 
     TARGETS = [sign * v for v in (OVERLAP_EPS / 2, OVERLAP_EPS, 2 * OVERLAP_EPS, 1e-12)
                for sign in (1.0, -1.0)]
@@ -880,30 +867,24 @@ class TestOutcomeScreen:
         rho, psi = math.hypot(a.x, a.y), math.atan2(a.y, a.x)
         t, z = np.meshgrid(targets, z)
         r = np.sqrt(1.0 - z * z)
-        delta = np.arccos((t - z * a.z) / (r * rho))
+        delta = np.arccos(t / (r * rho))
         phi = np.concatenate([(psi + delta).ravel(), (psi - delta).ravel()])
         u1 = np.mod(phi / (2.0 * np.pi), 1.0)
         u1[u1 >= 1.0] = 0.0
         return np.array([np.tile((1.0 - z.ravel()) / 2.0, 2), u1])
 
-    @staticmethod
-    def zero_uniforms(a: UnitVector3) -> tuple[float, float]:
-        """z and phi uniforms at which the kernel's a.s is exactly 0: s along
-        the z axis for an in-plane setting, s = (1, 0, 0) for one with
-        a.x = 0."""
-        return (0.0, 0.25) if a.z == 0.0 else (0.5, 0.0)
-
     @pytest.mark.parametrize("mode", list(CoincidenceMode))
     @pytest.mark.parametrize("a1, a2", [
         (UnitVector3.from_angle_deg(30.0), UnitVector3.from_angle_deg(75.0)),
-        (UnitVector3(0.0, 0.6, 0.8), UnitVector3.from_angle_deg(50.0)),
-        (UnitVector3.from_angle_deg(50.0), UnitVector3(0.0, 0.6, 0.8)),
+        (EXACT, UnitVector3.from_angle_deg(160.0)),
+        (UnitVector3.from_angle_deg(50.0), -UnitVector3.from_angle_deg(50.0)),
     ])
     def test_edge_overlaps_give_the_kernel_counts(self, mode, a1, a2):
         params = ModelParams(tau=1.0, window=1.0, coincidence_mode=mode)
         z = np.linspace(-0.3, 0.3, 25)
         placed = [self.placed_uniforms(a, self.TARGETS, z) for a in (a1, a2)]
-        zeros = np.array([self.zero_uniforms(a) for a in (a1, a2)]).T
+        # u0 = 0 puts s on the z axis, where the kernel's a.s is exactly 0
+        zeros = np.array([[0.0, 0.0], [0.25, 0.75]])
         n = 4_099
         u = event_stream(43, 0).random((4, n))
         zphi = np.concatenate([*placed, zeros], axis=1)
@@ -945,15 +926,13 @@ class TestOutcomeScreen:
             err = np.abs(trig(phi).astype(np.longdouble) - trig(wide))
             assert err.max() <= 2.0 ** -40
 
-    SETTINGS = [UnitVector3(0.0, 1.0, 0.0), X_AXIS, -X_AXIS,
+    SETTINGS = [Y_AXIS, X_AXIS, -X_AXIS,
                 UnitVector3.from_angle_deg(90.0), UnitVector3.from_angle_deg(270.0)]
-    OFF_PLANE = [Z_AXIS, UnitVector3(0.48, 0.6, 0.64), UnitVector3(0.0, 0.6, -0.8)]
 
     @classmethod
     def fuzzed_settings(cls, rng) -> tuple[UnitVector3, UnitVector3]:
-        """In-plane pairs: random angles, a2 = a1, a2 = -a1, multiples of 90
-        degrees and exact axes; a tenth of the pairs have an off-plane
-        setting."""
+        """Pairs of random angles, a2 = a1, a2 = -a1, multiples of 90
+        degrees and exact axes."""
         def angle():
             return UnitVector3.from_angle_deg(rng.uniform(-360.0, 360.0))
 
@@ -962,9 +941,6 @@ class TestOutcomeScreen:
 
         kind = rng.integers(10)
         a1 = angle() if kind < 5 else axis(cls.SETTINGS)
-        if kind == 9:
-            a2 = axis(cls.OFF_PLANE)
-            return (a1, a2) if rng.random() < 0.5 else (a2, a1)
         if kind in (2, 6):
             return a1, a1
         if kind in (3, 7):
@@ -973,7 +949,7 @@ class TestOutcomeScreen:
 
     @staticmethod
     def ends(a: UnitVector3) -> list[float]:
-        """The u1 at the two ends of an in-plane setting's half-turn."""
+        """The u1 at the two ends of a setting's half-turn."""
         p = math.atan2(a.y, a.x) / (2.0 * math.pi)
         return [(p - 0.25) % 1.0, (p + 0.25) % 1.0]
 
@@ -996,7 +972,7 @@ class TestOutcomeScreen:
         n_blocks = 0
         for _ in range(300):
             a1, a2 = self.fuzzed_settings(rng)
-            ends = [b for a in (a1, a2) if a.z == 0.0 for b in self.ends(a)]
+            ends = [b for a in (a1, a2) for b in self.ends(a)]
             blocks = []
             for _ in range(4):
                 n = int(rng.integers(1, 600))

@@ -26,7 +26,6 @@ from eprbsim.model import (
 
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)
 Y_AXIS = UnitVector3(0.0, 1.0, 0.0)
-Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
 
 class ConstantGenerator:
@@ -37,6 +36,18 @@ class ConstantGenerator:
 
     def random(self, out):
         out.fill(self.u)
+        return out
+
+
+class RowsGenerator:
+    """Stands in for a numpy Generator whose draws are the rows of ``u``,
+    one row per draw."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.rows = iter(u)
+
+    def random(self, out):
+        out[:] = next(self.rows)
         return out
 
 
@@ -72,6 +83,19 @@ class TestUnitVector3:
         assert v.y == pytest.approx(1.0, abs=1e-15)
         assert v.z == 0.0
 
+    @pytest.mark.parametrize("components", [(0.48, 0.6, 0.64), (0.0, 0.0, 1.0), (0.0, 1.0, 1e-300)])
+    def test_rejects_off_plane(self, components):
+        """A setting lies in the x-y plane: any z != 0 is refused, not
+        projected onto the plane."""
+        with pytest.raises(ValueError, match="x-y plane"):
+            UnitVector3(*components)
+
+    def test_negation_stays_in_plane(self):
+        """-a has z = -0.0, which is 0, so the antipode of a setting is one."""
+        v = -UnitVector3.from_angle_deg(30.0)
+        assert v.z == 0.0 and math.copysign(1.0, v.z) == -1.0
+        assert (v.x, v.y) == (-math.cos(math.radians(30.0)), -math.sin(math.radians(30.0)))
+
 
 class TestSampleDirection:
     def test_mean_z_vanishes(self):
@@ -104,30 +128,32 @@ class TestOutcome:
     # are 0 or within a few ulps of it, never NaN.
     ALIGNED_TAG_MAX = 1e-22
 
-    def test_aligned(self):
-        s = hidden_directions(105, 100)
-        for i in range(100):
-            a = UnitVector3(*s[i])
-            batch = generate_batch(event_stream(105, 0), a, a, ModelParams(), 100)
-            assert (batch.x1[i], batch.x2[i]) == (1, -1)
-            assert 0.0 <= batch.t1[i] <= self.ALIGNED_TAG_MAX
-            assert 0.0 <= batch.t2[i] <= self.ALIGNED_TAG_MAX
+    @staticmethod
+    def equator_uniforms() -> np.ndarray:
+        """Uniforms (4, 100) whose hidden directions lie on the equator
+        (u0 = 1/2, so z = 0 and r = 1), where a setting can equal S."""
+        u = event_stream(105, 0).random((4, 100))
+        u[0] = 0.5
+        return u
 
-    def test_antipodal(self):
-        s = hidden_directions(105, 100)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_aligned_and_antipodal(self, sign):
+        """a = S gives (+1, -1), a = -S gives (-1, +1)."""
+        u = self.equator_uniforms()
+        sx, sy, _ = _hidden_direction(u)
         for i in range(100):
-            a = -UnitVector3(*s[i])
-            batch = generate_batch(event_stream(105, 0), a, a, ModelParams(), 100)
-            assert (batch.x1[i], batch.x2[i]) == (-1, 1)
+            a = UnitVector3(sign * sx[i], sign * sy[i], 0.0)
+            batch = generate_batch(RowsGenerator(u), a, a, ModelParams(), 100)
+            assert (batch.x1[i], batch.x2[i]) == (sign, -sign)
             assert 0.0 <= batch.t1[i] <= self.ALIGNED_TAG_MAX
             assert 0.0 <= batch.t2[i] <= self.ALIGNED_TAG_MAX
 
     def test_tie_breaks_positive(self):
-        """u = 1/2 puts S at azimuth pi on the equator, so a = z gives
-        a.S = 0 exactly at both stations, and both outcomes are +1."""
-        batch = generate_batch(ConstantGenerator(0.5), Z_AXIS, Z_AXIS, ModelParams(), 1)
-        d = _overlap(_hidden_direction(np.full((2, 1), 0.5)), Z_AXIS)
-        assert d[0] == 0.0
+        """u = 0 puts S on the z axis (r = 0), so every setting gives a.S =
+        0 exactly at both stations, and both outcomes are +1."""
+        batch = generate_batch(ConstantGenerator(0.0), X_AXIS, Y_AXIS, ModelParams(), 1)
+        for a in (X_AXIS, Y_AXIS):
+            assert _overlap(_hidden_direction(np.zeros((2, 1))), a)[0] == 0.0
         assert (batch.x1[0], batch.x2[0]) == (1, 1)
 
     @pytest.mark.parametrize("alpha_deg", [60.0, 90.0, 120.0])
@@ -147,12 +173,11 @@ class TestStation:
     @staticmethod
     def zero_overlaps() -> tuple[np.ndarray, UnitVector3]:
         """Uniforms (4, 2) and a setting at which a.s is +0 and -0 exactly:
-        u = 1/2 with a = z, and u0 = 0 (r = 0) with phi in the third
-        quadrant, where both in-plane terms are -0."""
+        u0 = 0 (r = 0) with phi in the first quadrant, where both terms are
+        +0, and in the third, where both are -0."""
         a = UnitVector3(0.6, 0.8, 0.0)
-        u = np.array([[0.5, 0.0], [0.5, 0.6], [0.3, 0.7], [0.1, 0.2]])
-        d = np.array([_overlap(_hidden_direction(u[:, :1]), Z_AXIS)[0],
-                      _overlap(_hidden_direction(u[:, 1:]), a)[0]])
+        u = np.array([[0.0, 0.0], [0.1, 0.6], [0.3, 0.7], [0.1, 0.2]])
+        d = _overlap(_hidden_direction(u), a)
         assert np.all(d == 0.0) and list(np.signbit(d)) == [False, True]
         return u, a
 
@@ -162,10 +187,10 @@ class TestStation:
         random s and settings and for a.s = +0 and -0."""
         rng = np.random.default_rng(18)
         u = rng.random((4, 4_096))
-        settings = [X_AXIS, Z_AXIS, UnitVector3(0.48, 0.6, 0.64),
+        settings = [X_AXIS, Y_AXIS, UnitVector3(0.28, -0.96, 0.0),
                     *(UnitVector3.from_angle_deg(x) for x in rng.uniform(-360.0, 360.0, 4))]
         zeros, a_zero = self.zero_overlaps()
-        cases = [(u, a) for a in settings] + [(zeros[:, :1], Z_AXIS), (zeros[:, 1:], a_zero)]
+        cases = [(u, a) for a in settings] + [(zeros, a_zero)]
         for w, a in cases:
             s = _hidden_direction(w)
             minus_s = tuple(-c for c in s)
@@ -178,8 +203,7 @@ class TestStation:
         assert list(_outcome(np.array([0.0, -0.0]), sign)) == [1, 1]
         assert list(_outcome(np.array([1e-300, -1e-300]), sign)) == [sign, -sign]
         u, a = self.zero_overlaps()
-        for w, b in ((u[:, :1], Z_AXIS), (u[:, 1:], a)):
-            assert _station(_hidden_direction(w), sign, b, w[2], 3.0)[0][0] == 1
+        assert list(_station(_hidden_direction(u), sign, a, u[2], 3.0)[0]) == [1, 1]
 
 
 class TestDelayScale:
@@ -218,7 +242,7 @@ class TestDelayScale:
         """a -> -a leaves every tag bit-identical and negates every outcome,
         at both stations, on one random stream."""
         params = ModelParams()
-        a1 = UnitVector3(0.48, 0.6, 0.64)
+        a1 = UnitVector3(0.28, -0.96, 0.0)
         a2 = UnitVector3.from_angle_deg(37.0)
         b = generate_batch(event_stream(107, 0), a1, a2, params, 10_000)
         flipped = generate_batch(event_stream(107, 0), -a1, -a2, params, 10_000)
@@ -239,8 +263,9 @@ class TestDelayScale:
 
 class TestSampleTimeTag:
     def test_degenerate_interval(self):
-        """u = 0 puts S on the z axis; a = z gives T = 0 and a zero tag."""
-        batch = generate_batch(ConstantGenerator(0.0), Z_AXIS, Z_AXIS, ModelParams(), 1)
+        """u = 1/2 puts S at azimuth pi on the equator, antiparallel to a =
+        x, which gives T = 0 and a zero tag."""
+        batch = generate_batch(ConstantGenerator(0.5), X_AXIS, X_AXIS, ModelParams(), 1)
         assert (batch.t1[0], batch.t2[0]) == (0.0, 0.0)
 
     def test_uniform_mean(self):
@@ -352,7 +377,7 @@ class TestReferenceKernel:
         reference kernel bit for bit."""
         params = ModelParams()
         a1 = UnitVector3.from_angle_deg(20.0)
-        a2 = UnitVector3(0.48, 0.6, 0.64)
+        a2 = UnitVector3(0.28, -0.96, 0.0)
         for start, n in ((0, 4_096), (4_096, 4_096), (8_192, 1_000)):
             batch = generate_batch(event_stream(121, start), a1, a2, params, n)
             expected = reference_batch(event_stream(121, start), a1, a2, n)

@@ -115,6 +115,13 @@ class TestExperimentConfig:
             "audit_tau": [1e-2, 1e-3],
         }
 
+    def test_n_events_ceiling(self):
+        """2^36 events per pair is the most a run may plan; one more is
+        refused."""
+        assert small_config(n_events=runner.MAX_EVENTS).n_events == 2 ** 36
+        with pytest.raises(ConfigError, match=r"n_events must be in \[1, 2\^36"):
+            small_config(n_events=2 ** 36 + 1)
+
     def test_audit_angles_at_the_quadrature_limits_accepted(self):
         """Exactly 0 and 180, and 1e-5 degrees from either, are audited."""
         angles = (0.0, UNEQUAL_QUAD_MIN_DEG, 180.0 - UNEQUAL_QUAD_MIN_DEG, 180.0)
