@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -31,6 +32,7 @@ from pathlib import Path
 from .bell import PAIR_LABELS
 from .bounds import BoundReport
 from .coincidence import CoincidenceStats
+from .model import CoincidenceMode
 from .runner import (
     ConfigError,
     EmptyEnsembleError,
@@ -59,12 +61,12 @@ def _csv_floats(text: str) -> list[float]:
         ) from None
 
 
-# the flags of sweep, chsh and bounds, each stored under the config field it sets
+# the flags of every command, each stored under the config field it sets
 _FLAGS = {
     "--config": dict(metavar="FILE", help="JSON config file; flags override it"),
     "--tau": dict(type=float, help="time-tag resolution (units of the maximal delay)"),
     "--window": dict(type=float, help="coincidence window W"),
-    "--mode": dict(dest="coincidence_mode", choices=["same-bin", "continuous"],
+    "--mode": dict(dest="coincidence_mode", choices=[m.value for m in CoincidenceMode],
                    help="coincidence convention"),
     "--d-exponent": dict(dest="d_exponent", type=float, help="delay-law exponent"),
     "--events": dict(dest="n_events", type=int, help="events per setting pair"),
@@ -74,7 +76,8 @@ _FLAGS = {
                        help="four setting angles in degrees"),
     "--alpha-grid": dict(dest="alpha_grid_deg", type=_csv_floats, metavar="LIST",
                          help="comma-separated angles in degrees"),
-    "--out": dict(metavar="DIR", help="write manifest.json and CSV tables here"),
+    "--out": dict(metavar="DIR", help="write the run's manifest.json and CSV table here, or "
+                  "reproduce-paper's reproduction_summary.json and each check's manifests"),
     "--format": dict(choices=["table", "csv"], default="table",
                      help="stdout format (default: table)"),
 }
@@ -84,7 +87,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     """The defaults, then the ``--config`` file, then every config field
     that a flag set.  The file may set only the fields that the command
     reads, which are those it has flags for."""
-    data = ExperimentConfig().to_dict()
+    data = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
@@ -179,9 +182,7 @@ def _render(manifest: RunManifest, fmt: str) -> str:
     return "\n".join(lines) + "\n" + verdicts
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_dir(args)
+def _cmd_run(args: argparse.Namespace, config: ExperimentConfig, out: Path | None) -> int:
     manifest = args.run(config)
     sys.stdout.write(_render(manifest, args.format))
     if out:
@@ -190,9 +191,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_dir(args)
+def _cmd_reproduce(args: argparse.Namespace, config: ExperimentConfig, out: Path | None) -> int:
     results = []
     for r in reproduce.run_all(config):
         results.append(r)
@@ -221,6 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, text: str, run, *flags: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, allow_abbrev=False)
+        # a token of a minus and a digit is a value, so a list may start with
+        # a negative number (argparse takes only -N and -N.N as numbers)
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.set_defaults(func=_cmd_run, run=run)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -241,15 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--tau-grid", dest="audit_tau", type=_csv_floats,
                           metavar="LIST", help="comma-separated resolutions for the audit")
 
-    p_rep = sub.add_parser(
-        "reproduce-paper", allow_abbrev=False,
-        help="run the full default-parameter reproduction and print pass/fail lines",
-    )
-    p_rep.add_argument("--seed", type=int, help="base seed (checks are calibrated at the default)")
-    p_rep.add_argument("--workers", type=int, help="worker processes (never affects results)")
-    p_rep.add_argument("--out", metavar="DIR",
-                       help="write reproduction_summary.json and each check's manifests here")
-    p_rep.set_defaults(func=_cmd_reproduce)
+    command("reproduce-paper", "run the full default-parameter reproduction and print "
+            "pass/fail lines (its checks are calibrated at the default seed)", None,
+            "--seed", "--workers", "--out").set_defaults(func=_cmd_reproduce)
     return parser
 
 
@@ -260,7 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
-        return args.func(args)
+        config = _load_config(args)
+        return args.func(args, config, _out_dir(args))
     except (ConfigError, EmptyEnsembleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY if isinstance(exc, EmptyEnsembleError) else EXIT_CONFIG

@@ -123,7 +123,7 @@ class ExperimentConfig:
         for name in ("settings_deg", "alpha_grid_deg", "audit_alpha_deg"):
             if not all(math.isfinite(a) for a in getattr(self, name)):
                 raise ConfigError(f"{name} must contain finite angles")
-        for name in ("alpha_grid_deg", "audit_alpha_deg"):
+        for name in ("alpha_grid_deg", "audit_alpha_deg", "audit_tau"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
         try:
@@ -147,8 +147,6 @@ class ExperimentConfig:
                 f"{UNEQUAL_QUAD_MIN_DEG} degrees from both, where the unequal-settings "
                 f"quadrature holds its tolerance; got {near}"
             )
-        if not self.audit_tau:
-            raise ConfigError("audit_tau must not be empty")
         for tau in self.audit_tau:
             try:
                 self.audit_params(tau)

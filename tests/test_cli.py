@@ -1,26 +1,30 @@
-"""End-to-end CLI tests, through subprocesses and ``cli.main``: flags,
-files, exit codes, and tables rendered from the written manifest."""
+"""End-to-end CLI tests: one table of refusals and boundary values run
+in-process through ``cli.main``; real processes for ``--help`` and for runs
+whose stdout and files are checked; tables rendered from the manifest."""
 
 import argparse
+import concurrent.futures
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from eprbsim import runner
+from eprbsim import reproduce, runner
 from eprbsim.cli import _render, build_parser, main
-from eprbsim.runner import RunManifest
+from eprbsim.runner import ExperimentConfig, RunManifest
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args: str, timeout: float = 300.0) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, "-m", "eprbsim", *args],
         capture_output=True,
@@ -28,6 +32,146 @@ def run_cli(*args: str, timeout: float = 300.0) -> subprocess.CompletedProcess:
         timeout=timeout,
         env=env,
     )
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def option_strings(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """Each subcommand's option strings, ``-h`` and ``--help`` left out."""
+    return {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands(parser).items()
+    }
+
+
+# A row is (argv, exit code, fragment): the fragment is looked for in stderr,
+# or in stdout on exit 0.  An argv item that is a dict or bytes is a file of
+# that JSON or those bytes; "taken" is an existing file, which --out refuses.
+NEAR_ENDS = "audit_alpha_deg values other than 0 and 180 must lie at least 1e-05"
+CSV = ["--events", "1000", "--format", "csv"]
+REFUSALS = [
+    ([], 1, ""),
+    (["sweep", "--no-such-flag"], 1, ""),
+    (["sweep", "--alpha-grid", "0,x"], 1, "expected a comma-separated list of numbers"),
+    (["sweep", "--alpha-grid", "--events", "10"], 1,
+     "argument --alpha-grid: expected one argument"),
+    *[([*argv, "--events", "1000"], 1, "unrecognized arguments") for argv in [
+        ["bounds", "--tau", "1e-4"], ["bounds", "--window", "1e-4"],
+        ["bounds", "--settings", "0,90,45,135"], ["sweep", "--settings", "0,90,45,135"],
+        ["chsh", "--alpha-grid", "0,90"], ["sweep", "--event", "100"],
+    ]],
+    (["sweep", "--tau", "2.0"], 1, "tau"),
+    (["chsh", "--settings", "0,90,45"], 1, "settings_deg"),
+    # below the smallest normal float every tag / tau overflowed to one bin
+    (["chsh", "--events", "20000", "--tau", "1e-320", "--window", "1e-320"], 1, "tau"),
+    (["bounds", "--events", "20000", "--alpha-grid", "200"], 1,
+     "audit_alpha_deg values must be in [0, 180]"),
+    # the unequal-settings quadrature misses its tolerance there, and is nan at 1e-300
+    (["bounds", "--alpha-grid", "1e-300", "--tau-grid", "0.01", "--events", "1000"], 1, NEAR_ENDS),
+    (["bounds", "--alpha-grid", "30,179.999999", "--tau-grid", "0.01", "--events", "1000"], 1,
+     NEAR_ENDS),
+    (["bounds", "--events", "20000", "--tau-grid", "1e-320"], 1, "audit_tau"),
+    # every closed form and quadrature of the audit is the d = 3 integral
+    *[(["bounds", "--d-exponent", d, "--events", "1000"], 1, "d = 3") for d in ("1", "2", "0.7")],
+    (["bounds", "--mode", "continuous", "--events", "1000"], 1, "same-bin"),
+    (["bounds", "--events", "1000", "--alpha-grid", ""], 1, "audit_alpha_deg must not be empty"),
+    (["sweep", "--events", "1000", "--alpha-grid", ""], 1, "alpha_grid_deg must not be empty"),
+    (["sweep", "--d-exponent", "inf"], 1, "d_exponent must be finite"),
+    (["sweep", "--events", "0"], 1, "n_events"),
+    # past 2^36 events per pair, refused before a plan is made
+    *[([c, "--events", str(10**18)], 1, "error: n_events") for c in ("sweep", "chsh", "bounds")],
+    # the headline check runs seed .. seed + 4
+    (["reproduce-paper", "--seed", str(2**64 - 4)], 1, "seed"),
+    *[([*argv, "--out", "taken"], 1, "taken") for argv in [
+        ["sweep", "--alpha-grid", "0", "--events", "1000"], ["chsh", "--events", "1000"],
+        ["bounds", "--tau-grid", "0.01", "--events", "1000"], ["reproduce-paper"],
+    ]],
+    (["sweep", "--config", "missing.json"], 1, "config file not found"),
+    (["sweep", "--config", {"resolution": 0.1}], 1, ""),
+    (["sweep", "--config", b'{"tau": 0.001', "--events", "1000"], 1,
+     "config file is not valid JSON"),
+    (["sweep", "--config", b'\xff\xfe{"tau": 0.001}', "--events", "1000"], 1,
+     "cannot read config file"),
+    *[(["sweep", "--config", data], 1, next(iter(data))) for data in [
+        {"n_events": 1e5}, {"settings_deg": 5}, {"alpha_grid_deg": ["a"]}, {"seed": 1.5},
+    ]],
+    *[([c, "--config", {"n_events": 1000, **data}], 1,
+       f"the {c} command does not read config keys {list(data)}") for c, data in [
+        ("bounds", {"tau": 1e-4}), ("chsh", {"alpha_grid_deg": [0, 90]}),
+        ("sweep", {"settings_deg": [0, 90, 45, 135]}),
+    ]],
+    # zero coincidences: a sweep flags the row, a CHSH run has no verdict
+    (["chsh", "--events", "300", "--tau", "1e-8", "--window", "1e-8", "--seed", "5"], 2,
+     "empty coincidence ensemble"),
+    (["sweep", "--events", "300", "--tau", "1e-8", "--alpha-grid", "45", "--format", "csv"], 0,
+     "\n45.0,300,0,0.0,0.0,,,-0.7071067811865476,true\n"),
+    # |E| = 1 at 0 and 180 degrees
+    (["sweep", "--alpha-grid", "0", "--tau", "0.01", *CSV], 0, ",-1.0,0.0,-1.0,false\n"),
+    (["sweep", "--alpha-grid", "180", "--tau", "0.01", *CSV], 0, ",1.0,0.0,1.0,false\n"),
+    # a list may start with a negative number
+    (["sweep", "--alpha-grid", "-45,45", *CSV], 0, "\n-45.0,1000,"),
+    (["chsh", "--settings", "-22.5,22.5,0,45", "--tau", "0.01", "--window", "0.01", *CSV], 0,
+     "\nac,-22.5,0.0,1000,"),
+]
+# every flag of sweep, chsh and bounds at each boundary value (any outcome
+# but a traceback), and every config key they read as a JSON value of the
+# wrong type (refused)
+PARSER = build_parser()
+FIELDS = {f.name for f in fields(ExperimentConfig)}
+BOUNDARY = [
+    ([c, "--events", "1000", flag, value], None, None)
+    for c in ("sweep", "chsh", "bounds")
+    for flag in sorted(option_strings(PARSER)[c])
+    for value in ["0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", str(2**64), ""]
+] + [
+    ([c, "--config", {"n_events": 1000, key: value}], 1, "")
+    for c in ("sweep", "chsh", "bounds")
+    for key in sorted({a.dest for a in subcommands(PARSER)[c]._actions} & FIELDS)
+    for value in [None, True, "x", [], {}]
+]
+
+
+@pytest.mark.parametrize("argv, code, fragment", REFUSALS + BOUNDARY, ids=[
+    " ".join(a if isinstance(a, str) else repr(a) for a in row[0]) for row in REFUSALS + BOUNDARY
+])
+def test_cli_boundary(tmp_path, monkeypatch, capsys, argv, code, fragment):
+    """Every case exits 0, 1 or 2 with no traceback, and one that exits 1 or
+    2 writes error: to stderr and nothing to stdout.  No case simulates more
+    than 2,000 events per pair, asks for a pool larger than the CPU cap
+    (threads stand in for its processes), or runs a reproduction check."""
+    monkeypatch.chdir(tmp_path)
+    Path("taken").write_text("")
+
+    def path(arg) -> str:
+        if isinstance(arg, str):
+            return arg
+        Path("arg.json").write_bytes(arg if isinstance(arg, bytes) else json.dumps(arg).encode())
+        return "arg.json"
+
+    simulate = runner.simulate_plan
+
+    def capped(pairs, n_events, *args):
+        assert n_events <= 2000, f"{n_events} events per pair"
+        return simulate(pairs, n_events, *args)
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            assert max_workers <= runner._available_cpus()
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(runner, "simulate_plan", capped)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(reproduce, "ALL_CHECKS", (lambda config: pytest.fail("a check ran"),))
+    exit_code = main([path(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert exit_code in (0, 1, 2) and "Traceback" not in err
+    if exit_code:
+        assert "error:" in err and out == ""
+    if code is not None:
+        assert exit_code == code, err
+        assert fragment in (out if code == 0 else err)
 
 
 class TestSweepCommand:
@@ -69,55 +213,6 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert len(rows) == 1  # the flag overrides the file's grid
 
-    @pytest.mark.parametrize("command, flag, value, field", [
-        ("sweep", "--tau", "2.0", "tau"),
-        ("chsh", "--settings", "0,90,45", "settings_deg"),
-    ])
-    def test_invalid_config_exits_1(self, command, flag, value, field):
-        proc = run_cli(command, flag, value)
-        assert proc.returncode == 1
-        assert field in proc.stderr
-
-    def test_unknown_config_key_exits_1(self, tmp_path):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"resolution": 0.1}))
-        proc = run_cli("sweep", "--config", str(cfg))
-        assert proc.returncode == 1
-
-    @pytest.mark.parametrize("content, message", [
-        (b'{"tau": 0.001', "config file is not valid JSON"),
-        (b'\xff\xfe{"tau": 0.001}', "cannot read config file"),
-    ], ids=["invalid-json", "not-utf8"])
-    def test_unreadable_config_file_exits_1(self, tmp_path, capsys, content, message):
-        cfg = tmp_path / "bad.json"
-        cfg.write_bytes(content)
-        assert main(["sweep", "--config", str(cfg), "--events", "1000"]) == 1
-        captured = capsys.readouterr()
-        assert message in captured.err
-        assert captured.out == ""
-
-    def test_bad_flag_exits_1(self):
-        proc = run_cli("sweep", "--no-such-flag")
-        assert proc.returncode == 1
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"n_events": 1e5},
-            {"settings_deg": 5},
-            {"alpha_grid_deg": ["a"]},
-            {"seed": 1.5},
-        ],
-    )
-    def test_config_file_type_errors_exit_1(self, tmp_path, data):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(data))
-        proc = run_cli("sweep", "--config", str(cfg))
-        assert proc.returncode == 1
-        assert next(iter(data)) in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
 
 class TestChshCommand:
     def test_verdict_summary_printed(self):
@@ -125,22 +220,6 @@ class TestChshCommand:
         assert proc.returncode == 0
         assert "CHSH =" in proc.stdout
         assert "corrected bound" in proc.stdout
-
-    def test_empty_ensemble_exits_2(self):
-        proc = run_cli(
-            "chsh", "--events", "300", "--tau", "1e-8", "--window", "1e-8", "--seed", "5"
-        )
-        assert proc.returncode == 2
-        assert "empty coincidence ensemble" in proc.stderr
-
-    def test_subnormal_tau_exits_1(self):
-        """Below the smallest normal float every tag / tau overflows to the
-        same infinite bin, which once gave gamma = 1 and exit code 0."""
-        proc = run_cli("chsh", "--events", "20000", "--tau", "1e-320", "--window", "1e-320")
-        assert proc.returncode == 1
-        assert "tau" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "chsh"
@@ -164,24 +243,6 @@ class TestBoundsCommand:
         gamma, stderr = float(rows[0]["simulated_gamma"]), float(rows[0]["stderr_gamma"])
         assert gamma + 4.0 * stderr <= float(rows[0]["closed_form"])
 
-    def test_audit_angle_out_of_range_exits_1(self):
-        proc = run_cli("bounds", "--events", "20000", "--alpha-grid", "200")
-        assert proc.returncode == 1
-        assert "audit_alpha_deg" in proc.stderr and "[0, 180]" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
-    def test_audit_angle_near_0_or_180_exits_1(self):
-        """Where the unequal-settings quadrature misses its tolerance (it
-        gives nan at 1e-300 degrees), the audit is refused before it runs."""
-        for grid in ("1e-300", "30,179.999999"):
-            proc = run_cli("bounds", "--alpha-grid", grid, "--tau-grid", "0.01",
-                           "--events", "1000")
-            assert proc.returncode == 1
-            assert "audit_alpha_deg" in proc.stderr and "1e-05" in proc.stderr
-            assert "Traceback" not in proc.stderr
-            assert proc.stdout == ""
-
     def test_table_angles_near_0_and_180_stay_distinct(self):
         """The table prints angles to 12 significant digits: the 179.99999
         row, which fails its cot form, does not read 180 beside the 180 row
@@ -194,35 +255,6 @@ class TestBoundsCommand:
         assert [row[-1] for row in rows] == ["yes", "yes", "no", "yes", "yes"]
         near_30 = RunManifest("bounds", {}, {"rows": [{"alpha_deg": 29.999999999999996}]})
         assert _render(near_30, "table").splitlines()[2].split()[0] == "30"
-
-    def test_subnormal_audit_tau_exits_1(self):
-        proc = run_cli("bounds", "--events", "20000", "--tau-grid", "1e-320")
-        assert proc.returncode == 1
-        assert "audit_tau" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
-    @pytest.mark.parametrize("d", ["1", "2", "0.7"])
-    def test_delay_exponent_other_than_3_exits_1(self, capsys, d):
-        """Every closed form and quadrature of the audit is the d = 3
-        integral, so another exponent is refused before any event is
-        simulated."""
-        assert main(["bounds", "--d-exponent", d, "--events", "1000"]) == 1
-        captured = capsys.readouterr()
-        assert "d = 3" in captured.err
-        assert captured.out == ""
-
-    def test_continuous_mode_rejected(self):
-        proc = run_cli("bounds", "--mode", "continuous", "--events", "1000")
-        assert proc.returncode == 1
-        assert "same-bin" in proc.stderr
-
-    def test_empty_audit_grid_exits_1(self):
-        proc = run_cli("bounds", "--events", "1000", "--alpha-grid", "")
-        assert proc.returncode == 1
-        assert "audit_alpha_deg must not be empty" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
 
 
 RUN_ARGS = {
@@ -255,26 +287,6 @@ class TestTablesFollowManifest:
         assert len(extra) == (2 if command == "chsh" and fmt == "table" else 0)
 
 
-class TestReproduceCommand:
-    def test_seed_too_large_for_headline_seeds_exits_1(self):
-        """The headline check runs seed .. seed + 4, so 2**64 - 4 is refused
-        before any check starts (the checks print to stdout)."""
-        proc = run_cli("reproduce-paper", "--seed", str(2**64 - 4))
-        assert proc.returncode == 1
-        assert "seed" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
-
-def option_strings(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
-    """Each subcommand's option strings, ``-h`` and ``--help`` left out."""
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
-        for name, sub in commands.choices.items()
-    }
-
-
 class TestFlags:
     """Each command offers exactly the flags whose config fields it reads."""
 
@@ -288,55 +300,11 @@ class TestFlags:
             "reproduce-paper": {"--seed", "--workers", "--out"},
         }
 
-    @pytest.mark.parametrize("argv", [
-        ("bounds", "--tau", "1e-4"),
-        ("bounds", "--window", "1e-4"),
-        ("bounds", "--settings", "0,90,45,135"),
-        ("sweep", "--settings", "0,90,45,135"),
-        ("chsh", "--alpha-grid", "0,90"),
-        ("sweep", "--event", "100"),
-    ])
-    def test_unread_or_abbreviated_flag_exits_1(self, argv):
-        proc = run_cli(*argv, "--events", "1000")
-        assert proc.returncode == 1
-        assert "unrecognized arguments" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
-    @pytest.mark.parametrize("argv", [
-        ("sweep", "--alpha-grid", "0", "--events", "1000"),
-        ("chsh", "--events", "1000"),
-        ("bounds", "--tau-grid", "0.01", "--events", "1000"),
-        ("reproduce-paper",),
-    ])
-    def test_out_is_an_existing_file_exits_1(self, tmp_path, argv):
-        out = tmp_path / "taken"
-        out.write_text("")
-        proc = run_cli(*argv, "--out", str(out))
-        assert proc.returncode == 1
-        assert str(out) in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
-
-    def test_bad_list_exits_1(self):
-        proc = run_cli("sweep", "--alpha-grid", "0,x")
-        assert proc.returncode == 1
-        assert "expected a comma-separated list of numbers" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    @pytest.mark.parametrize("command, data", [
-        ("bounds", {"tau": 1e-4}),
-        ("chsh", {"alpha_grid_deg": [0, 90]}),
-        ("sweep", {"settings_deg": [0, 90, 45, 135]}),
-    ])
-    def test_config_key_the_command_does_not_read_exits_1(self, tmp_path, capsys, command,
-                                                          data):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"n_events": 1000, **data}))
-        assert main([command, "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert f"the {command} command does not read config keys {list(data)}" in captured.err
-        assert captured.out == ""
+    def test_readme_flag_table_is_the_parser(self):
+        section = (ROOT / "README.md").read_text().split("\n## Command line\n")[1]
+        rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", section.split("\n## ")[0], re.M)
+        assert {command: set(re.findall(r"`(--[\w-]+)`", flags)) for command, flags in rows} \
+            == option_strings(build_parser())
 
     def test_config_key_the_command_reads_is_applied(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -347,30 +315,9 @@ class TestFlags:
         assert [(float(r["alpha_deg"]), float(r["tau"])) for r in rows] == [(90.0, 0.01)]
 
 
-class TestEventCeiling:
-    @pytest.mark.parametrize("command", ["sweep", "chsh", "bounds"])
-    def test_events_past_the_ceiling_exit_1(self, monkeypatch, capsys, command):
-        """An event count past 2^36 per pair is refused at the config, as an
-        error and before any plan is made: a plan holds every chunk task at
-        once, and 10^18 events once died in a MemoryError."""
-        def no_plan(*args, **kwargs):
-            raise AssertionError("a plan was made")
-
-        monkeypatch.setattr(runner, "simulate_plan", no_plan)
-        assert main([command, "--events", "1000000000000000000"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "n_events" in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-
-
 class TestHelp:
     def test_help_exits_0(self):
         proc = run_cli("--help")
         assert proc.returncode == 0
         for name in ("sweep", "chsh", "bounds", "reproduce-paper"):
             assert name in proc.stdout
-
-    def test_missing_subcommand_exits_1(self):
-        proc = run_cli()
-        assert proc.returncode == 1

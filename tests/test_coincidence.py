@@ -863,21 +863,28 @@ class TestOutcomeScreen:
     @staticmethod
     def placed_uniforms(a: UnitVector3, targets, z: np.ndarray) -> np.ndarray:
         """Uniforms (2, m) of z and phi whose hidden direction s has a.s at
-        each target, for each z and both roots in phi."""
+        each target, for each z and both roots in phi.  The closed-form root
+        is rounded twice, to phi and to turns, so u1 then takes one Newton
+        step in turns on the kernel's own overlap."""
         rho, psi = math.hypot(a.x, a.y), math.atan2(a.y, a.x)
         t, z = np.meshgrid(targets, z)
         r = np.sqrt(1.0 - z * z)
         delta = np.arccos(t / (r * rho))
         phi = np.concatenate([(psi + delta).ravel(), (psi - delta).ravel()])
-        u1 = np.mod(phi / (2.0 * np.pi), 1.0)
-        u1[u1 >= 1.0] = 0.0
-        return np.array([np.tile((1.0 - z.ravel()) / 2.0, 2), u1])
+        u = np.array([np.tile((1.0 - z.ravel()) / 2.0, 2), np.mod(phi / (2.0 * np.pi), 1.0)])
+        s = _hidden_direction(u)
+        # d(a.s)/du1 = 2 pi (sx a.y - sy a.x)
+        step = (_overlap(s, a) - np.tile(t.ravel(), 2)) / (2.0 * np.pi * (s[0] * a.y - s[1] * a.x))
+        u[1] = np.mod(u[1] - step, 1.0)
+        u[1, u[1] >= 1.0] = 0.0
+        return u
 
     @pytest.mark.parametrize("mode", list(CoincidenceMode))
     @pytest.mark.parametrize("a1, a2", [
         (UnitVector3.from_angle_deg(30.0), UnitVector3.from_angle_deg(75.0)),
         (EXACT, UnitVector3.from_angle_deg(160.0)),
         (UnitVector3.from_angle_deg(50.0), -UnitVector3.from_angle_deg(50.0)),
+        (Y_AXIS, UnitVector3.from_angle_deg(200.0)),
     ])
     def test_edge_overlaps_give_the_kernel_counts(self, mode, a1, a2):
         params = ModelParams(tau=1.0, window=1.0, coincidence_mode=mode)
