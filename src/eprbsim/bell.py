@@ -66,8 +66,8 @@ def chsh_lhs(e: Sequence[float]) -> float:
 
 def modified_bound(gamma: float) -> float:
     """Upper bound 6/gamma - 4 on the CHSH combination after post-selection."""
-    if gamma <= 0.0:
-        raise ValueError("undefined bound: gamma must be > 0")
+    if not gamma > 0.0:
+        raise ValueError(f"undefined bound: gamma must be > 0, got {gamma}")
     if gamma > 1.0:
         raise ValueError(f"gamma is a probability, got {gamma}")
     return 6.0 / gamma - 4.0
@@ -76,8 +76,8 @@ def modified_bound(gamma: float) -> float:
 def gamma_threshold(target_lhs: float) -> float:
     """The coincidence probability above which a given CHSH value violates
     the corrected inequality: 6 / (target_lhs + 4)."""
-    if target_lhs <= -4.0:
-        raise ValueError("target_lhs must be > -4")
+    if not -4.0 < target_lhs < math.inf:
+        raise ValueError(f"target_lhs must be > -4 and finite, got {target_lhs}")
     return 6.0 / (target_lhs + 4.0)
 
 
@@ -101,6 +101,9 @@ def verdict(
     for label, g in zip(PAIR_LABELS, gammas, strict=True):
         if not 0.0 <= g <= 1.0:
             raise ValueError(f"gamma_{label} must be in [0, 1], got {g}")
+    for label, s in zip(PAIR_LABELS, stderr_e, strict=True):
+        if not 0.0 <= s < math.inf:
+            raise ValueError(f"stderr_{label} must be >= 0 and finite, got {s}")
     gamma_min = min(gammas)
     if gamma_min <= 0.0:
         raise ValueError("empty post-selected ensemble: some gamma is 0")

@@ -104,8 +104,8 @@ def unequal_settings_bound(alpha: float, tau: float) -> float:
         raise ValueError("alpha = 0: use equal_settings_bound")
     if not 0.0 < alpha <= math.pi:
         raise ValueError(f"alpha must be in (0, pi], got {alpha}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be > 0 and finite, got {tau}")
     return 8.0 * tau / math.tan(0.5 * alpha)
 
 
@@ -158,8 +158,8 @@ def unequal_settings_quadrature(alpha: float, tau: float) -> float:
     """
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha must be strictly inside (0, pi), got {alpha}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be > 0 and finite, got {tau}")
     two_pi = 2.0 * math.pi
     kinks = sorted((0.5 * alpha + 0.5 * k * math.pi) % two_pi for k in range(4))
     points = np.array([0.0] + [k for k in kinks if 0.0 < k < two_pi] + [two_pi])
@@ -230,8 +230,8 @@ def equal_settings_quadrature(tau: float) -> float:
 
 def approx_equal_settings(tau: float) -> float:
     """Small-tau approximation 6*pi*tau^(2/3) of the equal-settings bound."""
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be > 0 and finite, got {tau}")
     return 6.0 * math.pi * tau ** (2.0 / 3.0)
 
 

@@ -89,11 +89,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     reads, which are those it has flags for."""
     data = {}
     if getattr(args, "config", None):
+        # read without a stat first: a pipe such as /dev/stdin is no regular file
         path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
         try:
             file_data = json.loads(path.read_text())
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         except json.JSONDecodeError as exc:
@@ -220,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, text: str, run, *flags: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, allow_abbrev=False)
-        # a token of a minus and a digit is a value, so a list may start with
-        # a negative number (argparse takes only -N and -N.N as numbers)
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        # a token of a minus and a digit, inf or nan is a value, so a list may
+        # start with a negative number (argparse takes only -N and -N.N as numbers)
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         p.set_defaults(func=_cmd_run, run=run)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])

@@ -64,13 +64,13 @@ def coincidence_mask(t1: np.ndarray, t2: np.ndarray, params: ModelParams) -> np.
 def coincidence_probability(T1: np.ndarray | float, T2: np.ndarray | float,
                             mode: CoincidenceMode, cut: float) -> np.ndarray | float:
     """The exact probability that the rule of ``mode`` at width ``cut`` (W
-    >= 0, or tau > 0) keeps a pair whose tags are independent uniforms on
-    [0, T1) and [0, T2), elementwise over arrays; a scale of 0 gives a tag
-    of 0.  With lo = min(T1, T2) and hi = max(T1, T2), each form is built
-    from ratios of sides, so nothing underflows on the way, and no term
-    taken away is more than half of what it is taken from, so nothing
-    cancels: within a few ulps of P, which a test checks against exact
-    rational arithmetic.
+    >= 0, or finite tau > 0) keeps a pair whose tags are independent uniforms
+    on [0, T1) and [0, T2), T1 and T2 finite, elementwise over arrays; a
+    scale of 0 gives a tag of 0.  With lo = min(T1, T2) and hi = max(T1,
+    T2), each form is built from ratios of sides, so nothing underflows on
+    the way, and no term taken away is more than half of what it is taken
+    from, so nothing cancels: within a few ulps of P, which a test checks
+    against exact rational arithmetic.
 
     Continuous: the band |t1 - t2| <= W of the lo x hi rectangle over its
     area, 1 from W >= hi on.  Where W <= lo and lo + W <= hi it is (W/hi)
@@ -86,9 +86,10 @@ def coincidence_probability(T1: np.ndarray | float, T2: np.ndarray | float,
     0 and P as tau/hi.
     """
     lo, hi = np.minimum(T1, T2), np.maximum(T1, T2)
-    if not (np.all(lo >= 0.0)
-            and (cut > 0.0 or cut == 0.0 and mode is CoincidenceMode.CONTINUOUS)):
-        raise ValueError(f"need T1, T2 >= 0, W >= 0 and tau > 0; got {mode.value} width {cut}")
+    if not (np.all((lo >= 0.0) & (hi < math.inf))
+            and (0.0 < cut < math.inf or cut >= 0.0 and mode is CoincidenceMode.CONTINUOUS)):
+        raise ValueError(f"need T1, T2 >= 0 and finite, W >= 0 and tau > 0 and finite; "
+                         f"got {mode.value} width {cut}")
     with np.errstate(all="ignore"):  # each branch is evaluated everywhere
         if mode is CoincidenceMode.CONTINUOUS:
             w, a, d = cut, hi - cut, hi - lo
@@ -310,7 +311,7 @@ def _outcome_counts(blocks: Iterable[np.ndarray], a1: UnitVector3,
     outcomes agree depends on the signs of its two overlaps alone.
 
     Settings lie in the plane, so the signs are read off the phi uniform
-    u1.  Write a = rho (cos psi, sin psi, 0), rho within 1e-12 of 1
+    u1.  Write a = rho (cos psi, sin psi), rho within 1e-12 of 1
     (``UnitVector3``), and theta = 2 pi u1.  The exact a.s is r rho cos(theta
     - psi), positive on the half-turn (l, l + 1/2) mod 1 of u1 with l = psi /
     2 pi - 1/4 (``_half_turn``, a function of one setting).  The kernel's d

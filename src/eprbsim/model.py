@@ -49,19 +49,16 @@ class CoincidenceMode(Enum):
 
 @dataclass(frozen=True)
 class UnitVector3:
-    """An analyzer setting: a unit vector in the x-y plane, so z is 0."""
+    """An analyzer setting: a unit vector (x, y) in the plane of the polarizers."""
 
     x: float
     y: float
-    z: float
 
     def __post_init__(self) -> None:
         # Python floats, so that ``_overlap`` of the screen's float32
         # direction stays float32: a numpy float64 would promote it
-        for name in ("x", "y", "z"):
+        for name in ("x", "y"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.z != 0.0:
-            raise ValueError(f"a setting lies in the x-y plane: z must be 0, got {self.z!r}")
         norm_sq = self.x * self.x + self.y * self.y
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"not a unit vector: |v|^2 = {norm_sq!r}")
@@ -70,10 +67,10 @@ class UnitVector3:
     def from_angle_deg(cls, angle_deg: float) -> "UnitVector3":
         """Setting in the x-y plane at the given azimuth (degrees)."""
         a = math.radians(angle_deg)
-        return cls(math.cos(a), math.sin(a), 0.0)
+        return cls(math.cos(a), math.sin(a))
 
     def __neg__(self) -> "UnitVector3":
-        return UnitVector3(-self.x, -self.y, -self.z)
+        return UnitVector3(-self.x, -self.y)
 
 
 @dataclass(frozen=True)

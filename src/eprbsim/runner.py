@@ -107,17 +107,24 @@ class ExperimentConfig:
     audit_tau: tuple[float, ...] = DEFAULT_AUDIT_TAU
 
     def __post_init__(self) -> None:
-        # each field takes the type of its default: tuples hold real numbers,
-        # float fields take any real number, the others their exact type
+        # each field takes the type of its default: a tuple field takes a list
+        # or tuple of real numbers, a float field any real number, both stored
+        # as floats; the others take their exact type
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if kind is tuple:
-                ok = isinstance(value, tuple) and all(map(_is_real, value))
+                ok = isinstance(value, (list, tuple)) and all(map(_is_real, value))
             else:
                 ok = _is_real(value) if kind is float else type(value) is kind
             if not ok:
                 expected = _EXPECTED.get(kind, kind.__name__)
                 raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+            if kind in (tuple, float):
+                try:
+                    value = tuple(map(float, value)) if kind is tuple else float(value)
+                except OverflowError:
+                    raise ConfigError(f"{f.name} holds a number too large for a float") from None
+                object.__setattr__(self, f.name, value)
         if len(self.settings_deg) != 4:
             raise ConfigError("settings_deg must hold exactly four angles")
         for name in ("settings_deg", "alpha_grid_deg", "audit_alpha_deg"):
@@ -175,18 +182,13 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        try:
-            # lists of numbers become tuples of floats; anything else is left
-            # for __post_init__ to refuse
-            for f in fields(cls):
-                values = kwargs.get(f.name)
-                if (isinstance(f.default, tuple) and isinstance(values, (list, tuple))
-                        and all(map(_is_real, values))):
-                    kwargs[f.name] = tuple(float(v) for v in values)
-            if "coincidence_mode" in kwargs:
+        if "coincidence_mode" in kwargs:
+            try:
                 kwargs["coincidence_mode"] = CoincidenceMode(kwargs["coincidence_mode"])
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(str(exc)) from None
+            except ValueError:
+                names = " or ".join(repr(m.value) for m in CoincidenceMode)
+                raise ConfigError(f"coincidence_mode must be {names}, "
+                                  f"got {kwargs['coincidence_mode']!r}") from None
         return cls(**kwargs)
 
 

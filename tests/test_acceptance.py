@@ -16,9 +16,9 @@ message:
 * criterion 7 (partly): `reproduce-paper` runs the two checks above and
   therefore exits 3, not 0; worker-count determinism itself passes.
 
-Each headline experiment runs once: criteria 1, 2, 3 and 6 assert on the
-manifests that one `reproduce-paper --out` run keeps, each on the run of
-the config it names.  Criterion 7's 1-vs-8 worker test makes its own runs.
+Each headline experiment runs once: criteria 1, 2, 3, 6 and 7 assert on
+the manifests that one `reproduce-paper --out` run keeps, each on the run
+of the config it names.
 
 Two more tests hold every unequal-settings row of those manifests to the
 proven rate bound ``bounds.gamma_max`` (one-sided) and to the tau -> 0
@@ -39,7 +39,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from eprbsim import CoincidenceMode, ExperimentConfig, RunManifest, run_chsh_experiment
+from eprbsim import CoincidenceMode, ExperimentConfig, RunManifest
 from eprbsim.bell import exceeds, gamma_threshold, modified_bound
 from eprbsim.bounds import (approx_equal_settings, equal_settings_bound, equal_settings_quadrature,
                             gamma_max, unequal_settings_bound, unequal_settings_quadrature)
@@ -229,10 +229,10 @@ def test_criterion_6_simulated_rates_vs_bounds(reproduction):
     )
 
 
-def test_criterion_7_worker_determinism():
+def test_criterion_7_worker_determinism(reproduction):
     config = ExperimentConfig(n_events=1_000_000)
-    solo = run_chsh_experiment(replace(config, workers=1))
-    pooled = run_chsh_experiment(replace(config, workers=8))
+    solo = manifest_of(reproduction, "7-workers1", replace(config, workers=1))
+    pooled = manifest_of(reproduction, "7-workers8", replace(config, workers=8))
     same = solo.reproducible_json() == pooled.reproducible_json()
     detail = f"digests {solo.digest()[:12]} / {pooled.digest()[:12]}"
     announce(7, "bit-identical manifests for 1 vs 8 workers", same, detail)

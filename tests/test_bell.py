@@ -156,6 +156,20 @@ class TestVerdictValidation:
             verdict(e, gammas, NO_ERROR)
 
 
+@pytest.mark.parametrize("function, args", [
+    pytest.param(modified_bound, (math.nan,), id="modified_bound(nan)"),
+    pytest.param(gamma_threshold, (math.nan,), id="gamma_threshold(nan)"),
+    pytest.param(gamma_threshold, (math.inf,), id="gamma_threshold(inf)"),
+    *[pytest.param(verdict, (*cosine_quartet(0.95), (s,) * 4), id=f"verdict(stderr_e={s})")
+      for s in (math.nan, math.inf, -math.inf)],
+])
+def test_nan_and_inf_are_refused(function, args):
+    """nan fails every range check, and a value that must be finite is
+    refused at +-inf, so none of these returns a silent nan, 0 or verdict."""
+    with pytest.raises(ValueError):
+        function(*args)
+
+
 def past(x: float, steps: int) -> float:
     """``x`` moved up by ``steps`` units in the last place."""
     for _ in range(steps):

@@ -46,6 +46,21 @@ AUDIT_TAU_GRID = [float(f"{10.0 ** (-1.0 - k / 6.0):.6g}") for k in range(19)]
 DENSE_TAU_GRID = AUDIT_TAU_GRID + [1.0, 1e-6]
 
 
+@pytest.mark.parametrize("function, args", [
+    pytest.param(f, args, id=f"{f.__name__}{args}") for f, args in [
+        (approx_equal_settings, (math.nan,)), (approx_equal_settings, (math.inf,)),
+        (unequal_settings_bound, (1.0, math.nan)), (unequal_settings_bound, (1.0, math.inf)),
+        (unequal_settings_quadrature, (1.0, math.nan)),
+        (unequal_settings_quadrature, (1.0, math.inf)),
+    ]
+])
+def test_nan_and_inf_tau_are_refused(function, args):
+    """tau must be finite and > 0: nan and inf are refused, not returned as
+    a nan or infinite bound (-inf already fails tau > 0)."""
+    with pytest.raises(ValueError, match="tau must be > 0 and finite"):
+        function(*args)
+
+
 class TestUnequalSettingsBound:
     def test_right_angle(self):
         assert unequal_settings_bound(math.pi / 2, 1e-3) == pytest.approx(8e-3, rel=1e-14)

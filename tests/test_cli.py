@@ -23,10 +23,12 @@ from eprbsim.runner import ExperimentConfig, RunManifest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args: str, timeout: float = 300.0) -> subprocess.CompletedProcess:
+def run_cli(*args: str, timeout: float = 300.0, stdin: str | None = None
+            ) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, "-m", "eprbsim", *args],
+        input=stdin,
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -79,6 +81,10 @@ REFUSALS = [
     (["bounds", "--events", "1000", "--alpha-grid", ""], 1, "audit_alpha_deg must not be empty"),
     (["sweep", "--events", "1000", "--alpha-grid", ""], 1, "alpha_grid_deg must not be empty"),
     (["sweep", "--d-exponent", "inf"], 1, "d_exponent must be finite"),
+    # -inf and -nan are values, refused by the config, not taken for flags
+    (["sweep", "--tau", "-inf"], 1, "tau must be in"),
+    (["sweep", "--tau", "-NaN"], 1, "tau must be in"),
+    (["sweep", "--alpha-grid", "-inf,0"], 1, "alpha_grid_deg must contain finite angles"),
     (["sweep", "--events", "0"], 1, "n_events"),
     # past 2^36 events per pair, refused before a plan is made
     *[([c, "--events", str(10**18)], 1, "error: n_events") for c in ("sweep", "chsh", "bounds")],
@@ -89,6 +95,7 @@ REFUSALS = [
         ["bounds", "--tau-grid", "0.01", "--events", "1000"], ["reproduce-paper"],
     ]],
     (["sweep", "--config", "missing.json"], 1, "config file not found"),
+    (["sweep", "--config", "."], 1, "cannot read config file"),
     (["sweep", "--config", {"resolution": 0.1}], 1, ""),
     (["sweep", "--config", b'{"tau": 0.001', "--events", "1000"], 1,
      "config file is not valid JSON"),
@@ -96,6 +103,7 @@ REFUSALS = [
      "cannot read config file"),
     *[(["sweep", "--config", data], 1, next(iter(data))) for data in [
         {"n_events": 1e5}, {"settings_deg": 5}, {"alpha_grid_deg": ["a"]}, {"seed": 1.5},
+        {"alpha_grid_deg": [10**400]}, {"d_exponent": 10**400},
     ]],
     *[([c, "--config", {"n_events": 1000, **data}], 1,
        f"the {c} command does not read config keys {list(data)}") for c, data in [
@@ -126,7 +134,7 @@ BOUNDARY = [
     for flag in sorted(option_strings(PARSER)[c])
     for value in ["0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", str(2**64), ""]
 ] + [
-    ([c, "--config", {"n_events": 1000, key: value}], 1, "")
+    ([c, "--config", {"n_events": 1000, key: value}], 1, key)
     for c in ("sweep", "chsh", "bounds")
     for key in sorted({a.dest for a in subcommands(PARSER)[c]._actions} & FIELDS)
     for value in [None, True, "x", [], {}]
@@ -212,6 +220,12 @@ class TestSweepCommand:
         assert proc.returncode == 0
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert len(rows) == 1  # the flag overrides the file's grid
+
+    def test_config_read_from_a_pipe(self):
+        proc = run_cli("sweep", "--config", "/dev/stdin", "--format", "csv",
+                       stdin=json.dumps({"n_events": 20000, "alpha_grid_deg": [0]}))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1].startswith("0.0,20000,")
 
 
 class TestChshCommand:

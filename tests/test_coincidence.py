@@ -47,10 +47,10 @@ from eprbsim.model import (
 from eprbsim.runner import simulate_pair_stats
 
 CONTINUOUS, SAME_BIN = CoincidenceMode.CONTINUOUS, CoincidenceMode.SAME_BIN
-X_AXIS = UnitVector3(1.0, 0.0, 0.0)
-Y_AXIS = UnitVector3(0.0, 1.0, 0.0)
+X_AXIS = UnitVector3(1.0, 0.0)
+Y_AXIS = UnitVector3(0.0, 1.0)
 # a setting not made by from_angle_deg, its components exact decimals
-EXACT = UnitVector3(0.28, -0.96, 0.0)
+EXACT = UnitVector3(0.28, -0.96)
 
 
 def continuous(window: float, tau: float = 0.25) -> ModelParams:
@@ -452,6 +452,18 @@ class TestCoincidenceProbability:
         with pytest.raises(ValueError, match="need T1, T2 >= 0"):
             coincidence_probability(T1, T2, mode, cut)
 
+    @pytest.mark.parametrize("T1, T2, mode, cut", [
+        (0.5, 0.7, SAME_BIN, math.inf), (math.inf, math.inf, SAME_BIN, 0.1),
+        (math.inf, 0.7, CONTINUOUS, 0.1), (0.5, math.inf, CONTINUOUS, 0.1),
+    ])
+    def test_infinite_scale_or_tau_is_refused(self, T1, T2, mode, cut):
+        """A tag scale and tau must be finite: an infinite one is refused,
+        not returned as nan or 0 (nan and -inf already fail T, tau >= 0),
+        while continuous mode keeps every pair at W = inf."""
+        with pytest.raises(ValueError, match="need T1, T2 >= 0 and finite"):
+            coincidence_probability(T1, T2, mode, cut)
+        assert coincidence_probability(0.5, 0.7, CONTINUOUS, math.inf) == 1.0
+
 
 class TestCutAgainstPerPairProbability:
     """Given its hidden direction, a pair's tags are independent uniforms on
@@ -539,7 +551,7 @@ class TestScreen:
         normalised from random components."""
         if rng.random() < 0.3:
             v = rng.normal(size=2)
-            return UnitVector3(*(float(c) for c in v / np.linalg.norm(v)), 0.0)
+            return UnitVector3(*(float(c) for c in v / np.linalg.norm(v)))
         return UnitVector3.from_angle_deg(rng.uniform(-360.0, 360.0))
 
     @staticmethod
@@ -702,7 +714,7 @@ class TestTagBounds:
         paper's tau = 2.5e-4."""
         assert _tag_slack(d_exponent) < 2e-5
 
-    @pytest.mark.parametrize("components", [(0.6, 0.8, 0.0), (0.28, -0.96, -0.0)])
+    @pytest.mark.parametrize("components", [(0.6, 0.8), (0.28, -0.96)])
     def test_screen_overlap_stays_float32_for_numpy_components(self, components):
         """A setting built from np.float64 components still gives a float32
         screen overlap: a numpy scalar would promote the products to

@@ -24,8 +24,8 @@ from eprbsim.model import (
     generate_batch,
 )
 
-X_AXIS = UnitVector3(1.0, 0.0, 0.0)
-Y_AXIS = UnitVector3(0.0, 1.0, 0.0)
+X_AXIS = UnitVector3(1.0, 0.0)
+Y_AXIS = UnitVector3(0.0, 1.0)
 
 
 class ConstantGenerator:
@@ -66,34 +66,33 @@ def delay(dot_sq, d_exponent: float = 3.0) -> np.ndarray:
 
 def delay_scales(s: np.ndarray, a: UnitVector3, d_exponent: float = 3.0) -> np.ndarray:
     """T = (1 - (a.s)^2)^(d/2) for each row of s."""
-    return delay((s @ np.array([a.x, a.y, a.z])) ** 2, d_exponent)
+    return delay((s @ np.array([a.x, a.y, 0.0])) ** 2, d_exponent)
 
 
 class TestUnitVector3:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
-            UnitVector3(1.0, 1.0, 0.0)
+            UnitVector3(1.0, 1.0)
 
     def test_norm_tolerance_is_tight(self):
         with pytest.raises(ValueError):
-            UnitVector3(1.0 + 1e-5, 0.0, 0.0)
+            UnitVector3(1.0 + 1e-5, 0.0)
 
     def test_from_angle_deg(self):
         v = UnitVector3.from_angle_deg(90.0)
         assert v.y == pytest.approx(1.0, abs=1e-15)
-        assert v.z == 0.0
 
     @pytest.mark.parametrize("components", [(0.48, 0.6, 0.64), (0.0, 0.0, 1.0), (0.0, 1.0, 1e-300)])
     def test_rejects_off_plane(self, components):
-        """A setting lies in the x-y plane: any z != 0 is refused, not
-        projected onto the plane."""
-        with pytest.raises(ValueError, match="x-y plane"):
+        """A setting lies in the x-y plane and has two components: a third
+        is refused, not projected onto the plane."""
+        with pytest.raises(TypeError):
             UnitVector3(*components)
 
     def test_negation_stays_in_plane(self):
-        """-a has z = -0.0, which is 0, so the antipode of a setting is one."""
+        """The antipode of a setting is a setting."""
         v = -UnitVector3.from_angle_deg(30.0)
-        assert v.z == 0.0 and math.copysign(1.0, v.z) == -1.0
+        assert isinstance(v, UnitVector3)
         assert (v.x, v.y) == (-math.cos(math.radians(30.0)), -math.sin(math.radians(30.0)))
 
 
@@ -142,7 +141,7 @@ class TestOutcome:
         u = self.equator_uniforms()
         sx, sy, _ = _hidden_direction(u)
         for i in range(100):
-            a = UnitVector3(sign * sx[i], sign * sy[i], 0.0)
+            a = UnitVector3(sign * sx[i], sign * sy[i])
             batch = generate_batch(RowsGenerator(u), a, a, ModelParams(), 100)
             assert (batch.x1[i], batch.x2[i]) == (sign, -sign)
             assert 0.0 <= batch.t1[i] <= self.ALIGNED_TAG_MAX
@@ -175,7 +174,7 @@ class TestStation:
         """Uniforms (4, 2) and a setting at which a.s is +0 and -0 exactly:
         u0 = 0 (r = 0) with phi in the first quadrant, where both terms are
         +0, and in the third, where both are -0."""
-        a = UnitVector3(0.6, 0.8, 0.0)
+        a = UnitVector3(0.6, 0.8)
         u = np.array([[0.0, 0.0], [0.1, 0.6], [0.3, 0.7], [0.1, 0.2]])
         d = _overlap(_hidden_direction(u), a)
         assert np.all(d == 0.0) and list(np.signbit(d)) == [False, True]
@@ -187,7 +186,7 @@ class TestStation:
         random s and settings and for a.s = +0 and -0."""
         rng = np.random.default_rng(18)
         u = rng.random((4, 4_096))
-        settings = [X_AXIS, Y_AXIS, UnitVector3(0.28, -0.96, 0.0),
+        settings = [X_AXIS, Y_AXIS, UnitVector3(0.28, -0.96),
                     *(UnitVector3.from_angle_deg(x) for x in rng.uniform(-360.0, 360.0, 4))]
         zeros, a_zero = self.zero_overlaps()
         cases = [(u, a) for a in settings] + [(zeros, a_zero)]
@@ -242,7 +241,7 @@ class TestDelayScale:
         """a -> -a leaves every tag bit-identical and negates every outcome,
         at both stations, on one random stream."""
         params = ModelParams()
-        a1 = UnitVector3(0.28, -0.96, 0.0)
+        a1 = UnitVector3(0.28, -0.96)
         a2 = UnitVector3.from_angle_deg(37.0)
         b = generate_batch(event_stream(107, 0), a1, a2, params, 10_000)
         flipped = generate_batch(event_stream(107, 0), -a1, -a2, params, 10_000)
@@ -360,8 +359,9 @@ def reference_batch(rng, a1, a2, n):
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     sx = r * np.cos(phi)
     sy = r * np.sin(phi)
-    d1 = sx * a1.x + sy * a1.y + z * a1.z
-    d2 = sx * a2.x + sy * a2.y + z * a2.z
+    # the setting's z is 0
+    d1 = sx * a1.x + sy * a1.y + z * 0.0
+    d2 = sx * a2.x + sy * a2.y + z * 0.0
     base1 = 1.0 - d1 * d1
     base2 = 1.0 - d2 * d2
     t1 = rng.random(n) * (1.0 * (base1 * np.sqrt(base1)))
@@ -377,7 +377,7 @@ class TestReferenceKernel:
         reference kernel bit for bit."""
         params = ModelParams()
         a1 = UnitVector3.from_angle_deg(20.0)
-        a2 = UnitVector3(0.28, -0.96, 0.0)
+        a2 = UnitVector3(0.28, -0.96)
         for start, n in ((0, 4_096), (4_096, 4_096), (8_192, 1_000)):
             batch = generate_batch(event_stream(121, start), a1, a2, params, n)
             expected = reference_batch(event_stream(121, start), a1, a2, n)

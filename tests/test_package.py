@@ -119,25 +119,6 @@ def test_only_the_cli_writes_to_stdout():
     assert writers == {"cli"}, writers
 
 
-def test_only_the_setting_reads_z():
-    """Settings lie in the x-y plane, so nothing in the package but
-    ``model.UnitVector3``, which refuses z != 0, reads a ``.z`` attribute:
-    an off-plane branch cannot come back unnoticed."""
-    readers = set()
-
-    def visit(node, where):
-        if isinstance(node, ast.ClassDef):
-            where = f"{where}.{node.name}"
-        if isinstance(node, ast.Attribute) and node.attr == "z":
-            readers.add(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    for path in sorted(Path(eprbsim.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem)
-    assert readers == {"model.UnitVector3"}, readers
-
-
 def test_only_the_orchestrators_take_both_settings():
     """Each station's step takes its own setting alone; the functions whose
     parameters include both a1 and a2 are the five that call a station step

@@ -139,6 +139,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"taus": 0.1})
 
+    def test_lists_and_reals_are_stored_as_floats(self):
+        """A list of numbers and an int where a float goes are stored as the
+        floats the run reads, from the Python API as from a config file."""
+        config = ExperimentConfig(alpha_grid_deg=[0, 45], tau=1)
+        assert config.alpha_grid_deg == (0.0, 45.0) and config.tau == 1.0
+        assert {type(v) for v in (*config.alpha_grid_deg, config.tau)} == {float}
+        assert ExperimentConfig.from_dict({"alpha_grid_deg": [0, 45], "tau": 1}) == config
+
     def test_from_dict_parses_mode_string(self):
         config = ExperimentConfig.from_dict({"coincidence_mode": "continuous"})
         assert config.coincidence_mode is CoincidenceMode.CONTINUOUS
