@@ -14,8 +14,8 @@ alike: the defaults, the `--config` file, then the flags given.  A
 `--config` file may set only the fields the command reads.  Flags cannot
 be abbreviated.
 
-Exit codes: 0 success, 1 invalid configuration, 2 empty post-selected
-ensemble, 3 reproduction checks failed.
+Exit codes: 0 success, 1 invalid configuration or an output that cannot
+be written, 2 empty post-selected ensemble, 3 reproduction checks failed.
 """
 
 from __future__ import annotations
@@ -110,7 +110,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _out_dir(args: argparse.Namespace) -> Path | None:
-    """The ``--out`` directory, made before any event is simulated."""
+    """The ``--out`` directory, made before any event is simulated; a file
+    of a fixed name that the command writes there, if it exists, must be a
+    regular file, which is overwritten."""
     if not args.out:
         return None
     out = Path(args.out)
@@ -118,7 +120,19 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the --out directory {out}: {exc.strerror}") from None
+    names = (["reproduction_summary.json"] if args.command == "reproduce-paper"
+             else ["manifest.json", f"{args.command}.csv"])
+    for path in (out / name for name in names):
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"cannot write {path}: not a regular file")
     return out
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # the estimators of a setting pair, without the raw sum and the cut behind them
@@ -187,8 +201,8 @@ def _cmd_run(args: argparse.Namespace, config: ExperimentConfig, out: Path | Non
     manifest = args.run(config)
     sys.stdout.write(_render(manifest, args.format))
     if out:
-        (out / "manifest.json").write_text(manifest.to_json() + "\n")
-        (out / f"{manifest.kind}.csv").write_text(_render(manifest, "csv"))
+        _write(out / "manifest.json", manifest.to_json() + "\n")
+        _write(out / f"{manifest.kind}.csv", _render(manifest, "csv"))
     return EXIT_OK
 
 
@@ -203,11 +217,11 @@ def _cmd_reproduce(args: argparse.Namespace, config: ExperimentConfig, out: Path
         summary = []
         for r in results:
             for label, manifest in r.manifests.items():
-                (out / f"{r.number}-{label}.json").write_text(manifest.to_json() + "\n")
+                _write(out / f"{r.number}-{label}.json", manifest.to_json() + "\n")
             # a digest leaves out the timestamp and duration, so the summary is the same every run
             summary.append(dict(number=r.number, name=r.name, passed=r.passed, detail=r.detail,
                                 digests={k: m.digest() for k, m in r.manifests.items()}))
-        (out / "reproduction_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        _write(out / "reproduction_summary.json", json.dumps(summary, indent=2) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECKS_FAILED
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -108,63 +108,49 @@ def coincidence_probability(T1: np.ndarray | float, T2: np.ndarray | float,
 
 @dataclass(frozen=True)
 class CoincidenceStats:
-    """Accumulated counts and the derived post-selected estimators.
+    """The counts of one setting pair, ``CoincidenceStats(n_total,
+    n_coincident, sum_xy, params)``, and the post-selected estimators that
+    they give: gamma = n_c / n and E = sum_xy / n_c, each with its Wald
+    standard error.
 
-    ``e_conditional`` is the average of x1*x2 over coincident pairs.  When no
-    pair survives the cut it is None (undefined), never silently zero.  The
-    ``mode``/``window``/``tau`` fields record how the cut was made so that
-    downstream bound checks can refuse incompatible statistics.
+    When no pair survives the cut, E and its error are None (undefined),
+    never silently zero.  The ``mode``/``window``/``tau`` fields record how
+    the cut was made, from ``params``, so that downstream bound checks can
+    refuse incompatible statistics.
     """
 
     n_total: int
     n_coincident: int
     sum_xy: int
-    gamma_hat: float
-    stderr_gamma: float
-    e_conditional: float | None
-    stderr_e: float | None
-    mode: CoincidenceMode
-    window: float
-    tau: float
+    params: InitVar[ModelParams]
+    gamma_hat: float = field(init=False)
+    stderr_gamma: float = field(init=False)
+    e_conditional: float | None = field(init=False)
+    stderr_e: float | None = field(init=False)
+    mode: CoincidenceMode = field(init=False)
+    window: float = field(init=False)
+    tau: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n_coincident <= self.n_total:
-            raise ValueError("need 0 <= n_coincident <= n_total")
-        if abs(self.sum_xy) > self.n_coincident:
-            raise ValueError("|sum_xy| cannot exceed n_coincident")
-
-    @classmethod
-    def from_counts(
-        cls,
-        n_total: int,
-        n_coincident: int,
-        sum_xy: int,
-        *,
-        params: ModelParams,
-    ) -> "CoincidenceStats":
-        if n_total < 1:
+    def __post_init__(self, params: ModelParams) -> None:
+        n, n_c = self.n_total, self.n_coincident
+        if n < 1:
             raise ValueError("no events")
-        gamma = n_coincident / n_total
-        # clamped, so that counts out of range reach the refusal in __post_init__
-        stderr_gamma = math.sqrt(max(0.0, gamma * (1.0 - gamma)) / n_total)
-        if n_coincident > 0:
-            e = sum_xy / n_coincident
-            stderr_e = math.sqrt(max(0.0, 1.0 - e * e) / n_coincident)
-        else:
-            e = None
-            stderr_e = None
-        return cls(
-            n_total=n_total,
-            n_coincident=n_coincident,
-            sum_xy=sum_xy,
+        if not 0 <= n_c <= n:
+            raise ValueError("need 0 <= n_coincident <= n_total")
+        if abs(self.sum_xy) > n_c:
+            raise ValueError("|sum_xy| cannot exceed n_coincident")
+        gamma = n_c / n
+        e = self.sum_xy / n_c if n_c else None
+        for name, value in dict(
             gamma_hat=gamma,
-            stderr_gamma=stderr_gamma,
+            stderr_gamma=math.sqrt(gamma * (1.0 - gamma) / n),
             e_conditional=e,
-            stderr_e=stderr_e,
+            stderr_e=None if e is None else math.sqrt((1.0 - e * e) / n_c),
             mode=params.coincidence_mode,
             window=params.window,
             tau=params.tau,
-        )
+        ).items():
+            object.__setattr__(self, name, value)
 
     @property
     def has_correlation(self) -> bool:
@@ -476,4 +462,4 @@ def accumulate(batch: EventBatch, params: ModelParams) -> CoincidenceStats:
     conditional correlation is flagged undefined rather than reported as a
     number.
     """
-    return CoincidenceStats.from_counts(*_counts_from_batch(batch, params), params=params)
+    return CoincidenceStats(*_counts_from_batch(batch, params), params)

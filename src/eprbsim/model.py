@@ -60,7 +60,7 @@ class UnitVector3:
         for name in ("x", "y"):
             object.__setattr__(self, name, float(getattr(self, name)))
         norm_sq = self.x * self.x + self.y * self.y
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails it too
             raise ValueError(f"not a unit vector: |v|^2 = {norm_sq!r}")
 
     @classmethod

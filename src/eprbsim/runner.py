@@ -217,8 +217,11 @@ def simulate_plan(
     them (or run in-process).  Each chunk's stream is keyed by (seed,
     stream, chunk start), and the integer counts are summed per pair in
     plan order, so the results depend neither on the worker count nor on
-    the completion order.
+    the completion order.  ``n_events`` outside [1, MAX_EVENTS] is refused
+    before the plan is built.
     """
+    if not 1 <= n_events <= MAX_EVENTS:
+        raise ValueError(f"n_events must be in [1, 2^36 = {MAX_EVENTS}], got {n_events}")
     starts = range(0, n_events, CHUNK_SIZE)
     tasks = [
         (seed, stream, start, min(CHUNK_SIZE, n_events - start), a1, a2, params)
@@ -239,7 +242,7 @@ def simulate_plan(
     for i, (_, _, params, _) in enumerate(pairs):
         parts = counts[i * len(starts):(i + 1) * len(starts)]
         n, n_c, sum_xy = (sum(column) for column in zip(*parts))
-        stats.append(CoincidenceStats.from_counts(n, n_c, sum_xy, params=params))
+        stats.append(CoincidenceStats(n, n_c, sum_xy, params))
     return stats
 
 

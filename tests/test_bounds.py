@@ -372,9 +372,7 @@ class TestCheckSimulatedGamma:
         events."""
         tau = 1e-2
         n_total = 100 if n_coincident < 100 else 10_000
-        stats = CoincidenceStats.from_counts(
-            n_total, n_coincident, 0, params=self.same_bin_params(tau)
-        )
+        stats = CoincidenceStats(n_total, n_coincident, 0, self.same_bin_params(tau))
         report = check_simulated_gamma(stats, math.pi / 2, tau)
         assert report.closed_form == pytest.approx(8e-2, rel=1e-12)
         assert report.satisfied is satisfied
@@ -382,21 +380,18 @@ class TestCheckSimulatedGamma:
     @pytest.mark.parametrize("steps, satisfied", [(0, True), (1, False)])
     def test_satisfied_at_exactly_four_sigma(self, steps, satisfied):
         """A rate exactly four standard errors above the closed form still
-        satisfies it; one ulp more does not.  With sigma = 2^-10 both the
-        rate and gamma - 4 sigma are exact near the bound 8e-2."""
-        tau, sigma = 1e-2, 2.0**-10
-        closed = unequal_settings_bound(math.pi / 2, tau)
-        gamma = closed + 4.0 * sigma
-        assert gamma - 4.0 * sigma == closed
+        satisfies it; one ulp more does not.  n = 4^10 events with n_c =
+        2^19 give gamma = 1/2 and sigma = 2^-11 exactly, so gamma - 4 sigma
+        = 1/2 - 2^-9; at tau = prevfloat(1/2 - 2^-9) / 8 the cot form at 90
+        degrees equals it, and one float lower it falls one ulp below."""
+        tau = math.nextafter(0.5 - 2.0**-9, 0.0) / 8.0
         for _ in range(steps):
-            gamma = math.nextafter(gamma, math.inf)
-        stats = CoincidenceStats(
-            n_total=10_000, n_coincident=839, sum_xy=0, gamma_hat=gamma, stderr_gamma=sigma,
-            e_conditional=0.0, stderr_e=0.01, mode=CoincidenceMode.SAME_BIN,
-            window=tau, tau=tau,
-        )
+            tau = math.nextafter(tau, 0.0)
+        stats = CoincidenceStats(4**10, 2**19, 0, self.same_bin_params(tau))
+        assert (stats.gamma_hat, stats.stderr_gamma) == (0.5, 2.0**-11)
+        limit = stats.gamma_hat - 4.0 * stats.stderr_gamma
         report = check_simulated_gamma(stats, math.pi / 2, tau)
-        assert report.closed_form == closed
+        assert report.closed_form == (limit if satisfied else math.nextafter(limit, 0.0))
         assert report.satisfied is satisfied
 
     def test_rejects_continuous_statistics(self):
@@ -409,7 +404,7 @@ class TestCheckSimulatedGamma:
 
     @pytest.mark.parametrize("alpha", [-1e-9, math.pi + 1e-9, 4.0])
     def test_rejects_angle_outside_zero_to_pi(self, alpha):
-        stats = CoincidenceStats.from_counts(1_000, 1, 1, params=self.same_bin_params(1e-3))
+        stats = CoincidenceStats(1_000, 1, 1, self.same_bin_params(1e-3))
         with pytest.raises(ValueError, match=r"alpha must be in \[0, pi\]"):
             check_simulated_gamma(stats, alpha, 1e-3)
 

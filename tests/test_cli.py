@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from eprbsim import reproduce, runner
+from eprbsim import cli, reproduce, runner
 from eprbsim.cli import _render, build_parser, main
 from eprbsim.runner import ExperimentConfig, RunManifest
 
@@ -269,6 +269,62 @@ class TestBoundsCommand:
         assert [row[-1] for row in rows] == ["yes", "yes", "no", "yes", "yes"]
         near_30 = RunManifest("bounds", {}, {"rows": [{"alpha_deg": 29.999999999999996}]})
         assert _render(near_30, "table").splitlines()[2].split()[0] == "30"
+
+
+class TestOutFiles:
+    """A file that ``--out`` cannot write is refused before any event is
+    simulated when its name is fixed, and reported as an error line with
+    exit 1 when its write fails; a regular file is overwritten."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        monkeypatch.setattr(runner, "simulate_plan", lambda *args: pytest.fail("simulated"))
+        monkeypatch.setattr(reproduce, "ALL_CHECKS", (lambda config: pytest.fail("a check ran"),))
+
+    @pytest.mark.parametrize("command, name", [
+        *[(c, n) for c in ("sweep", "chsh", "bounds") for n in ("manifest.json", f"{c}.csv")],
+        ("reproduce-paper", "reproduction_summary.json"),
+    ])
+    def test_fixed_target_not_a_file_refused_first(self, tmp_path, capsys, command, name):
+        (tmp_path / name).mkdir()
+        assert main([command, "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write {tmp_path / name}: not a regular file\n"
+
+    @staticmethod
+    def sweep_manifest(config) -> RunManifest:
+        return RunManifest("sweep", config.to_dict(), {"rows": []})
+
+    def test_failed_write_is_an_error(self, tmp_path, capsys, monkeypatch):
+        """A target that turns into a directory during the run, and a
+        check's manifest file, which has no fixed name."""
+        def run(config):
+            (tmp_path / "sweep.csv").mkdir()
+            return self.sweep_manifest(config)
+
+        monkeypatch.setattr(cli, "run_correlation_sweep", run)
+        assert main(["sweep", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: cannot write {tmp_path / 'sweep.csv'}: Is a directory\n"
+        assert (tmp_path / "manifest.json").is_file()
+
+        check = reproduce.CheckResult(1, "one", True, "", {"x": self.sweep_manifest(
+            ExperimentConfig())})
+        monkeypatch.setattr(reproduce, "ALL_CHECKS", (lambda config: check,))
+        (tmp_path / "1-x.json").mkdir()
+        assert main(["reproduce-paper", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("1/1 checks passed\n")
+        assert err == f"error: cannot write {tmp_path / '1-x.json'}: Is a directory\n"
+
+    def test_regular_files_overwritten(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_correlation_sweep", self.sweep_manifest)
+        for name in ("manifest.json", "sweep.csv"):
+            (tmp_path / name).write_text("old")
+        assert main(["sweep", "--out", str(tmp_path), "--format", "csv"]) == 0
+        assert (tmp_path / "sweep.csv").read_text() == capsys.readouterr().out
+        assert RunManifest.from_json((tmp_path / "manifest.json").read_text()).kind == "sweep"
 
 
 RUN_ARGS = {

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +21,7 @@ from eprbsim.coincidence import (
     _block_counts,
     _counts_from_batch,
     _outcome_counts,
+    _screen,
     _screen_direction,
     _screen_limit,
     _station_tag_estimate,
@@ -196,27 +197,33 @@ class TestAccumulate:
             for lo, hi in [(0, 7_000), (7_000, 19_000), (19_000, 30_000)]
         ]
         n, n_c, sum_xy = (sum(column) for column in zip(*parts))
-        assert CoincidenceStats.from_counts(n, n_c, sum_xy, params=params) == accumulate(
-            whole, params
-        )
+        assert CoincidenceStats(n, n_c, sum_xy, params) == accumulate(whole, params)
 
     @pytest.mark.parametrize("counts, message", [
-        ({"n_coincident": 11}, "n_coincident <= n_total"),
-        ({"n_coincident": -1}, "n_coincident <= n_total"),
-        ({"sum_xy": 6}, "cannot exceed n_coincident"),
-        ({"sum_xy": -6}, "cannot exceed n_coincident"),
+        ((0, 0, 0), "no events"),
+        ((10, 11, 0), "n_coincident <= n_total"),
+        ((10, -1, 0), "n_coincident <= n_total"),
+        ((10, 5, 6), "cannot exceed n_coincident"),
+        ((10, 5, -6), "cannot exceed n_coincident"),
     ])
     def test_stats_refuse_impossible_counts(self, counts, message):
-        stats = CoincidenceStats.from_counts(10, 5, 1, params=same_bin(0.1))
+        """A count out of range is refused before any estimator is
+        derived, not met by a math domain error from a standard error."""
         with pytest.raises(ValueError, match=message):
-            replace(stats, **counts)
+            CoincidenceStats(*counts, same_bin(0.1))
 
-    @pytest.mark.parametrize("n_coincident", [11, -1])
-    def test_from_counts_refuses_coincidences_out_of_range(self, n_coincident):
-        """The refusal of ``__post_init__``, not a math domain error from the
-        standard error of gamma."""
-        with pytest.raises(ValueError, match="n_coincident <= n_total"):
-            CoincidenceStats.from_counts(10, n_coincident, 0, params=same_bin(0.1))
+    def test_stats_derive_their_estimators(self):
+        """The record is made from its counts and parameters alone: the
+        estimators cannot be passed, and the fields keep their order."""
+        stats = CoincidenceStats(10, 5, 1, same_bin(0.1))
+        assert (stats.gamma_hat, stats.e_conditional) == (0.5, 0.2)
+        assert (stats.mode, stats.window, stats.tau) == (CoincidenceMode.SAME_BIN, 0.1, 0.1)
+        assert [f.name for f in fields(CoincidenceStats)] == [
+            "n_total", "n_coincident", "sum_xy", "gamma_hat", "stderr_gamma",
+            "e_conditional", "stderr_e", "mode", "window", "tau"]
+        for name in ("gamma_hat", "stderr_gamma"):
+            with pytest.raises(TypeError, match=name):
+                CoincidenceStats(10, 5, 1, same_bin(0.1), **{name: 0.5})
 
     def test_stderr_formulas(self):
         params = same_bin(0.05)
@@ -637,6 +644,75 @@ class TestScreen:
         monkeypatch.setattr(coincidence, "_tag_slack", SLACK_MUTATIONS[mutation])
         mismatch, _ = self.fuzz_screen(CoincidenceMode.SAME_BIN)
         assert mismatch is not None
+
+    @staticmethod
+    def solved_pairs(u: np.ndarray, target: float, scale: np.ndarray) -> np.ndarray:
+        """The pairs of ``u`` for which a station-2 tag uniform v < 1 in the
+        precision of ``scale``, within four ulps of target / scale, has
+        fl(v * scale) = ``target``; with that v in row 3."""
+        dtype = scale.dtype.type
+        target = dtype(target)
+        found = np.full(scale.shape, np.nan, scale.dtype)
+        lo = hi = target / scale
+        for _ in range(5):
+            for v in (lo, hi):
+                hit = np.isnan(found) & (v * scale == target) & (v < 1.0)
+                found[hit] = v[hit]
+            lo, hi = np.nextafter(lo, dtype(0.0)), np.nextafter(hi, dtype(np.inf))
+        placed = ~np.isnan(found)
+        w = u[:, placed]
+        w[3] = found[placed]
+        return w
+
+    @classmethod
+    def check_limit(cls, mode: CoincidenceMode, d_exponent: float, cut: float) -> None:
+        """Station 1's tag is 0 (u2 = 0), and station 2's tag uniform is
+        solved from each drawn direction: so that the float32 estimate gap
+        is ``_screen_limit`` exactly, where ``_screen`` keeps the pair, or
+        one float32 ulp above it, where it drops it; and so that the
+        kernel's tag gap is the cut or one float64 ulp to either side,
+        where ``_block_counts`` must give the whole block's kernel counts."""
+        params = ModelParams(tau=cut, window=cut, d_exponent=d_exponent, coincidence_mode=mode)
+        a1, a2 = UnitVector3.from_angle_deg(30.0), UnitVector3.from_angle_deg(75.0)
+        u = event_stream(34, 0).random((4, 256))
+        u[2] = 0.0
+        # station 2's delay T, as the screen estimates it and as the kernel makes it
+        ones = np.ones(u.shape[1])
+        T_estimate = _station_tag_estimate(_screen_direction(u), a2, ones, d_exponent)
+        T = _station(_hidden_direction(u), -1, a2, ones, d_exponent)[1]
+
+        limit = _screen_limit(params)
+        for target, kept in ((limit, True), (np.nextafter(limit, np.float32(np.inf)), False)):
+            w = cls.solved_pairs(u, target, T_estimate)
+            t1, t2 = tag_estimates(w, a1, a2, params)
+            assert w.shape[1] > 50 and np.all(np.abs(t1 - t2) == target)
+            assert len(_screen(w, a1, a2, d_exponent, limit)) == (w.shape[1] if kept else 0)
+
+        coincident = 0
+        for target in (math.nextafter(cut, 0.0), cut, math.nextafter(cut, 1.0)):
+            w = cls.solved_pairs(u, target, T)
+            batch = _events_from_uniforms(w, a1, a2, params)
+            assert w.shape[1] > 50 and np.all(np.abs(batch.t1 - batch.t2) == target)
+            want = _counts_from_batch(batch, params)
+            assert _block_counts([w], a1, a2, params) == want
+            coincident += want[1]
+        assert coincident > 50
+
+    @pytest.mark.parametrize("mode", list(CoincidenceMode))
+    @pytest.mark.parametrize("d_exponent", [3.0, 1.0])
+    @pytest.mark.parametrize("cut", [2.5e-4, 0.3])
+    def test_pairs_at_the_screen_limit_and_the_cut(self, mode, d_exponent, cut):
+        self.check_limit(mode, d_exponent, cut)
+
+    def test_limit_pairs_catch_no_slack(self, monkeypatch):
+        """Without the slack, the screen drops some pair whose kernel tags
+        coincide at the cut; so it does in all eight cases above.  The
+        other two mutations pass them all: with station 1's tag at 0, the
+        estimate errs by at most 1.9e-7, below the 20 u32 = 1.2e-6 that
+        both keep, so only the fuzz catches them."""
+        monkeypatch.setattr(coincidence, "_tag_slack", SLACK_MUTATIONS["no slack"])
+        with pytest.raises(AssertionError):
+            self.check_limit(CoincidenceMode.CONTINUOUS, 3.0, 2.5e-4)
 
 
 class TestTagBounds:

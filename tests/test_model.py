@@ -78,6 +78,17 @@ class TestUnitVector3:
         with pytest.raises(ValueError):
             UnitVector3(1.0 + 1e-5, 0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: UnitVector3(math.nan, 0.0),
+        lambda: UnitVector3(1.0, math.nan),
+        lambda: UnitVector3.from_angle_deg(math.nan),
+    ], ids=["nan-x", "nan-y", "angle-nan"])
+    def test_rejects_nan(self, make):
+        """A NaN component is refused: it would pass a norm check that only
+        asks whether the norm is too far from 1."""
+        with pytest.raises(ValueError, match="not a unit vector"):
+            make()
+
     def test_from_angle_deg(self):
         v = UnitVector3.from_angle_deg(90.0)
         assert v.y == pytest.approx(1.0, abs=1e-15)

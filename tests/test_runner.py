@@ -274,6 +274,21 @@ class TestRunPlan:
             ))
             assert {name: row[name] for name in alone} == alone
 
+    @pytest.mark.parametrize("n_events", [0, -5, runner.MAX_EVENTS + 1])
+    def test_events_out_of_range_refused_before_the_plan(self, n_events, monkeypatch):
+        """Outside [1, 2^36] events, both entry points refuse ``n_events`` by
+        name before a chunk is counted: not with an unpacking error of an
+        empty plan, nor after planning 2^17 + 1 tasks."""
+        def unreachable(task):
+            raise AssertionError("a chunk was counted")
+
+        monkeypatch.setattr(runner, "chunk_counts", unreachable)
+        pair = (UnitVector3(1.0, 0.0), UnitVector3(0.0, 1.0), ModelParams())
+        with pytest.raises(ValueError, match="n_events"):
+            simulate_plan([(*pair, 0)], n_events, seed=1)
+        with pytest.raises(ValueError, match="n_events"):
+            simulate_pair_stats(*pair, n_events, seed=1)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chsh_equals_separate_pairs(self, workers):
         config = small_config(n_events=CHUNK_SIZE + 17, workers=workers)
