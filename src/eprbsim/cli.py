@@ -24,8 +24,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
+from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -128,6 +130,22 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
     return out
 
 
+def _say(text: str) -> None:
+    """Write ``text`` to stdout and flush it, so that a closed or full
+    stdout fails here, as a file of ``_write`` does, and not at exit."""
+    if sys.stdout is None:  # started without a descriptor 1
+        raise ConfigError("cannot write stdout: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Python flushes stdout again at exit: let that go to devnull (an
+        # in-memory stdout has no descriptor and is left as it is)
+        with suppress(OSError), open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ConfigError(f"cannot write stdout: {exc.strerror or exc}") from None
+
+
 def _write(path: Path, text: str) -> None:
     try:
         path.write_text(text)
@@ -199,7 +217,7 @@ def _render(manifest: RunManifest, fmt: str) -> str:
 
 def _cmd_run(args: argparse.Namespace, config: ExperimentConfig, out: Path | None) -> int:
     manifest = args.run(config)
-    sys.stdout.write(_render(manifest, args.format))
+    _say(_render(manifest, args.format))
     if out:
         _write(out / "manifest.json", manifest.to_json() + "\n")
         _write(out / f"{manifest.kind}.csv", _render(manifest, "csv"))
@@ -210,9 +228,8 @@ def _cmd_reproduce(args: argparse.Namespace, config: ExperimentConfig, out: Path
     results = []
     for r in reproduce.run_all(config):
         results.append(r)
-        print(f"[{r.number}] {r.name}: {'PASS' if r.passed else 'FAIL'}")
-        print(f"    {r.detail}", flush=True)
-    print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+        _say(f"[{r.number}] {r.name}: {'PASS' if r.passed else 'FAIL'}\n    {r.detail}\n")
+    _say(f"{sum(r.passed for r in results)}/{len(results)} checks passed\n")
     if out:
         summary = []
         for r in results:

@@ -394,31 +394,29 @@ def _block_counts(
     operation of the kernel is elementwise, so the kept events get the
     outcomes and tags they would get in the whole chunk.
 
-    The uniforms of the pairs kept are gathered, over the blocks, into one
-    array as wide as the first block.  The exact kernel runs on them when
-    it is full and once more at the end, on what is left: once per chunk at
-    small tau, never when no pair is kept.
+    The kept pairs' uniforms are gathered in one array as wide as the first
+    block, which no block may exceed.  The kernel runs on the kept pairs of
+    whole blocks, before the next block's would overflow it and at the end:
+    once per chunk at small tau, never when no pair is kept.
     """
     limit = _screen_limit(params)
-    parts, n, filled = [], 0, 0
+    n = n_c = sum_xy = filled = 0
     for u in blocks:
         if not n:  # the first block
             kept = np.empty((4, u.shape[1]))
         n += u.shape[1]
         index = _screen(u, a1, a2, params.d_exponent, limit)
-        while len(index):
-            room = kept.shape[1] - filled
-            take, index = index[:room], index[room:]
-            kept[:, filled:filled + len(take)] = u[:, take]
-            filled += len(take)
-            if filled == kept.shape[1]:
-                batch = _events_from_uniforms(kept, a1, a2, params)
-                parts.append(_counts_from_batch(batch, params))
-                filled = 0
+        if filled + len(index) > kept.shape[1]:
+            batch = _events_from_uniforms(kept[:, :filled], a1, a2, params)
+            _, c, s = _counts_from_batch(batch, params)
+            n_c, sum_xy, filled = n_c + c, sum_xy + s, 0
+        kept[:, filled:filled + len(index)] = u[:, index]
+        filled += len(index)
     if filled:
         batch = _events_from_uniforms(kept[:, :filled], a1, a2, params)
-        parts.append(_counts_from_batch(batch, params))
-    return n, sum(p[1] for p in parts), sum(p[2] for p in parts)
+        _, c, s = _counts_from_batch(batch, params)
+        n_c, sum_xy = n_c + c, sum_xy + s
+    return n, n_c, sum_xy
 
 
 # events per block: a float32 row of the screen is 64 KiB, below glibc's 128 KiB

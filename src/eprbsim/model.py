@@ -66,6 +66,8 @@ class UnitVector3:
     @classmethod
     def from_angle_deg(cls, angle_deg: float) -> "UnitVector3":
         """Setting in the x-y plane at the given azimuth (degrees)."""
+        if not math.isfinite(angle_deg):  # cos and sin of +-inf raise, of NaN give NaN
+            raise ValueError(f"not a unit vector: the angle is {angle_deg!r} degrees")
         a = math.radians(angle_deg)
         return cls(math.cos(a), math.sin(a))
 

@@ -5,6 +5,7 @@ whose stdout and files are checked; tables rendered from the manifest."""
 import argparse
 import concurrent.futures
 import csv
+import errno
 import io
 import json
 import os
@@ -325,6 +326,59 @@ class TestOutFiles:
         assert main(["sweep", "--out", str(tmp_path), "--format", "csv"]) == 0
         assert (tmp_path / "sweep.csv").read_text() == capsys.readouterr().out
         assert RunManifest.from_json((tmp_path / "manifest.json").read_text()).kind == "sweep"
+
+
+class TestStdoutFailure:
+    """A stdout that cannot be written ends a run as an ``--out`` file that
+    cannot does: one ``error:`` line on stderr, exit 1 and no traceback."""
+
+    class FailingStdout(io.StringIO):
+        """A stdout whose ``write`` or whose ``flush`` raises ``error``."""
+
+        def __init__(self, method: str, error: OSError):
+            super().__init__()
+            self.method, self.error = method, error
+
+        def write(self, text: str) -> int:
+            if self.method == "write":
+                raise self.error
+            return super().write(text)
+
+        def flush(self) -> None:
+            if self.method == "flush":
+                raise self.error
+
+    @pytest.mark.parametrize("command", ["sweep", "reproduce-paper"])
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                       OSError(errno.ENOSPC, "No space left on device")],
+                             ids=["EPIPE", "ENOSPC"])
+    def test_failed_write_is_an_error(self, capsys, monkeypatch, command, method, error):
+        monkeypatch.setattr(cli, "run_correlation_sweep", TestOutFiles.sweep_manifest)
+        monkeypatch.setattr(reproduce, "ALL_CHECKS",
+                            (lambda config: reproduce.CheckResult(1, "one", True, "", {}),))
+        monkeypatch.setattr(sys, "stdout", self.FailingStdout(method, error))
+        assert main([command]) == 1
+        assert capsys.readouterr().err == f"error: cannot write stdout: {error.strerror}\n"
+
+    def test_closed_stdout_is_an_error(self, capsys, monkeypatch):
+        """Python sets ``sys.stdout`` to None when it starts without fd 1."""
+        monkeypatch.setattr(cli, "run_correlation_sweep", TestOutFiles.sweep_manifest)
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["sweep"]) == 1
+        assert capsys.readouterr().err == "error: cannot write stdout: it is closed\n"
+
+    def test_pipe_closed_early(self):
+        """The reader has gone before the run writes: a broken pipe, and no
+        second error when Python flushes stdout at exit."""
+        with subprocess.Popen(
+                [sys.executable, "-m", "eprbsim", "sweep", "--events", "1000", "--alpha-grid",
+                 "0,45"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=300) == 1
+        assert err == "error: cannot write stdout: Broken pipe\n"
 
 
 RUN_ARGS = {

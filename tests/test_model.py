@@ -82,10 +82,13 @@ class TestUnitVector3:
         lambda: UnitVector3(math.nan, 0.0),
         lambda: UnitVector3(1.0, math.nan),
         lambda: UnitVector3.from_angle_deg(math.nan),
-    ], ids=["nan-x", "nan-y", "angle-nan"])
+        lambda: UnitVector3.from_angle_deg(math.inf),
+        lambda: UnitVector3.from_angle_deg(-math.inf),
+    ], ids=["nan-x", "nan-y", "angle-nan", "angle-inf", "angle-minus-inf"])
     def test_rejects_nan(self, make):
         """A NaN component is refused: it would pass a norm check that only
-        asks whether the norm is too far from 1."""
+        asks whether the norm is too far from 1.  So is an infinite angle,
+        whose cosine raises a domain error."""
         with pytest.raises(ValueError, match="not a unit vector"):
             make()
 

@@ -90,6 +90,29 @@ def test_benchmark_probe_builds_its_params():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_traced_chunk_counts_as_the_runner():
+    """The traced replay (``perfbench/traced.py``'s ``traced_chunk``) counts
+    a chunk as ``coincidence.chunk_counts`` does, on a same-bin chunk with a
+    cut and on a continuous W = 1 chunk, each of 2^15 events, so a change to
+    the chunk pipeline that breaks ``--trace 1`` fails here."""
+    code = (
+        "import traced\n"
+        "from eprbsim.coincidence import chunk_counts\n"
+        "from eprbsim.model import CoincidenceMode, ModelParams, UnitVector3\n"
+        "a1, a2 = UnitVector3.from_angle_deg(0.0), UnitVector3.from_angle_deg(45.0)\n"
+        "for params in (ModelParams(tau=2.5e-4), ModelParams(\n"
+        "        window=1.0, coincidence_mode=CoincidenceMode.CONTINUOUS)):\n"
+        "    task = (1, 3, 1 << 15, 1 << 15, a1, a2, params)\n"
+        "    counts = chunk_counts(task)\n"
+        "    assert traced.traced_chunk(task)['counts'] == counts, (params, counts)\n"
+        "    assert counts[1] > 0, params\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              [SRC, PERFBENCH])))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_benchmark_smoke_mode_passes():
     """``perfbench/run.py --smoke`` runs one small round of every benchmark
     workload through the CLI and checks the manifest each writes; a change

@@ -412,10 +412,19 @@ class TestRunPlan:
 
     @pytest.mark.parametrize("mode", list(CoincidenceMode))
     def test_kept_pairs_flush_at_block_size(self, monkeypatch, mode):
-        """The kept pairs of all blocks go through the kernel together: once
-        when they fill a block, and once more with the rest at the end."""
+        """The kept pairs of whole blocks go through the kernel together, in
+        block order: a call runs before the next block's kept pairs would
+        make it wider than a block, and once more with the rest at the end."""
         monkeypatch.setattr(coincidence, "BLOCK_SIZE", 1_000)
-        sizes = self.kernel_sizes(monkeypatch)
+        sizes, kept = self.kernel_sizes(monkeypatch), []
+        screen = coincidence._screen
+
+        def counting_screen(*args):
+            index = screen(*args)
+            kept.append(len(index))
+            return index
+
+        monkeypatch.setattr(coincidence, "_screen", counting_screen)
         params = ModelParams(tau=0.1, window=0.1, coincidence_mode=mode)
         a1, a2 = UnitVector3.from_angle_deg(10.0), UnitVector3.from_angle_deg(55.0)
         n = 4_000
@@ -423,7 +432,13 @@ class TestRunPlan:
                                                  params, n), params)
         sizes.clear()
         assert coincidence.chunk_counts((26, 2, 0, n, a1, a2, params)) == want
-        assert len(sizes) == 2 and sizes[0] == 1_000 and 0 < sizes[1] < 1_000
+        calls = [0]
+        for k in kept:
+            if calls[-1] + k > 1_000:
+                calls.append(0)
+            calls[-1] += k
+        assert len(kept) == 4 and len(calls) >= 2
+        assert sizes == calls
 
     @pytest.mark.parametrize("mode", list(CoincidenceMode))
     def test_chunk_without_kept_pairs_skips_the_kernel(self, monkeypatch, mode):
