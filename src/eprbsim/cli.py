@@ -122,8 +122,11 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the --out directory {out}: {exc.strerror}") from None
-    names = (["reproduction_summary.json"] if args.command == "reproduce-paper"
-             else ["manifest.json", f"{args.command}.csv"])
+    if args.command == "reproduce-paper":
+        names = ["reproduction_summary.json", *(reproduce.manifest_name(number, label)
+                 for number, labels in reproduce.RUN_LABELS.items() for label in labels)]
+    else:
+        names = ["manifest.json", f"{args.command}.csv"]
     for path in (out / name for name in names):
         if path.exists() and not path.is_file():
             raise ConfigError(f"cannot write {path}: not a regular file")
@@ -234,7 +237,7 @@ def _cmd_reproduce(args: argparse.Namespace, config: ExperimentConfig, out: Path
         summary = []
         for r in results:
             for label, manifest in r.manifests.items():
-                _write(out / f"{r.number}-{label}.json", manifest.to_json() + "\n")
+                _write(out / reproduce.manifest_name(r.number, label), manifest.to_json() + "\n")
             # a digest leaves out the timestamp and duration, so the summary is the same every run
             summary.append(dict(number=r.number, name=r.name, passed=r.passed, detail=r.detail,
                                 digests={k: m.digest() for k, m in r.manifests.items()}))
@@ -242,8 +245,18 @@ def _cmd_reproduce(args: argparse.Namespace, config: ExperimentConfig, out: Path
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECKS_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose help text goes to stdout as a run's table does, so
+    that a stdout that cannot take it is an error, not a silent exit 0."""
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            return super().print_help(file)
+        _say(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eprbsim",
         description="Event-based EPRB simulation with coincidence post-selection",
         allow_abbrev=False,
@@ -282,14 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    try:
+        args = build_parser().parse_args(argv)
         config = _load_config(args)
         return args.func(args, config, _out_dir(args))
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     except (ConfigError, EmptyEnsembleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY if isinstance(exc, EmptyEnsembleError) else EXIT_CONFIG

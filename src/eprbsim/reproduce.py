@@ -6,8 +6,9 @@ cosine recovery, the triangle law without post-selection, inequality
 verdicts across seeds, threshold constants, closed forms against
 quadrature, bound compliance, and worker-count determinism.  Each check
 reads its numbers from the ``results`` of the manifests its runs return,
-and returns those manifests with its result, by run label, so that
-``reproduce-paper --out`` can write them (``DIR/<check>-<label>.json``).
+and returns those manifests with its result, by the run labels that
+``RUN_LABELS`` declares, so that ``reproduce-paper --out`` can check every
+name it will write (``DIR/<check>-<label>.json``) before it simulates.
 The battery returns data only: ``run_all`` yields each ``CheckResult``,
 and the CLI prints its pass/fail lines.
 
@@ -48,6 +49,20 @@ UNEQUAL_CLOSED_FORM_ALPHA_DEG = (30.0, 45.0, 60.0, 90.0, 135.0)
 EQUAL_CLOSED_FORM_TAU = (1.0, 1e-1, 1e-2, 1e-4)
 HEADLINE_SEEDS = 5  # check 3 runs the CHSH experiment at seed, seed + 1, ...
 
+# the label of each run a check makes, in run order, by check number
+RUN_LABELS = {
+    1: ("base", "half"),
+    2: ("triangle",),
+    3: tuple(f"seed{k}" for k in range(HEADLINE_SEEDS)),
+    6: ("audit",),
+    7: ("workers1", "workers8"),
+}
+
+
+def manifest_name(number: int, label: str) -> str:
+    """The file that ``reproduce-paper --out`` writes a run's manifest to."""
+    return f"{number}-{label}.json"
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -78,7 +93,7 @@ def check_cosine_recovery(config: ExperimentConfig) -> CheckResult:
     half = run_correlation_sweep(
         replace(config, tau=config.tau / 2.0, window=config.window / 2.0)
     )
-    runs = {"base": base, "half": half}
+    runs = dict(zip(RUN_LABELS[1], (base, half)))
     # an angle without coincidences has no correlation to compare
     starved = {label: [f"{row['alpha_deg']:g}" for row in run.results["rows"]
                        if row["e_conditional"] is None]
@@ -118,15 +133,15 @@ def check_triangle_law(config: ExperimentConfig) -> CheckResult:
     ok = worst <= 0.01 and full_window
     detail = f"max|E+(1-2a/pi)|={worst:.4f} (tol 0.01); gamma=1 everywhere: {full_window}"
     return CheckResult(2, "triangle law without post-selection", ok, detail,
-                       {"triangle": triangle})
+                       dict(zip(RUN_LABELS[2], [triangle])))
 
 
 def check_headline_verdict(config: ExperimentConfig) -> CheckResult:
     ok = True
     details = []
     runs = {}
-    for k in range(HEADLINE_SEEDS):
-        runs[f"seed{k}"] = run = run_chsh_experiment(replace(config, seed=config.seed + k))
+    for k, label in enumerate(RUN_LABELS[3]):
+        runs[label] = run = run_chsh_experiment(replace(config, seed=config.seed + k))
         r = run.results["report"]
         gamma_max = max(r["gammas"])
         seed_ok = (
@@ -214,7 +229,8 @@ def check_bound_compliance(config: ExperimentConfig) -> CheckResult:
         if ok
         else "; ".join(failures)
     )
-    return CheckResult(6, "simulated rates vs analytic bounds", ok, detail, {"audit": audit})
+    return CheckResult(6, "simulated rates vs analytic bounds", ok, detail,
+                       dict(zip(RUN_LABELS[6], [audit])))
 
 
 def check_worker_determinism(config: ExperimentConfig) -> CheckResult:
@@ -227,7 +243,7 @@ def check_worker_determinism(config: ExperimentConfig) -> CheckResult:
         f"8-worker digest {pooled.digest()[:12]}: {same}"
     )
     return CheckResult(7, "bit-identical results for 1 vs 8 workers", same, detail,
-                       {"workers1": solo, "workers8": pooled})
+                       dict(zip(RUN_LABELS[7], (solo, pooled))))
 
 
 ALL_CHECKS = (

@@ -27,9 +27,11 @@ import json
 import math
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import chain, islice
 
 from . import __version__
 from .bell import PAIR_LABELS, verdict
@@ -49,7 +51,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 19
-# events per setting pair: a plan holds all its 2^17 chunk tasks, 17.5 MiB
+WINDOW = 64  # chunk tasks submitted per pool worker at a time
+# events per setting pair: 2^17 chunks, about half an hour of one core
 MAX_EVENTS = 1 << 36
 
 DEFAULT_SEED = 20060913
@@ -212,37 +215,36 @@ def simulate_plan(
 ) -> list[CoincidenceStats]:
     """Simulate every pair of a run, ``n_events`` each, as one flat plan.
 
-    The chunks of all pairs form one task list, served by one pool of up to
-    ``workers`` processes, and no more than there are tasks or CPUs to run
-    them (or run in-process).  Each chunk's stream is keyed by (seed,
-    stream, chunk start), and the integer counts are summed per pair in
-    plan order, so the results depend neither on the worker count nor on
-    the completion order.  ``n_events`` outside [1, MAX_EVENTS] is refused
-    before the plan is built.
+    The chunks of all pairs form one stream of tasks, served by one pool of
+    up to ``workers`` processes, and no more than there are tasks or CPUs to
+    run them (or run in-process), ``WINDOW`` tasks per worker at a time.
+    Each chunk's stream is keyed by (seed, stream, chunk start), and the
+    integer counts are summed per pair in plan order, so the results depend
+    neither on the worker count nor on the completion order.  ``n_events``
+    outside [1, MAX_EVENTS] is refused before the plan starts.
     """
     if not 1 <= n_events <= MAX_EVENTS:
         raise ValueError(f"n_events must be in [1, 2^36 = {MAX_EVENTS}], got {n_events}")
     starts = range(0, n_events, CHUNK_SIZE)
-    tasks = [
-        (seed, stream, start, min(CHUNK_SIZE, n_events - start), a1, a2, params)
-        for a1, a2, params, stream in pairs
-        for start in starts
-    ]
-    pool_size = min(workers, len(tasks), _available_cpus())
-    if pool_size > 1:
-        # imported here, so an in-process run never loads the pool's
-        # multiprocessing machinery
-        from concurrent.futures import ProcessPoolExecutor
+    tasks = ((seed, stream, start, min(CHUNK_SIZE, n_events - start), a1, a2, params)
+             for a1, a2, params, stream in pairs for start in starts)
+    pool_size = min(workers, len(pairs) * len(starts), _available_cpus())
+    with ExitStack() as stack:
+        counts = map(chunk_counts, tasks)
+        if pool_size > 1:
+            # imported here, so an in-process run never loads the pool's
+            # multiprocessing machinery
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            counts = list(pool.map(chunk_counts, tasks, chunksize=1))
-    else:
-        counts = list(map(chunk_counts, tasks))
-    stats = []
-    for i, (_, _, params, _) in enumerate(pairs):
-        parts = counts[i * len(starts):(i + 1) * len(starts)]
-        n, n_c, sum_xy = (sum(column) for column in zip(*parts))
-        stats.append(CoincidenceStats(n, n_c, sum_xy, params))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=pool_size))
+            windows = iter(lambda: list(islice(tasks, WINDOW * pool_size)), [])
+            counts = chain.from_iterable(pool.map(chunk_counts, w, chunksize=1) for w in windows)
+        stats = []
+        for _, _, params, _ in pairs:
+            n = n_c = sum_xy = 0
+            for dn, dn_c, dsum_xy in islice(counts, len(starts)):
+                n, n_c, sum_xy = n + dn, n_c + dn_c, sum_xy + dsum_xy
+            stats.append(CoincidenceStats(n, n_c, sum_xy, params))
     return stats
 
 

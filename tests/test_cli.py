@@ -285,6 +285,9 @@ class TestOutFiles:
     @pytest.mark.parametrize("command, name", [
         *[(c, n) for c in ("sweep", "chsh", "bounds") for n in ("manifest.json", f"{c}.csv")],
         ("reproduce-paper", "reproduction_summary.json"),
+        # each check's manifests, named before any check runs
+        *[("reproduce-paper", reproduce.manifest_name(number, label))
+          for number, labels in reproduce.RUN_LABELS.items() for label in labels],
     ])
     def test_fixed_target_not_a_file_refused_first(self, tmp_path, capsys, command, name):
         (tmp_path / name).mkdir()
@@ -360,6 +363,15 @@ class TestStdoutFailure:
         monkeypatch.setattr(sys, "stdout", self.FailingStdout(method, error))
         assert main([command]) == 1
         assert capsys.readouterr().err == f"error: cannot write stdout: {error.strerror}\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_help_that_cannot_be_written_is_an_error(self, capsys, monkeypatch, argv, method):
+        """argparse would swallow the error and exit 0."""
+        error = OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(sys, "stdout", self.FailingStdout(method, error))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
 
     def test_closed_stdout_is_an_error(self, capsys, monkeypatch):
         """Python sets ``sys.stdout`` to None when it starts without fd 1."""

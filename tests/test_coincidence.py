@@ -1098,25 +1098,52 @@ class TestReducedDispatch:
         "TestOutcomeScreen::test_float64_trig_within_2_to_the_minus_40",
     ]
 
-    def test_trig_pins_hold_on_numpy_baseline_dispatch(self):
-        """numpy picks its float32 cos and sin by CPU at run time.  A child
-        process with every dispatched feature that numpy reports enabled
-        switched off (``NPY_DISABLE_CPU_FEATURES``, set in the child only)
-        runs on numpy's baseline path, and the trig pins hold there too."""
+    # numpy's X86_V3 (AVX2) level: the dispatched features above it
+    ABOVE_X86_V3 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+    @staticmethod
+    def enabled(names=None) -> list[str]:
+        """The features that numpy dispatches to and finds here, of ``names``
+        if given."""
         umath = pytest.importorskip("numpy._core._multiarray_umath")
-        features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
-        if not features:
-            pytest.skip("numpy dispatches no feature beyond its baseline here")
+        return [f for f in umath.__cpu_dispatch__
+                if umath.__cpu_features__.get(f) and (names is None or f in names)]
+
+    @staticmethod
+    def run_without(features: list[str], tests: list[str], passed: int) -> None:
+        """Run ``tests`` in a child process with ``features`` switched off
+        (``NPY_DISABLE_CPU_FEATURES``, set in the child only); the child
+        asserts that they are off, and ``passed`` tests pass."""
         repo = Path(__file__).resolve().parents[1]
         check = (
             "import sys, pytest, numpy._core._multiarray_umath as m\n"
             f"assert not any(m.__cpu_features__[f] for f in {features!r})\n"
             "sys.exit(pytest.main(sys.argv[1:]))\n"
         )
-        pins = [f"tests/test_coincidence.py::{pin}" for pin in self.TRIG_PINS]
         env = dict(os.environ, PYTHONPATH=str(repo / "src"),
                    NPY_DISABLE_CPU_FEATURES=" ".join(features))
-        proc = subprocess.run([sys.executable, "-c", check, "-q", "-p", "no:cacheprovider", *pins],
+        proc = subprocess.run([sys.executable, "-c", check, "-q", "-p", "no:cacheprovider", *tests],
                               cwd=repo, env=env, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines()[-1].startswith("9 passed"), proc.stdout
+        assert proc.stdout.splitlines()[-1].startswith(f"{passed} passed"), proc.stdout
+
+    def test_trig_pins_hold_on_numpy_baseline_dispatch(self):
+        """numpy picks its float32 cos and sin by CPU at run time.  With
+        every dispatched feature that numpy reports enabled switched off, a
+        child process runs on numpy's baseline path, and the trig pins hold
+        there too."""
+        features = self.enabled()
+        if not features:
+            pytest.skip("numpy dispatches no feature beyond its baseline here")
+        self.run_without(features, [f"tests/test_coincidence.py::{pin}" for pin in self.TRIG_PINS],
+                         passed=9)
+
+    @pytest.mark.parametrize("level", ["baseline", "X86_V3"])
+    def test_golden_pins_hold_on_reduced_dispatch(self, level):
+        """Every count and digest of the golden runs is the same on numpy's
+        baseline path and at its X86_V3 (AVX2) level, where the features
+        above it are off."""
+        features = self.enabled(None if level == "baseline" else self.ABOVE_X86_V3)
+        if not features or (level == "X86_V3" and not self.enabled(["X86_V3"])):
+            pytest.skip(f"numpy's {level} level is what it runs here")
+        self.run_without(features, ["tests/test_golden.py"], passed=9)

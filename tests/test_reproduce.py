@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from eprbsim import ExperimentConfig
-from eprbsim.reproduce import ALL_CHECKS, CheckResult, check_cosine_recovery
+from eprbsim.reproduce import ALL_CHECKS, RUN_LABELS, CheckResult, check_cosine_recovery
 
 CONFIG = ExperimentConfig(n_events=2**18, workers=1)
 
@@ -98,6 +98,14 @@ def test_manifest_digests_pinned(check, digests):
     # equality reads number, name, verdict and detail, never the manifests
     assert result == replace(result, manifests={})
     assert result != replace(result, detail=result.detail + " ")
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=IDS)
+def test_run_labels_declared(check):
+    """``reproduce-paper --out`` checks the files of the declared labels
+    before any check runs; each check returns its runs under those labels."""
+    result = result_of(check)
+    assert tuple(result.manifests) == RUN_LABELS.get(result.number, ())
 
 
 def test_starved_angle_fails_check_1():

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -379,6 +380,87 @@ class TestRunPlan:
         assert pooled.digest() == serial.digest()
         run_correlation_sweep(replace(config, workers=2, alpha_grid_deg=(0.0,)))
         assert pools == [3]  # one task: run in-process
+
+    @pytest.fixture
+    def recording_pool(self, monkeypatch):
+        """An in-process pool of 3 that records the size of each ``map``
+        call and the exception, if any, that its ``__exit__`` saw."""
+        record = {"maps": [], "exits": []}
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                assert max_workers == 3
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, kind, *exc):
+                record["exits"].append(kind)
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                tasks = list(tasks)
+                record["maps"].append(len(tasks))
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 3)
+        return record
+
+    @staticmethod
+    def many_pairs(n: int) -> list:
+        return [(UnitVector3.from_angle_deg(0.0), UnitVector3.from_angle_deg(i * 0.9),
+                 ModelParams(tau=0.05, window=0.05), i) for i in range(n)]
+
+    def test_pool_fed_in_windows(self, recording_pool):
+        """A plan of 200 chunks goes to a pool of 3 in windows of at most
+        ``WINDOW`` chunks per worker, and gives the serial run's counts."""
+        pairs = self.many_pairs(200)
+        pooled = simulate_plan(pairs, 1_000, seed=4, workers=3)
+        assert recording_pool["maps"] == [3 * runner.WINDOW, 200 - 3 * runner.WINDOW]
+        assert recording_pool["exits"] == [None]
+        assert pooled == simulate_plan(pairs, 1_000, seed=4, workers=1)
+
+    def test_failed_chunk_shuts_the_pool(self, recording_pool, monkeypatch):
+        """A chunk that raises in the second window ends the run with its
+        exception, after the pool's ``__exit__`` has run."""
+        def fail_at_stream_199(task):
+            if task[1] == 199:
+                raise ArithmeticError("chunk 199")
+            return (task[3], 0, 0)
+
+        monkeypatch.setattr(runner, "chunk_counts", fail_at_stream_199)
+        with pytest.raises(ArithmeticError, match="chunk 199"):
+            simulate_plan(self.many_pairs(200), 1_000, seed=4, workers=3)
+        assert recording_pool["exits"] == [ArithmeticError]
+        assert len(recording_pool["maps"]) == 2
+
+    def test_plan_memory_does_not_grow_with_its_chunks(self, monkeypatch):
+        """200 pairs of 2^30 events are 409,600 chunk tasks.  The plan
+        streams them, so it stays under 1 MiB up to its fourth chunk, where
+        this run stops; an eager task list took 53 MiB."""
+        class Stop(Exception):
+            pass
+
+        starts = []
+
+        def three_chunks(task):
+            if len(starts) == 3:
+                raise Stop
+            starts.append(task[2])
+            return (task[3], 0, 0)
+
+        monkeypatch.setattr(runner, "chunk_counts", three_chunks)
+        pairs = self.many_pairs(200)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                simulate_plan(pairs, 1 << 30, seed=1, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert starts == [0, CHUNK_SIZE, 2 * CHUNK_SIZE]
+        assert peak < 1 << 20, f"{peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("block_size", [1_000, 4_099, coincidence.BLOCK_SIZE])
     @pytest.mark.parametrize("mode", list(CoincidenceMode))
